@@ -26,6 +26,7 @@ from .evaluation import (
     R2Map,
     cosmoothing,
     cosmoothing_fold,
+    fit,
     mean_within,
     r2_map,
     r2_score,
@@ -66,6 +67,7 @@ __all__ = [
     "detsrm_fit",
     "fastsrm_fit",
     "fastsrm_transform",
+    "fit",
     "generate",
     "load_atlas",
     "load_manifest",

@@ -4,19 +4,25 @@ Memory is self-measured: a background thread polls the process resident set
 at 10 Hz while the workload runs and keeps the maximum. Numbers from this
 harness are therefore comparable to each other, but not to figures from
 external profilers.
+
+``peak_mem_bytes`` is the absolute resident set of the whole process, so it
+includes everything allocated before the workload started (the interpreter,
+imported libraries, earlier work). ``baseline_mem_bytes`` is the resident
+set when sampling started; the workload's own increase is
+``peak_mem_bytes - baseline_mem_bytes``.
 """
 
 from __future__ import annotations
 
 import gc
 import os
+import tempfile
 import threading
 import time
 import warnings
 
 from .dataio import DatasetManifest
-from .fastsrm import FastSrmConfig, fastsrm_fit
-from .srm import detsrm_fit, probsrm_fit
+from .evaluation import fit
 
 _PAGE_SIZE = os.sysconf("SC_PAGE_SIZE") if hasattr(os, "sysconf") else 4096
 
@@ -48,11 +54,13 @@ class PeakRssSampler:
     Polls at ``interval`` seconds (default 0.1 s, i.e. 10 Hz); each poll is
     one /proc read, and sleep syscalls themselves are not free on every
     kernel, so the default rate keeps total overhead well under 2% of the
-    measured workload.
+    measured workload. ``start_bytes`` is the resident set read on entry and
+    ``peak_bytes`` the largest one seen until exit, never below it.
     """
 
     def __init__(self, interval: float = 0.1):
         self.interval = interval
+        self.start_bytes: int | None = None
         self.peak_bytes: int | None = None
         self._stop = False
         self._thread = None
@@ -60,7 +68,7 @@ class PeakRssSampler:
         self._close = None
 
     def _run(self):
-        peak = self._read()
+        peak = self.start_bytes
         while not self._stop:
             time.sleep(self.interval)
             rss = self._read()
@@ -73,6 +81,7 @@ class PeakRssSampler:
         if self._read is None:
             warnings.warn("memory sampling unsupported on this platform", RuntimeWarning)
             return self
+        self.start_bytes = self._read()
         self._stop = False
         self._thread = threading.Thread(target=self._run, name="srmkit-rss-sampler", daemon=True)
         self._thread.start()
@@ -97,34 +106,25 @@ def run_bench(
     atlas_id: str | None = None,
     n_iter: int = 10,
     seed: int = 0,
-    temp_dir=None,
 ) -> dict:
     """Time one fit end to end (including its data loading) and report it.
 
     Fits run single-threaded (n_jobs=1) so that timings compare algorithms,
-    not scheduling. Returns a JSON-ready report; ``peak_mem_bytes`` is
-    omitted (with a warning) where sampling is unsupported.
+    not scheduling. fastsrm writes its components to a temporary directory
+    that is removed afterwards. Returns a JSON-ready report;
+    ``peak_mem_bytes`` and ``baseline_mem_bytes`` are omitted (with a
+    warning) where sampling is unsupported.
     """
     gc.collect()
     sampler = PeakRssSampler()
-    start = time.perf_counter()
-    with sampler:
-        if algorithm == "fastsrm":
-            if atlas is None:
-                raise ValueError("fastsrm needs an atlas")
-            cfg = FastSrmConfig(k=k, n_iter=n_iter, seed=seed, temp_dir=temp_dir)
-            model = fastsrm_fit(manifest, atlas, cfg)
-            trace = model.objective_trace
-        elif algorithm in ("detsrm", "probsrm"):
-            data = manifest.load_all()
-            fit = detsrm_fit if algorithm == "detsrm" else probsrm_fit
-            model, _ = fit(data, k, n_iter=n_iter, seed=seed)
-            trace = model.objective_trace if algorithm == "detsrm" else model.loglik_trace
-            del data
-        else:
-            raise ValueError(f"unknown algorithm {algorithm!r}")
-    wall = time.perf_counter() - start
-    del model
+    with tempfile.TemporaryDirectory(prefix="srmkit-") as spill:
+        start = time.perf_counter()
+        with sampler:
+            model = fit(manifest, algorithm, k, atlas=atlas, n_iter=n_iter, seed=seed,
+                        component_dir=spill)
+        wall = time.perf_counter() - start
+        trace = model.trace
+        del model
     gc.collect()
     report = {
         "algorithm": algorithm,
@@ -141,4 +141,5 @@ def run_bench(
     }
     if sampler.peak_bytes is not None:
         report["peak_mem_bytes"] = int(sampler.peak_bytes)
+        report["baseline_mem_bytes"] = int(sampler.start_bytes)
     return report

@@ -19,12 +19,10 @@ from . import __version__
 from .atlas import load_atlas
 from .bench import PeakRssSampler, run_bench
 from .dataio import load_manifest, load_matrix, save_matrix
-from .evaluation import cosmoothing, mean_within, roi_mask
-from .fastsrm import FastSrmConfig, fastsrm_fit, fastsrm_transform
-from .srm import SrmModel, detsrm_fit, probsrm_fit
+from .evaluation import ALGORITHMS, cosmoothing, fit, mean_within, roi_mask
+from .fastsrm import fastsrm_transform
+from .srm import SrmModel
 from .synthetic import generate
-
-ALGOS = ("detsrm", "probsrm", "fastsrm")
 
 
 def _add_common_fit_args(p):
@@ -43,7 +41,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("fit", help="fit a model and write it to a directory")
-    p.add_argument("--algo", choices=ALGOS, required=True)
+    p.add_argument("--algo", choices=ALGORITHMS, required=True)
     _add_common_fit_args(p)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_fit)
@@ -57,7 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_transform)
 
     p = sub.add_parser("evaluate", help="cross-validated reconstruction scores")
-    p.add_argument("--algo", choices=ALGOS, required=True)
+    p.add_argument("--algo", choices=ALGORITHMS, required=True)
     _add_common_fit_args(p)
     p.add_argument("--roi-threshold", type=float, default=0.05)
     p.add_argument(
@@ -116,24 +114,17 @@ def cmd_fit(args, parser) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
-    if args.algo == "fastsrm":
-        cfg = FastSrmConfig(k=args.k, n_iter=args.n_iter, n_jobs=args.n_jobs, seed=args.seed)
-        model = fastsrm_fit(manifest, atlas, cfg)
-        trace = model.objective_trace
-    else:
-        data = manifest.load_all()
-        fit = detsrm_fit if args.algo == "detsrm" else probsrm_fit
-        model, _ = fit(data, args.k, n_iter=args.n_iter, seed=args.seed, n_jobs=args.n_jobs)
-        trace = model.objective_trace if args.algo == "detsrm" else model.loglik_trace
+    model = fit(manifest, args.algo, args.k, atlas=atlas, n_iter=args.n_iter, seed=args.seed,
+                n_jobs=args.n_jobs, component_dir=out / "model")
     wall = time.perf_counter() - start
-    model.save(out / "model")
+    model.save(out / "model")  # fastsrm components are already in place
     log = {
         "algorithm": args.algo,
         "k": args.k,
         "n_iter": args.n_iter,
         "n_jobs": args.n_jobs,
         "seed": args.seed,
-        "trace": [float(x) for x in trace],
+        "trace": [float(x) for x in model.trace],
         "wall_time_s": wall,
     }
     with open(out / "fit_log.json", "w") as f:
@@ -249,7 +240,7 @@ def cmd_synth(args, parser) -> int:
 def cmd_bench(args, parser) -> int:
     algos = [a.strip() for a in args.algos.split(",") if a.strip()]
     for a in algos:
-        if a not in ALGOS:
+        if a not in ALGORITHMS:
             parser.error(f"unknown algorithm {a!r}")
     manifest, atlas = _load_inputs(args, parser, need_atlas="fastsrm" in algos)
     reports = []

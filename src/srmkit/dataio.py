@@ -31,7 +31,7 @@ class FormatError(ValueError):
 def save_matrix(mat: np.ndarray, path) -> None:
     """Write a 2-D float32/float64 matrix to ``path`` in SRMB format.
 
-    Values are stored row-major, little-endian, after a 29-byte header.
+    Values are stored row-major, little-endian, after a 25-byte header.
     Non-finite values are rejected so that every stored file is valid
     input for the solvers.
     """

@@ -5,17 +5,21 @@ fitted on the remaining runs, the held-out run's shared response is
 estimated from the remaining subjects, and the held-out subject's data are
 reconstructed from it and scored per voxel. Folds over every (run, subject)
 pair give one score map each, plus cross-fold averages.
+
+:func:`fit` is the single entry point from an algorithm name and a dataset
+to a fitted model; the CLI and the bench harness use it too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from .dataio import DatasetManifest
 from .fastsrm import FastSrmConfig, fastsrm_fit
-from .srm import detsrm_fit, probsrm_fit
+from .srm import SrmModel, detsrm_fit, probsrm_fit
 
 DEGENERATE_SS = 1e-24
 ROI_THRESHOLD = 0.05  # reference cut for "informative" voxels
@@ -97,23 +101,36 @@ def fold_seed(base_seed: int, run: int) -> int:
     return int(np.random.SeedSequence(entropy=[int(base_seed), int(run)]).generate_state(1)[0])
 
 
-def _fit_spatial(manifest, algorithm, k, atlas, n_iter, seed, n_jobs, temp_dir):
-    """Fit the requested algorithm on a (sub-)dataset and return per-subject
-    component getters."""
+def fit(
+    manifest: DatasetManifest,
+    algorithm: str,
+    k: int,
+    atlas=None,
+    n_iter: int = 10,
+    seed: int = 0,
+    n_jobs: int = 1,
+    component_dir: str | Path | None = None,
+) -> SrmModel:
+    """Fit one of :data:`ALGORITHMS` on a dataset; ``model.trace`` holds its
+    per-iteration objective (log-likelihood for probsrm).
+
+    fastsrm streams the runs from disk and needs ``atlas``; with
+    ``component_dir`` it writes its components into that model directory
+    instead of keeping them in memory. The full-resolution fits load the
+    whole dataset and keep their components in memory.
+    """
+    if algorithm not in ALGORITHMS:
+        raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
     if algorithm == "fastsrm":
         if atlas is None:
             raise ValueError("fastsrm needs an atlas")
-        cfg = FastSrmConfig(k=k, n_iter=n_iter, n_jobs=n_jobs, seed=seed, temp_dir=temp_dir)
-        model = fastsrm_fit(manifest, atlas, cfg)
-        return [model.spatial_component(i) for i in range(model.n)]
-    data = manifest.load_all()
-    if algorithm == "detsrm":
-        model, _ = detsrm_fit(data, k, n_iter=n_iter, seed=seed, n_jobs=n_jobs)
-    elif algorithm == "probsrm":
-        model, _ = probsrm_fit(data, k, n_iter=n_iter, seed=seed, n_jobs=n_jobs)
-    else:
-        raise ValueError(f"unknown algorithm {algorithm!r}")
-    return [model.spatial_component(i) for i in range(model.n)]
+        cfg = FastSrmConfig(
+            k=k, n_iter=n_iter, n_jobs=n_jobs, seed=seed, component_dir=component_dir
+        )
+        return fastsrm_fit(manifest, atlas, cfg)
+    solver = detsrm_fit if algorithm == "detsrm" else probsrm_fit
+    model, _ = solver(manifest.load_all(), k, n_iter=n_iter, seed=seed, n_jobs=n_jobs)
+    return model
 
 
 def _score_left_out_run(manifest, spatial, run, algorithm, k, subjects=None):
@@ -160,7 +177,6 @@ def cosmoothing(
     n_iter: int = 10,
     seed: int = 0,
     n_jobs: int = 1,
-    temp_dir=None,
 ) -> CosmoothingResult:
     """Cross-validated reconstruction over every (left-out run, left-out
     subject) pair.
@@ -181,10 +197,8 @@ def cosmoothing(
     for s in range(manifest.n_runs):
         try:
             training = manifest.without_run(s)
-            spatial = _fit_spatial(
-                training, algorithm, k, atlas, n_iter, fold_seed(seed, s), n_jobs, temp_dir
-            )
-            folds.extend(_score_left_out_run(manifest, spatial, s, algorithm, k))
+            model = fit(training, algorithm, k, atlas, n_iter, fold_seed(seed, s), n_jobs)
+            folds.extend(_score_left_out_run(manifest, model.spatial, s, algorithm, k))
         except Exception as exc:
             raise RuntimeError(f"fold with left-out run {s} failed: {exc}") from exc
     folds.sort(key=lambda f: (f.left_out_subject, f.left_out_run))
@@ -201,15 +215,12 @@ def cosmoothing_fold(
     n_iter: int = 10,
     seed: int = 0,
     n_jobs: int = 1,
-    temp_dir=None,
 ) -> R2Map:
     """Recompute a single (run, subject) fold; identical arithmetic to the
     full sweep, so the map matches bit-for-bit."""
     training = manifest.without_run(run)
-    spatial = _fit_spatial(
-        training, algorithm, k, atlas, n_iter, fold_seed(seed, run), n_jobs, temp_dir
-    )
-    return _score_left_out_run(manifest, spatial, run, algorithm, k, subjects=[subject])[0]
+    model = fit(training, algorithm, k, atlas, n_iter, fold_seed(seed, run), n_jobs)
+    return _score_left_out_run(manifest, model.spatial, run, algorithm, k, subjects=[subject])[0]
 
 
 def roi_mask(maps, threshold: float = ROI_THRESHOLD) -> np.ndarray:

@@ -5,40 +5,37 @@ orthonormal regression.
 Full-resolution runs are streamed from disk and never held together: the
 process keeps the reduced data (small by construction), the atlas, at most
 one t x v run per worker, and the k x v accumulators. Recovered components
-default to disk-backed storage so peak memory stays independent of the
-subject count.
+are kept in memory, or, given a model directory, written there one subject
+at a time so that peak memory stays independent of the subject count.
 """
 
 from __future__ import annotations
 
 import os
-import tempfile
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .atlas import Atlas, project_run
 from .dataio import DatasetManifest, save_matrix
-from .srm import SharedResponse, SrmModel, _accumulate_product, _procrustes_svd, detsrm_fit
-
-TMPDIR_ENV = "SRMKIT_TMPDIR"
+from .srm import SharedResponse, SrmModel, _map_subjects, _project_sum, _subject_step, detsrm_fit
 
 
 @dataclass
 class FastSrmConfig:
-    """Knobs of the compressed fit."""
+    """Knobs of the compressed fit.
+
+    ``component_dir`` is None to keep the recovered components in memory, or
+    the model directory that recovery writes them into one subject at a
+    time (created if missing; it ends up a loadable model directory).
+    """
 
     k: int
     n_iter: int = 10
     n_jobs: int = 1
     seed: int = 0
-    temp_dir: str | Path | None = None  # spill directory; env SRMKIT_TMPDIR overrides tempdir
-    keep_components: str = "ondisk"  # "ondisk" | "inmemory"
-    # working precision of the retained reduced data; cross products and the
-    # recovery SVD always run in float64
-    dtype: np.dtype = field(default_factory=lambda: np.dtype(np.float64))
+    component_dir: str | Path | None = None
 
     def __post_init__(self):
         if self.k < 1:
@@ -47,60 +44,31 @@ class FastSrmConfig:
             raise ValueError("n_iter must be at least 1")
         if self.n_jobs < 1:
             raise ValueError("n_jobs must be at least 1")
-        if self.keep_components not in ("ondisk", "inmemory"):
-            raise ValueError(f"unknown keep_components {self.keep_components!r}")
-        self.dtype = np.dtype(self.dtype)
-        if self.dtype not in (np.dtype(np.float64), np.dtype(np.float32)):
-            raise ValueError("dtype must be float32 or float64")
-
-    def resolve_temp_dir(self) -> Path:
-        if self.temp_dir is not None:
-            base = Path(self.temp_dir)
-        elif os.environ.get(TMPDIR_ENV):
-            base = Path(os.environ[TMPDIR_ENV])
-        else:
-            base = Path(tempfile.gettempdir())
-        try:
-            base.mkdir(parents=True, exist_ok=True)
-            return Path(tempfile.mkdtemp(prefix="srmkit-", dir=base))
-        except OSError as exc:
-            raise RuntimeError(f"spill directory {base} is not writable: {exc}") from exc
 
 
 def reduce_dataset(
-    manifest: DatasetManifest, atlas: Atlas, n_jobs: int = 1, dtype=np.float64
+    manifest: DatasetManifest, atlas: Atlas, n_jobs: int = 1
 ) -> list[list[np.ndarray]]:
-    """Project every run into parcel space, indexed [subject][run].
+    """Project every run into parcel space (float64), indexed [subject][run].
 
     Runs are loaded one at a time per worker; only the t x c projections are
     retained.
     """
-    n, m = manifest.n_subjects, manifest.n_runs
-    reduced: list[list] = [[None] * m for _ in range(n)]
 
-    def unit(idx):
-        i, s = idx
-        try:
-            x = manifest.load_run(i, s)
-            reduced[i][s] = project_run(x, atlas).astype(dtype, copy=False)
-        except Exception as exc:
-            raise RuntimeError(f"projection failed for subject {i}, run {s}: {exc}") from exc
+    def reduce_subject(i):
+        return [
+            project_run(manifest.load_run(i, s), atlas).astype(np.float64, copy=False)
+            for s in range(manifest.n_runs)
+        ]
 
-    units = [(i, s) for i in range(n) for s in range(m)]
-    if n_jobs <= 1:
-        for u in units:
-            unit(u)
-    else:
-        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            list(pool.map(unit, units))
-    return reduced
+    return _map_subjects(reduce_subject, manifest.n_subjects, n_jobs)
 
 
 def recover_components(
     manifest: DatasetManifest,
     shared: SharedResponse | list[np.ndarray],
     n_jobs: int = 1,
-    component_dir: Path | None = None,
+    component_dir: str | Path | None = None,
 ) -> list[np.ndarray | Path]:
     """Recover full-resolution components from a (possibly ill-scaled) shared
     response by orthonormal regression.
@@ -111,6 +79,9 @@ def recover_components(
     same components. When ``component_dir`` is given, each component is
     written there (atomic rename) and released before the next subject.
     """
+    if component_dir is not None:
+        component_dir = Path(component_dir)
+        component_dir.mkdir(parents=True, exist_ok=True)
     runs = list(shared.runs) if isinstance(shared, SharedResponse) else list(shared)
     if len(runs) != manifest.n_runs:
         raise ValueError(f"{len(runs)} shared runs for a {manifest.n_runs}-run dataset")
@@ -118,21 +89,9 @@ def recover_components(
         if sh.shape[0] != manifest.t_per_run[s]:
             raise ValueError(f"run {s}: shared response has {sh.shape[0]} timeframes, "
                              f"data has {manifest.t_per_run[s]}")
-    k = runs[0].shape[1]
 
     def recover_subject(i):
-        # cross products always accumulate in float64 so the Procrustes step
-        # meets the orthonormality tolerance whatever the data dtype
-        acc = np.zeros((k, manifest.v), dtype=np.float64)
-        scratch = np.empty((k, manifest.v), dtype=np.float64)
-        for s in range(manifest.n_runs):
-            try:
-                x = manifest.load_run(i, s)
-                _accumulate_product(runs[s].T, x, acc, scratch)
-            except Exception as exc:
-                raise RuntimeError(f"recovery failed for subject {i}, run {s}: {exc}") from exc
-            del x
-        w, _ = _procrustes_svd(acc)
+        w, _ = _subject_step(runs, lambda s: manifest.load_run(i, s), manifest.v)
         if component_dir is None:
             return w
         dest = component_dir / f"w_{i:03d}.srmb"
@@ -141,10 +100,7 @@ def recover_components(
         os.replace(tmp, dest)
         return dest
 
-    if n_jobs <= 1 or manifest.n_subjects == 1:
-        return [recover_subject(i) for i in range(manifest.n_subjects)]
-    with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-        return list(pool.map(recover_subject, range(manifest.n_subjects)))
+    return _map_subjects(recover_subject, manifest.n_subjects, n_jobs)
 
 
 def fastsrm_fit(manifest: DatasetManifest, atlas: Atlas, cfg: FastSrmConfig) -> SrmModel:
@@ -155,8 +111,8 @@ def fastsrm_fit(manifest: DatasetManifest, atlas: Atlas, cfg: FastSrmConfig) -> 
     full-resolution components by orthonormal regression against the reduced
     shared response, streaming runs from disk once more.
 
-    The returned model carries ``objective_trace`` (the reduced-space fit
-    trace) and ``reduced_shared`` (the step-2 shared response, which is not
+    The returned model carries ``trace`` (the reduced-space fit trace) and
+    ``reduced_shared`` (the step-2 shared response, which is not
     correctly scaled for reconstruction; use :func:`fastsrm_transform`).
     """
     if atlas.v != manifest.v:
@@ -164,20 +120,19 @@ def fastsrm_fit(manifest: DatasetManifest, atlas: Atlas, cfg: FastSrmConfig) -> 
     if cfg.k >= atlas.c:
         raise ValueError(f"k={cfg.k} must be smaller than the parcel count c={atlas.c}")
 
-    reduced = reduce_dataset(manifest, atlas, n_jobs=cfg.n_jobs, dtype=cfg.dtype)
+    reduced = reduce_dataset(manifest, atlas, n_jobs=cfg.n_jobs)
     reduced_model, reduced_shared = detsrm_fit(
         reduced, cfg.k, n_iter=cfg.n_iter, seed=cfg.seed, n_jobs=1
     )
     del reduced
 
-    component_dir = cfg.resolve_temp_dir() if cfg.keep_components == "ondisk" else None
     spatial = recover_components(
-        manifest, reduced_shared, n_jobs=cfg.n_jobs, component_dir=component_dir
+        manifest, reduced_shared, n_jobs=cfg.n_jobs, component_dir=cfg.component_dir
     )
     model = SrmModel(spatial, validate=False)
-    if component_dir is not None:
-        model.save(component_dir)  # descriptor only; components are already in place
-    model.objective_trace = reduced_model.objective_trace
+    if cfg.component_dir is not None:
+        model.save(cfg.component_dir)  # descriptor only; components are already in place
+    model.trace = reduced_model.trace
     model.reduced_shared = reduced_shared
     return model
 
@@ -201,9 +156,7 @@ def fastsrm_transform(model: SrmModel, runs, subjects=None) -> np.ndarray:
         if not 0 <= i < model.n:
             raise ValueError(f"unknown subject {i} (model has {model.n})")
     t = runs[0].shape[0]
-    acc = np.zeros((t, model.k), dtype=np.float64)
     for x, i in zip(runs, subjects):
         if x.shape != (t, model.v):
             raise ValueError(f"subject {i}: run shape {x.shape}, expected ({t}, {model.v})")
-        acc += x @ model.spatial_component(i).T
-    return acc / len(subjects)
+    return _project_sum(runs, (model.spatial_component(i) for i in subjects)) / len(subjects)

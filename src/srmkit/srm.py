@@ -30,16 +30,6 @@ SIGMA_EIG_FLOOR = 1e-10
 def _procrustes_svd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal row-space solution U V of the SVD of m, plus singular values."""
     u, d, vt = np.linalg.svd(m, full_matrices=False)
-    # Sign convention: the largest-magnitude entry of each left singular
-    # vector is made non-negative (ties break to the lowest index), with the
-    # matching right singular vector flipped. Pins the degenerate sign
-    # freedom so repeated runs emit identical factors.
-    k = u.shape[1]
-    idx = np.argmax(np.abs(u), axis=0)
-    signs = np.sign(u[idx, np.arange(k)])
-    signs[signs == 0] = 1.0
-    u = u * signs
-    vt = vt * signs[:, None]
     return u @ vt, d
 
 
@@ -62,13 +52,26 @@ def procrustes_update(m: np.ndarray) -> np.ndarray:
     return w
 
 
+def _project_sum(runs, spatial, sigma_sq=None) -> np.ndarray:
+    """Sum over subjects of X_i W_i^T, each term divided by sigma_i^2 when
+    ``sigma_sq`` is given.
+
+    ``spatial`` may be any iterable, so disk-backed components can be loaded
+    one at a time. The sum runs in subject order with a float64 accumulator,
+    so the result does not depend on scheduling.
+    """
+    total = 0.0  # becomes a float64 array at the first term
+    for i, (x, w) in enumerate(zip(runs, spatial)):
+        p = x @ w.T.astype(np.float64, copy=False)
+        total += p if sigma_sq is None else p / sigma_sq[i]
+    return total
+
+
 def update_shared(runs, spatial) -> np.ndarray:
     """Average of X_i W_i^T across subjects, for one run.
 
     This is the closed-form least-squares update of the shared response and
-    doubles as the transform of new data through fitted components. The sum
-    runs in subject order with a float64 accumulator, so the result does not
-    depend on scheduling.
+    doubles as the transform of new data through fitted components.
     """
     if len(runs) != len(spatial):
         raise ValueError(f"{len(runs)} runs but {len(spatial)} component matrices")
@@ -76,14 +79,12 @@ def update_shared(runs, spatial) -> np.ndarray:
         raise ValueError("need at least one subject")
     t = runs[0].shape[0]
     k = spatial[0].shape[0]
-    acc = np.zeros((t, k), dtype=np.float64)
     for x, w in zip(runs, spatial):
         if x.shape[0] != t:
             raise ValueError("runs disagree on timeframe count")
         if x.shape[1] != w.shape[1] or w.shape[0] != k:
             raise ValueError(f"shape mismatch: run {x.shape} vs components {w.shape}")
-        acc += x @ w.T.astype(np.float64, copy=False)
-    return acc / len(runs)
+    return _project_sum(runs, spatial) / len(runs)
 
 
 def reconstruct(w_i: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -125,7 +126,9 @@ class SrmModel:
     ``spatial[i]`` is either an in-memory k x v array or a Path to an SRMB
     file (disk-backed components are loaded on demand and never pinned).
     ``sigma_sq`` (per-subject noise variances) and ``sigma_s`` (k x k shared
-    covariance) are present only on probabilistic fits.
+    covariance) are present only on probabilistic fits. Fits attach
+    ``trace``: the residual sum of squares per iteration for detsrm and
+    fastsrm (in parcel space), the log-likelihood for probsrm.
     """
 
     def __init__(self, spatial, sigma_sq=None, sigma_s=None, validate=True):
@@ -277,13 +280,20 @@ def _map_subjects(fn, n, n_jobs):
         return list(pool.map(fn, range(n)))
 
 
-def _accumulate_product(a, b, acc, scratch) -> None:
-    """acc += a @ b without allocating the product, when dtypes permit."""
-    try:
-        np.matmul(a, b, out=scratch)
-    except TypeError:
-        scratch = np.matmul(a, b)
-    acc += scratch
+def _subject_step(shared, run, v):
+    """Orthonormal components of one subject given the shared response.
+
+    Accumulates sum_s S_s^T X_s in float64, in run order, where ``run(s)``
+    returns the subject's t_s x v matrix of run s (from memory or from disk;
+    each run is released before the next is fetched), then returns the
+    Procrustes solution and its singular values. The accumulator and the
+    scratch product are per call, so worker threads never share them.
+    """
+    acc = np.zeros((shared[0].shape[1], v), dtype=np.float64)
+    scratch = np.empty_like(acc)
+    for s, sh in enumerate(shared):
+        acc += np.matmul(sh.T, run(s), out=scratch)
+    return _procrustes_svd(acc)
 
 
 # ---------------------------------------------------------------------------
@@ -313,8 +323,8 @@ def detsrm_fit(data, k: int, n_iter: int = 10, seed=0, n_jobs: int = 1):
     Returns
     -------
     (SrmModel, SharedResponse)
-        The model carries ``objective_trace``, the exact residual
-        sum-of-squares after every full iteration.
+        The model carries ``trace``, the exact residual sum-of-squares after
+        every full iteration.
     """
     if n_iter < 1:
         raise ValueError("n_iter must be at least 1")
@@ -327,13 +337,7 @@ def detsrm_fit(data, k: int, n_iter: int = 10, seed=0, n_jobs: int = 1):
         shared = [update_shared([data[i][s] for i in range(n)], spatial) for s in range(m)]
 
         def update_subject(i):
-            # scratch is per call, so worker threads never share it
-            acc = np.zeros((k, v), dtype=np.float64)
-            scratch = np.empty((k, v), dtype=np.float64)
-            for s in range(m):
-                _accumulate_product(shared[s].T, data[i][s], acc, scratch)
-            w, _ = _procrustes_svd(acc)
-            return w
+            return _subject_step(shared, lambda s: data[i][s], v)[0]
 
         spatial = _map_subjects(update_subject, n, n_jobs)
 
@@ -349,12 +353,22 @@ def detsrm_fit(data, k: int, n_iter: int = 10, seed=0, n_jobs: int = 1):
 
         trace.append(float(sum(_map_subjects(subject_residual, n, n_jobs))))
     model = SrmModel(spatial, validate=False)
-    model.objective_trace = trace
+    model.trace = trace
     return model, SharedResponse(shared)
 
 
 # ---------------------------------------------------------------------------
 # expectation-maximization fit
+
+
+def _posterior_cov(sigma_sq, sigma_s):
+    """Posterior covariance of one shared timepoint, (Sigma^-1 + sum_i
+    I/sigma_i^2)^-1 = (I + alpha Sigma)^-1 Sigma, together with the matrix
+    b = I + alpha Sigma whose determinant enters the log-likelihood."""
+    alpha = float(np.sum(1.0 / np.asarray(sigma_sq)))
+    b = np.eye(sigma_s.shape[0]) + alpha * sigma_s
+    cov = np.linalg.solve(b, sigma_s)
+    return (cov + cov.T) / 2.0, b
 
 
 def shared_posterior(run_stack, spatial, sigma_sq, sigma_s):
@@ -365,16 +379,8 @@ def shared_posterior(run_stack, spatial, sigma_sq, sigma_s):
     each W_i, which collapses the nv-dimensional conditioning to k x k
     solves: the posterior covariance is (Sigma^-1 + sum_i I/sigma_i^2)^-1.
     """
-    k = spatial[0].shape[0]
-    alpha = float(np.sum(1.0 / np.asarray(sigma_sq)))
-    b = np.eye(k) + alpha * sigma_s
-    cov = np.linalg.solve(b, sigma_s)
-    cov = (cov + cov.T) / 2.0
-    t = run_stack[0].shape[0]
-    q = np.zeros((t, k), dtype=np.float64)
-    for x, w, s2 in zip(run_stack, spatial, sigma_sq):
-        q += (x @ w.T.astype(np.float64, copy=False)) / s2
-    return q @ cov, cov
+    cov, _ = _posterior_cov(sigma_sq, sigma_s)
+    return _project_sum(run_stack, spatial, sigma_sq) @ cov, cov
 
 
 def probsrm_fit(data, k: int, n_iter: int = 10, seed=0, n_jobs: int = 1):
@@ -394,8 +400,8 @@ def probsrm_fit(data, k: int, n_iter: int = 10, seed=0, n_jobs: int = 1):
     trace is no longer meaningful.
 
     Returns (SrmModel, SharedResponse) where the shared response holds the
-    posterior means under the final parameters. The model carries
-    ``loglik_trace`` with n_iter + 1 entries: the initial parameters and
+    posterior means under the final parameters. The model carries ``trace``,
+    the log-likelihood with n_iter + 1 entries: the initial parameters and
     every update thereafter.
     """
     if n_iter < 1:
@@ -421,16 +427,11 @@ def probsrm_fit(data, k: int, n_iter: int = 10, seed=0, n_jobs: int = 1):
     def e_step():
         """Posterior moments and the observed-data log-likelihood at the
         current parameters, via the k x k collapsed form."""
-        alpha = float(np.sum(1.0 / sigma_sq))
-        b = np.eye(k) + alpha * sigma_s
-        cov = np.linalg.solve(b, sigma_s)
-        cov = (cov + cov.T) / 2.0
+        cov, b = _posterior_cov(sigma_sq, sigma_s)
         means = []
         quad = float(np.sum(ssq / sigma_sq))
         for s in range(m):
-            q = np.zeros((t_per_run[s], k), dtype=np.float64)
-            for i in range(n):
-                q += (centered[i][s] @ spatial[i].T) / sigma_sq[i]
+            q = _project_sum([centered[i][s] for i in range(n)], spatial, sigma_sq)
             mu = q @ cov
             quad -= float(np.sum(mu * q))
             means.append(mu)
@@ -449,11 +450,7 @@ def probsrm_fit(data, k: int, n_iter: int = 10, seed=0, n_jobs: int = 1):
         second_moment = total_t * post_cov + sum(mu.T @ mu for mu in post_means)
 
         def update_subject(i):
-            acc = np.zeros((k, v), dtype=np.float64)
-            scratch = np.empty((k, v), dtype=np.float64)
-            for s in range(m):
-                _accumulate_product(post_means[s].T, centered[i][s], acc, scratch)
-            w, d = _procrustes_svd(acc)
+            w, d = _subject_step(post_means, lambda s: centered[i][s], v)
             resid = ssq[i] - 2.0 * float(np.sum(d)) + total_t * float(np.trace(post_cov)) + msq
             return w, max(resid / (total_t * v), 1e-30)
 
@@ -477,5 +474,5 @@ def probsrm_fit(data, k: int, n_iter: int = 10, seed=0, n_jobs: int = 1):
     post_means, _, ll = e_step()
     trace.append(float(ll))
     model = SrmModel(spatial, sigma_sq=sigma_sq, sigma_s=sigma_s, validate=False)
-    model.loglik_trace = trace
+    model.trace = trace
     return model, SharedResponse(post_means)

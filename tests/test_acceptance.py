@@ -62,7 +62,6 @@ def desk_bench(desk):
     manifest, _, atlas, root = desk
     fast = run_bench(
         manifest, "fastsrm", k=DESK["k"], atlas=atlas, n_iter=10, seed=0,
-        temp_dir=root / "bench-spill",
     )
     det = run_bench(manifest, "detsrm", k=DESK["k"], n_iter=10, seed=0)
     return fast, det
@@ -95,7 +94,6 @@ def test_criterion_01_reconstruction_parity(desk, tmp_path):
     det = cosmoothing(manifest, "detsrm", k=DESK["k"], n_iter=10, seed=0)
     fast = cosmoothing(
         manifest, "fastsrm", k=DESK["k"], atlas=atlas, n_iter=10, seed=0,
-        temp_dir=root / "eval-spill",
     )
     # With unit noise spread over 50000 voxels the planted per-voxel signal
     # fraction is ~0.4%, below what leave-one-out reconstruction can beat, so
@@ -113,7 +111,6 @@ def test_criterion_01_reconstruction_parity(desk, tmp_path):
     det2 = cosmoothing(manifest2, "detsrm", k=20, n_iter=10, seed=0)
     fast2 = cosmoothing(
         manifest2, "fastsrm", k=20, atlas=atlas2, n_iter=10, seed=0,
-        temp_dir=tmp_path / "parity-spill",
     )
     roi_means, roi_diff = _parity_gap(det2, fast2, threshold=0.05)
     elapsed = time.perf_counter() - start
@@ -170,7 +167,7 @@ def test_criterion_04_orthonormality_matrix(tmp_path):
                 probsrm_fit(data, k, n_iter=4, seed=3)[0],
                 fastsrm_fit(
                     manifest, atlas,
-                    FastSrmConfig(k=k, n_iter=4, seed=3, keep_components="inmemory"),
+                    FastSrmConfig(k=k, n_iter=4, seed=3),
                 ),
             ]
             for model in fits:
@@ -195,14 +192,14 @@ def test_criterion_05_fit_trace_monotonicity():
         rng = np.random.default_rng(1000 + seed)
         data = [[rng.standard_normal((30, 40)) for _ in range(2)] for _ in range(3)]
         model, _ = detsrm_fit(data, k=5, n_iter=10, seed=seed)
-        trace = np.array(model.objective_trace)
+        trace = np.array(model.trace)
         worst_det = max(worst_det, float(np.max(np.diff(trace) / trace[0])))
     worst_prob = -np.inf
     for seed in range(20):
         rng = np.random.default_rng(2000 + seed)
         data = [[rng.standard_normal((30, 40)) for _ in range(2)] for _ in range(3)]
         model, _ = probsrm_fit(data, k=5, n_iter=10, seed=seed)
-        trace = np.array(model.loglik_trace)
+        trace = np.array(model.trace)
         worst_prob = max(
             worst_prob, float(np.max(-np.diff(trace) / np.abs(trace[:-1])))
         )
@@ -308,7 +305,7 @@ def test_criterion_07_scale_invariant_recovery(small_planted):
     manifest, _ = small_planted("scale", sigma_list=0.8)
     atlas = balanced_partition(120, 24, seed=2)
     model = fastsrm_fit(
-        manifest, atlas, FastSrmConfig(k=4, n_iter=6, seed=1, keep_components="inmemory")
+        manifest, atlas, FastSrmConfig(k=4, n_iter=6, seed=1)
     )
     base = recover_components(manifest, model.reduced_shared)
     worst = 0.0
@@ -357,16 +354,16 @@ def test_criterion_09_identity_compression(small_planted, tmp_path):
     atlas = Atlas.partition(np.arange(120))
     fast = fastsrm_fit(
         manifest, atlas,
-        FastSrmConfig(k=4, n_iter=8, seed=11, temp_dir=tmp_path / "spill"),
+        FastSrmConfig(k=4, n_iter=8, seed=11, component_dir=tmp_path / "spill"),
     )
     full, _ = detsrm_fit(manifest.load_all(), k=4, n_iter=8, seed=11)
-    rel = abs(fast.objective_trace[-1] - full.objective_trace[-1]) / abs(
-        full.objective_trace[-1]
+    rel = abs(fast.trace[-1] - full.trace[-1]) / abs(
+        full.trace[-1]
     )
     trace_gap = float(
         np.max(
-            np.abs(np.array(fast.objective_trace) - np.array(full.objective_trace))
-            / np.array(full.objective_trace)
+            np.abs(np.array(fast.trace) - np.array(full.trace))
+            / np.array(full.trace)
         )
     )
     w_gap = max(
@@ -392,7 +389,7 @@ def test_criterion_10_noiseless_exact_recovery(small_planted, tmp_path):
     atlas = balanced_partition(600, 10, seed=3)  # c = 2k
     fast = fastsrm_fit(
         manifest, atlas,
-        FastSrmConfig(k=5, n_iter=50, seed=2, temp_dir=tmp_path / "spill"),
+        FastSrmConfig(k=5, n_iter=50, seed=2, component_dir=tmp_path / "spill"),
     )
     fast_err = max(
         subspace_error(fast.spatial_component(i), truth.spatial[i]) for i in range(4)
@@ -401,7 +398,7 @@ def test_criterion_10_noiseless_exact_recovery(small_planted, tmp_path):
     worst_r2 = np.inf
     for algo, atl in (("detsrm", None), ("fastsrm", atlas)):
         result = cosmoothing(
-            manifest, algo, k=5, atlas=atl, n_iter=10, seed=0, temp_dir=tmp_path / "cs"
+            manifest, algo, k=5, atlas=atl, n_iter=10, seed=0
         )
         worst_r2 = min(worst_r2, float(np.mean(result.mean_map()[signal])))
     check(
@@ -440,20 +437,20 @@ def test_criterion_12_determinism_across_n_jobs(small_planted, tmp_path):
     identical &= all(
         np.array_equal(det[0][0].spatial_component(i), det[1][0].spatial_component(i))
         for i in range(4)
-    ) and det[0][0].objective_trace == det[1][0].objective_trace
+    ) and det[0][0].trace == det[1][0].trace
     detail.append("detsrm")
 
     prob = [probsrm_fit(data, 4, n_iter=5, seed=6, n_jobs=j) for j in (1, 4)]
     identical &= all(
         np.array_equal(prob[0][0].spatial_component(i), prob[1][0].spatial_component(i))
         for i in range(4)
-    ) and prob[0][0].loglik_trace == prob[1][0].loglik_trace
+    ) and prob[0][0].trace == prob[1][0].trace
     detail.append("probsrm")
 
     fast = [
         fastsrm_fit(
             manifest, atlas,
-            FastSrmConfig(k=4, n_iter=5, seed=6, n_jobs=j, temp_dir=tmp_path / f"sp{j}"),
+            FastSrmConfig(k=4, n_iter=5, seed=6, n_jobs=j, component_dir=tmp_path / f"sp{j}"),
         )
         for j in (1, 4)
     ]
@@ -464,8 +461,7 @@ def test_criterion_12_determinism_across_n_jobs(small_planted, tmp_path):
     detail.append("fastsrm components byte-identical")
 
     evals = [
-        cosmoothing(manifest, "fastsrm", k=4, atlas=atlas, n_iter=4, seed=6, n_jobs=j,
-                    temp_dir=tmp_path / f"cs{j}")
+        cosmoothing(manifest, "fastsrm", k=4, atlas=atlas, n_iter=4, seed=6, n_jobs=j)
         for j in (1, 4)
     ]
     identical &= all(

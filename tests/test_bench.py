@@ -50,6 +50,12 @@ def test_run_bench_fastsrm_needs_atlas(make_dataset):
 def test_run_bench_deterministic_trace(make_dataset, tmp_path):
     manifest, _ = make_dataset(n=2, m=2, v=30, k=3, sigma=0.4, seed=2)
     atlas = balanced_partition(30, 10, seed=0)
-    r1 = run_bench(manifest, "fastsrm", k=3, atlas=atlas, n_iter=4, seed=5, temp_dir=tmp_path)
-    r2 = run_bench(manifest, "fastsrm", k=3, atlas=atlas, n_iter=4, seed=5, temp_dir=tmp_path)
+    r1 = run_bench(manifest, "fastsrm", k=3, atlas=atlas, n_iter=4, seed=5)
+    r2 = run_bench(manifest, "fastsrm", k=3, atlas=atlas, n_iter=4, seed=5)
     assert r1["trace"] == r2["trace"]
+
+
+def test_run_bench_reports_baseline(make_dataset):
+    manifest, _ = make_dataset(n=2, m=2, v=30, k=3, sigma=0.4, seed=3)
+    report = run_bench(manifest, "detsrm", k=3, n_iter=2, seed=0)
+    assert 0 < report["baseline_mem_bytes"] <= report["peak_mem_bytes"]

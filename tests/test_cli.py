@@ -256,3 +256,23 @@ def test_synth_invalid_parameters_exit_two(tmp_path, capsys):
         main(["synth", "--n", "1", "--m", "1", "--t", "5", "--v", "4", "--k", "9",
               "--out", str(tmp_path / "bad")])
     assert exc.value.code == 2
+
+
+def test_fastsrm_leaves_no_files_in_tempdir(tmp_path, monkeypatch):
+    import tempfile
+
+    from srmkit import load_manifest
+    from srmkit.bench import run_bench
+
+    ds = run_synth(tmp_path)
+    atlas = balanced_partition(40, 8, seed=2)
+    save_atlas(atlas, tmp_path / "atlas.srmb")
+    scratch = tmp_path / "tempdir"
+    scratch.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+    common = ["--algo", "fastsrm", "--manifest", str(ds / "manifest.json"), "--k", "3",
+              "--n-iter", "3", "--atlas", str(tmp_path / "atlas.srmb")]
+    assert main(["fit", *common, "--out", str(tmp_path / "fit")]) == 0
+    assert main(["evaluate", *common, "--out", str(tmp_path / "eval")]) == 0
+    run_bench(load_manifest(ds / "manifest.json"), "fastsrm", k=3, atlas=atlas, n_iter=3)
+    assert list(scratch.iterdir()) == []

@@ -105,7 +105,7 @@ class TestCosmoothing:
         signal = truth.signal_voxels(0)
         for algo, atlas in (("detsrm", None), ("fastsrm", balanced_partition(120, 16, seed=1))):
             result = cosmoothing(
-                manifest, algo, k=4, atlas=atlas, n_iter=10, seed=0, temp_dir=tmp_path
+                manifest, algo, k=4, atlas=atlas, n_iter=10, seed=0
             )
             assert len(result.folds) == 2 * 4
             mean = result.mean_map()

@@ -21,10 +21,10 @@ def test_identity_compression_matches_full_fit(make_dataset, tmp_path):
     # pipeline must reproduce the plain fit bit-for-bit given the same seed.
     manifest, _ = make_dataset(n=3, m=2, t_list=(30, 25), v=40, k=4, sigma=0.5, seed=3)
     atlas = Atlas.partition(np.arange(40))
-    cfg = FastSrmConfig(k=4, n_iter=6, seed=9, temp_dir=tmp_path / "spill")
+    cfg = FastSrmConfig(k=4, n_iter=6, seed=9, component_dir=tmp_path / "spill")
     fast = fastsrm_fit(manifest, atlas, cfg)
     full, _ = detsrm_fit(manifest.load_all(), k=4, n_iter=6, seed=9)
-    rel = abs(fast.objective_trace[-1] - full.objective_trace[-1]) / full.objective_trace[-1]
+    rel = abs(fast.trace[-1] - full.trace[-1]) / full.trace[-1]
     assert rel <= 1e-8
     for i in range(3):
         assert np.max(np.abs(fast.spatial_component(i) - full.spatial_component(i))) <= 1e-8
@@ -49,8 +49,6 @@ def test_config_validation():
         FastSrmConfig(k=0)
     with pytest.raises(ValueError):
         FastSrmConfig(k=2, n_jobs=0)
-    with pytest.raises(ValueError):
-        FastSrmConfig(k=2, keep_components="sometimes")
 
 
 def test_n_jobs_bit_identical(make_dataset, tmp_path):
@@ -59,7 +57,7 @@ def test_n_jobs_bit_identical(make_dataset, tmp_path):
     out = {}
     for jobs in (1, 4):
         cfg = FastSrmConfig(
-            k=3, n_iter=5, n_jobs=jobs, seed=2, temp_dir=tmp_path / f"spill{jobs}"
+            k=3, n_iter=5, n_jobs=jobs, seed=2, component_dir=tmp_path / f"spill{jobs}"
         )
         out[jobs] = fastsrm_fit(manifest, atlas, cfg)
     for i in range(4):
@@ -69,13 +67,13 @@ def test_n_jobs_bit_identical(make_dataset, tmp_path):
     # the on-disk component files themselves are byte-identical
     for i in range(4):
         assert out[1].spatial[i].read_bytes() == out[4].spatial[i].read_bytes()
-    assert out[1].objective_trace == out[4].objective_trace
+    assert out[1].trace == out[4].trace
 
 
 def test_components_spill_to_disk_atomically(make_dataset, tmp_path):
     manifest, _ = make_dataset(n=2, m=2, v=30, k=3, sigma=0.2, seed=6)
     atlas = balanced_partition(30, 9, seed=2)
-    cfg = FastSrmConfig(k=3, n_iter=3, seed=0, temp_dir=tmp_path / "spill")
+    cfg = FastSrmConfig(k=3, n_iter=3, seed=0, component_dir=tmp_path / "spill")
     model = fastsrm_fit(manifest, atlas, cfg)
     for i in range(2):
         assert model.is_on_disk(i)
@@ -90,25 +88,17 @@ def test_components_spill_to_disk_atomically(make_dataset, tmp_path):
 def test_inmemory_components(make_dataset):
     manifest, _ = make_dataset(n=2, m=2, v=30, k=3, sigma=0.2, seed=6)
     atlas = balanced_partition(30, 9, seed=2)
-    cfg = FastSrmConfig(k=3, n_iter=3, seed=0, keep_components="inmemory")
+    cfg = FastSrmConfig(k=3, n_iter=3, seed=0)
     model = fastsrm_fit(manifest, atlas, cfg)
     assert not model.is_on_disk(0)
     w = model.spatial_component(0)
     assert np.max(np.abs(w @ w.T - np.eye(3))) <= 1e-8
 
 
-def test_tmpdir_env_override(make_dataset, tmp_path, monkeypatch):
-    monkeypatch.setenv("SRMKIT_TMPDIR", str(tmp_path / "envspill"))
-    manifest, _ = make_dataset(n=2, m=2, v=30, k=2, sigma=0.1, seed=7)
-    atlas = balanced_partition(30, 6, seed=3)
-    model = fastsrm_fit(manifest, atlas, FastSrmConfig(k=2, n_iter=2, seed=0))
-    assert str(model.spatial[0]).startswith(str(tmp_path / "envspill"))
-
-
 def test_recovery_is_scale_invariant(make_dataset, tmp_path):
     manifest, _ = make_dataset(n=3, m=2, t_list=(25, 30), v=60, k=4, sigma=0.8, seed=8)
     atlas = balanced_partition(60, 12, seed=4)
-    cfg = FastSrmConfig(k=4, n_iter=5, seed=1, keep_components="inmemory")
+    cfg = FastSrmConfig(k=4, n_iter=5, seed=1)
     model = fastsrm_fit(manifest, atlas, cfg)
     base = recover_components(manifest, model.reduced_shared)
     for f in (1e-3, 3.7, 1e3):
@@ -120,7 +110,7 @@ def test_recovery_is_scale_invariant(make_dataset, tmp_path):
 def test_planted_recovery_with_compression(make_dataset):
     manifest, truth = make_dataset(n=4, m=2, t_list=(60, 60), v=400, k=5, sigma=0.0, seed=9)
     atlas = balanced_partition(400, 20, seed=5)  # c = 4k
-    cfg = FastSrmConfig(k=5, n_iter=20, seed=3, keep_components="inmemory")
+    cfg = FastSrmConfig(k=5, n_iter=20, seed=3)
     model = fastsrm_fit(manifest, atlas, cfg)
     for i in range(4):
         assert subspace_error(model.spatial_component(i), truth.spatial[i]) <= 1e-3
@@ -159,7 +149,7 @@ def test_transform_matches_planted_product(make_dataset):
     # arbitrarily scaled.
     manifest, truth = make_dataset(n=3, m=2, t_list=(40, 35), v=80, k=4, sigma=0.0, seed=14)
     atlas = balanced_partition(80, 16, seed=6)
-    cfg = FastSrmConfig(k=4, n_iter=15, seed=4, keep_components="inmemory")
+    cfg = FastSrmConfig(k=4, n_iter=15, seed=4)
     model = fastsrm_fit(manifest, atlas, cfg)
     runs = [manifest.load_run(i, 0) for i in range(3)]
     shared = fastsrm_transform(model, runs)
@@ -177,5 +167,7 @@ def test_worker_failure_names_subject_and_run(make_dataset, tmp_path):
     raw[:4] = b"XXXX"
     target.write_bytes(bytes(raw))
     atlas = balanced_partition(30, 6, seed=7)
-    with pytest.raises(RuntimeError, match=r"subject 1, run 0"):
-        fastsrm_fit(manifest, atlas, FastSrmConfig(k=3, n_iter=2, seed=0, temp_dir=tmp_path))
+    with pytest.raises(RuntimeError, match=r"subject 1, run 0") as info:
+        fastsrm_fit(manifest, atlas, FastSrmConfig(k=3, n_iter=2, seed=0))
+    assert str(info.value).count("subject 1, run 0") == 1
+    assert str(target) in str(info.value)

@@ -11,7 +11,7 @@ def test_loglik_non_decreasing():
         rng = np.random.default_rng(seed)
         data = [[rng.standard_normal((25, 18)) for _ in range(2)] for _ in range(3)]
         model, _ = probsrm_fit(data, k=4, n_iter=8, seed=seed)
-        trace = np.array(model.loglik_trace)
+        trace = np.array(model.trace)
         assert len(trace) == 9
         assert np.all(np.diff(trace) >= -1e-6 * np.abs(trace[:-1]))
 
@@ -82,7 +82,7 @@ def test_n_jobs_bit_identical():
     m4, s4 = probsrm_fit(data, k=3, n_iter=4, seed=3, n_jobs=4)
     for i in range(4):
         assert np.array_equal(m1.spatial_component(i), m4.spatial_component(i))
-    assert m1.loglik_trace == m4.loglik_trace
+    assert m1.trace == m4.trace
     assert np.array_equal(s1[0], s4[0])
 
 

@@ -131,7 +131,7 @@ class TestDetSrm:
         w = model.spatial_component(0)
         resid = x - shared[0] @ w
         assert np.sum(resid**2) <= 1e-16 * np.sum(x**2)
-        assert model.objective_trace[-1] <= 1e-16 * np.sum(x**2)
+        assert model.trace[-1] <= 1e-16 * np.sum(x**2)
         rel = np.linalg.norm(shared[0] @ w - x) / np.linalg.norm(x)
         assert rel <= 1e-6
 
@@ -139,7 +139,7 @@ class TestDetSrm:
         rng = np.random.default_rng(22)
         data = [[rng.standard_normal((20, 15)) for _ in range(2)] for _ in range(3)]
         model, _ = detsrm_fit(data, k=4, n_iter=8, seed=1)
-        trace = np.array(model.objective_trace)
+        trace = np.array(model.trace)
         assert len(trace) == 8
         assert np.all(np.diff(trace) <= 1e-12 * trace[0])
 
@@ -216,7 +216,7 @@ class TestDetSrm:
             assert np.array_equal(m1.spatial_component(i), m4.spatial_component(i))
         for a, b in zip(s1.runs, s4.runs):
             assert np.array_equal(a, b)
-        assert m1.objective_trace == m4.objective_trace
+        assert m1.trace == m4.trace
 
 
 class TestSrmModel:
