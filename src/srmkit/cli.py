@@ -25,13 +25,14 @@ from .srm import SrmModel
 from .synthetic import generate
 
 
-def _add_common_fit_args(p):
+def _add_common_fit_args(p, n_jobs=True):
     p.add_argument("--manifest", required=True, help="dataset manifest JSON")
     p.add_argument("--k", type=int, required=True, help="number of components")
     p.add_argument("--atlas", help="atlas SRMB file (required for fastsrm)")
     p.add_argument("--atlas-kind", choices=("partition", "prob"), default=None)
     p.add_argument("--n-iter", type=int, default=10)
-    p.add_argument("--n-jobs", type=int, default=1)
+    if n_jobs:
+        p.add_argument("--n-jobs", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
 
 
@@ -83,9 +84,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("bench", help="time and measure fits on one dataset")
+    p = sub.add_parser("bench", help="time and measure single-threaded fits on one dataset")
     p.add_argument("--algos", required=True, help="comma-separated algorithms")
-    _add_common_fit_args(p)
+    _add_common_fit_args(p, n_jobs=False)
     p.add_argument("--out", default="-", help="JSON-lines output file, or - for stdout")
     p.set_defaults(func=cmd_bench)
 
@@ -207,6 +208,7 @@ def cmd_evaluate(args, parser) -> int:
         "per_fold": per_fold,
         "runtime_s": runtime,
         "peak_mem_bytes": sampler.peak_bytes,
+        "baseline_mem_bytes": sampler.start_bytes,
     }
     with open(out / "summary.json", "w") as f:
         json.dump(summary, f, indent=2, sort_keys=True)

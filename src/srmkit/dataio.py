@@ -127,13 +127,16 @@ class DatasetManifest:
 
     ``runs[i][s]`` is the path of subject i, run s. Every subject has the
     same run count and voxel count; within a run all subjects share the
-    timeframe count (required for a per-run shared response).
+    timeframe count (required for a per-run shared response). ``run_ids``
+    holds the dataset's index of each run when this manifest keeps only some
+    of them (see :meth:`without_run`); errors report those indices.
     """
 
     subjects: tuple[str, ...]
     runs: tuple[tuple[Path, ...], ...]
     v: int
     t_per_run: tuple[int, ...]
+    run_ids: tuple[int, ...] | None = None
 
     @property
     def n_subjects(self) -> int:
@@ -147,7 +150,8 @@ class DatasetManifest:
         try:
             return load_matrix(self.runs[subject][run])
         except Exception as exc:
-            raise RuntimeError(f"failed loading subject {subject}, run {run}: {exc}") from exc
+            run_id = run if self.run_ids is None else self.run_ids[run]
+            raise RuntimeError(f"failed loading subject {subject}, run {run_id}: {exc}") from exc
 
     def load_all(self) -> list[list[np.ndarray]]:
         """Load every run into memory, indexed [subject][run]."""
@@ -158,11 +162,13 @@ class DatasetManifest:
         keep = [s for s in range(self.n_runs) if s != run]
         if not keep:
             raise ValueError("cannot drop the only run")
+        ids = self.run_ids or range(self.n_runs)
         return DatasetManifest(
             subjects=self.subjects,
             runs=tuple(tuple(paths[s] for s in keep) for paths in self.runs),
             v=self.v,
             t_per_run=tuple(self.t_per_run[s] for s in keep),
+            run_ids=tuple(ids[s] for s in keep),
         )
 
 

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataio import load_matrix, save_matrix
+from .dataio import load_matrix, read_header, save_matrix
 
 ORTHONORMALITY_TOL = 1e-8
 SIGMA_EIG_FLOOR = 1e-10
@@ -207,14 +207,17 @@ class SrmModel:
         with open(directory / "model.json") as f:
             desc = json.load(f)
         paths = [directory / name for name in desc["components"]]
+        if len(paths) != desc["n"]:
+            raise ValueError(f"{directory}: descriptor does not match component files")
+        for p in paths:
+            rows, cols, _ = read_header(p)
+            if (rows, cols) != (desc["k"], desc["v"]):
+                raise ValueError(f"{p}: shape {rows}x{cols}, expected {desc['k']}x{desc['v']}")
         spatial = paths if keep_on_disk else [load_matrix(p) for p in paths]
         sigma_s = None
         if desc.get("sigma_s"):
             sigma_s = load_matrix(directory / desc["sigma_s"])
-        model = cls(spatial, sigma_sq=desc.get("sigma_sq"), sigma_s=sigma_s, validate=not keep_on_disk)
-        if (model.k, model.n, model.v) != (desc["k"], desc["n"], desc["v"]):
-            raise ValueError(f"{directory}: descriptor does not match component files")
-        return model
+        return cls(spatial, sigma_sq=desc.get("sigma_sq"), sigma_s=sigma_s, validate=not keep_on_disk)
 
 
 def check_orthonormal(w: np.ndarray, tol: float = ORTHONORMALITY_TOL) -> None:
@@ -296,6 +299,24 @@ def _subject_step(shared, run, v):
     return _procrustes_svd(acc)
 
 
+def _sum_squares(runs) -> float:
+    """sum_s ||X_s||_F^2, accumulated in float64 in run order."""
+    flats = (np.asarray(x, dtype=np.float64).ravel() for x in runs)
+    return sum(float(np.dot(f, f)) for f in flats)
+
+
+def _update_components(data, shared, ssq, n_jobs):
+    """Procrustes step of every subject. Returns the components and, per
+    subject, ssq[i] - 2 sum(d_i) with d_i the singular values of S^T X_i;
+    adding ||S||^2 gives ||X_i - S W_i||^2, since W_i has orthonormal rows."""
+    def step(i):
+        w, d = _subject_step(shared, lambda s: data[i][s], data[i][0].shape[1])
+        return w, ssq[i] - 2.0 * float(np.sum(d))
+
+    updated = _map_subjects(step, len(data), n_jobs)
+    return [w for w, _ in updated], [p for _, p in updated]
+
+
 # ---------------------------------------------------------------------------
 # alternating least-squares fit
 
@@ -323,35 +344,21 @@ def detsrm_fit(data, k: int, n_iter: int = 10, seed=0, n_jobs: int = 1):
     Returns
     -------
     (SrmModel, SharedResponse)
-        The model carries ``trace``, the exact residual sum-of-squares after
-        every full iteration.
+        The model carries ``trace``, the residual sum-of-squares after every
+        iteration, computed from the Procrustes singular values d_i as
+        sum_i (||X_i||^2 - 2 sum(d_i)) + n sum_s ||S_s||^2: exact up to
+        rounding of about 1e-15 * sum_i ||X_i||^2, and clamped at 0.
     """
     if n_iter < 1:
         raise ValueError("n_iter must be at least 1")
-    n, m, t_per_run, v = _validate_stack(data, k)
+    n, m, _, v = _validate_stack(data, k)
     spatial = init_spatial(n, k, v, seed)
-    shared = None
+    ssq = [_sum_squares(runs) for runs in data]
     trace = []
-    max_t = max(t_per_run)
     for _ in range(n_iter):
         shared = [update_shared([data[i][s] for i in range(n)], spatial) for s in range(m)]
-
-        def update_subject(i):
-            return _subject_step(shared, lambda s: data[i][s], v)[0]
-
-        spatial = _map_subjects(update_subject, n, n_jobs)
-
-        def subject_residual(i):
-            buf = np.empty((max_t, v), dtype=np.float64)
-            sq = 0.0
-            for s in range(m):
-                pred = np.matmul(shared[s], spatial[i], out=buf[: t_per_run[s]])
-                np.subtract(data[i][s], pred, out=pred)
-                flat = pred.ravel()
-                sq += float(np.dot(flat, flat))
-            return sq
-
-        trace.append(float(sum(_map_subjects(subject_residual, n, n_jobs))))
+        spatial, partial = _update_components(data, shared, ssq, n_jobs)
+        trace.append(max(sum(partial) + n * _sum_squares(shared), 0.0))
     model = SrmModel(spatial, validate=False)
     model.trace = trace
     return model, SharedResponse(shared)
@@ -414,15 +421,12 @@ def probsrm_fit(data, k: int, n_iter: int = 10, seed=0, n_jobs: int = 1):
         [np.asarray(x, dtype=np.float64) - np.asarray(x, dtype=np.float64).mean(axis=0) for x in runs]
         for runs in data
     ]
-    ssq = np.array(
-        [sum(float(np.dot(x.ravel(), x.ravel())) for x in runs) for runs in centered]
-    )
+    ssq = np.array([_sum_squares(runs) for runs in centered])
 
     spatial = init_spatial(n, k, v, seed)
     sigma_s = np.eye(k)
     sigma_sq = np.ones(n)
     trace = []
-    post_means = None
 
     def e_step():
         """Posterior moments and the observed-data log-likelihood at the
@@ -449,14 +453,9 @@ def probsrm_fit(data, k: int, n_iter: int = 10, seed=0, n_jobs: int = 1):
         msq = sum(float(np.sum(mu * mu)) for mu in post_means)
         second_moment = total_t * post_cov + sum(mu.T @ mu for mu in post_means)
 
-        def update_subject(i):
-            w, d = _subject_step(post_means, lambda s: centered[i][s], v)
-            resid = ssq[i] - 2.0 * float(np.sum(d)) + total_t * float(np.trace(post_cov)) + msq
-            return w, max(resid / (total_t * v), 1e-30)
-
-        updated = _map_subjects(update_subject, n, n_jobs)
-        spatial = [w for w, _ in updated]
-        sigma_sq = np.array([s2 for _, s2 in updated])
+        spatial, partial = _update_components(centered, post_means, ssq, n_jobs)
+        post_var = total_t * float(np.trace(post_cov))
+        sigma_sq = np.array([max((p + post_var + msq) / (total_t * v), 1e-30) for p in partial])
 
         sigma_s = second_moment / total_t
         sigma_s = (sigma_s + sigma_s.T) / 2.0

@@ -203,6 +203,30 @@ def test_bench_rejects_unknown_algorithm(tmp_path, capsys):
     assert exc.value.code == 2
 
 
+def test_bench_rejects_n_jobs(tmp_path, capsys):
+    # bench always fits single-threaded; the flag is refused, not ignored.
+    ds = run_synth(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--algos", "detsrm", "--manifest", str(ds / "manifest.json"),
+              "--k", "2", "--n-jobs", "4"])
+    assert exc.value.code == 2
+    assert "--n-jobs" in capsys.readouterr().err
+
+
+def test_evaluate_reports_baseline_memory(tmp_path):
+    ds = run_synth(tmp_path)
+    out = tmp_path / "eval"
+    assert main(
+        [
+            "evaluate", "--algo", "detsrm", "--manifest", str(ds / "manifest.json"),
+            "--k", "2", "--n-iter", "2", "--out", str(out),
+        ]
+    ) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    jsonschema.validate(summary, load_schema("evaluate_summary"))
+    assert 0 < summary["baseline_mem_bytes"] <= summary["peak_mem_bytes"]
+
+
 def test_transform_subject_subset(tmp_path):
     ds = run_synth(tmp_path)
     fit_out = tmp_path / "fit"

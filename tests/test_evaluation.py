@@ -187,3 +187,18 @@ class TestCosmoothing:
         manifest.runs[0][1].write_bytes(bytes(raw))
         with pytest.raises(RuntimeError, match="left-out run 0"):
             cosmoothing(manifest, "detsrm", k=2, n_iter=2, seed=0)
+
+    @pytest.mark.parametrize("algorithm", ["detsrm", "fastsrm"])
+    def test_failure_names_dataset_run(self, make_dataset, algorithm):
+        # The fold leaving out run 0 trains on runs 1 and 2; the corrupted
+        # run must be reported by its index in the dataset, not in the fold.
+        manifest, _ = make_dataset(n=2, m=3, t_list=(20, 20, 20), v=30, k=2, sigma=0.5, seed=27)
+        target = manifest.runs[1][2]
+        raw = bytearray(target.read_bytes())
+        raw[:4] = b"XXXX"
+        target.write_bytes(bytes(raw))
+        atlas = balanced_partition(30, 6, seed=3)
+        with pytest.raises(RuntimeError, match="left-out run 0") as info:
+            cosmoothing(manifest, algorithm, k=2, atlas=atlas, n_iter=2, seed=0)
+        assert "subject 1, run 2" in str(info.value)
+        assert str(target) in str(info.value)

@@ -7,6 +7,7 @@ from srmkit import (
     detsrm_fit,
     procrustes_update,
     reconstruct,
+    save_matrix,
     update_shared,
 )
 
@@ -218,6 +219,41 @@ class TestDetSrm:
             assert np.array_equal(a, b)
         assert m1.trace == m4.trace
 
+    @pytest.mark.parametrize("n_jobs", [1, 4])
+    def test_trace_matches_direct_residual(self, n_jobs):
+        # The trace is computed from the Procrustes singular values; it must
+        # equal the residual of the returned factors computed directly.
+        rng = np.random.default_rng(29)
+        k, v = 4, 30
+        s_true = [rng.standard_normal((t, k)) for t in (16, 11)]
+        data = [
+            [s @ random_orthonormal_rows(k, v, seed=40 + i) + 0.3 * rng.standard_normal((len(s), v))
+             for s in s_true]
+            for i in range(3)
+        ]
+        model, shared = detsrm_fit(data, k=k, n_iter=6, seed=7, n_jobs=n_jobs)
+        direct = sum(
+            np.sum((x - shared[s] @ model.spatial_component(i)) ** 2)
+            for i, runs in enumerate(data)
+            for s, x in enumerate(runs)
+        )
+        assert abs(model.trace[-1] - direct) <= 1e-12 * direct
+
+    def test_noiseless_trace_at_rounding_floor(self):
+        # On noiseless data the closed form cancels to rounding: never below
+        # 0 (it is clamped) and no more than 1e-14 of the data's energy.
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            k, v = 3, 20
+            s_true = [rng.standard_normal((t, k)) * np.array([3.0, 2.0, 1.0]) for t in (15, 12)]
+            data = [
+                [s @ random_orthonormal_rows(k, v, seed=100 * seed + i) for s in s_true]
+                for i in range(3)
+            ]
+            model, _ = detsrm_fit(data, k=k, n_iter=10, seed=seed)
+            energy = sum(np.sum(x**2) for runs in data for x in runs)
+            assert 0.0 <= model.trace[-1] <= 1e-14 * energy
+
 
 class TestSrmModel:
     def test_save_load_roundtrip(self, tmp_path):
@@ -236,6 +272,16 @@ class TestSrmModel:
         lazy = SrmModel.load(tmp_path / "model")
         assert lazy.is_on_disk(0)
         assert np.array_equal(lazy.spatial_component(0), spatial[0])
+
+    @pytest.mark.parametrize("keep_on_disk", [True, False])
+    def test_load_checks_every_component_header(self, tmp_path, keep_on_disk):
+        spatial = [random_orthonormal_rows(2, 50, seed=i) for i in range(2)]
+        SrmModel(spatial).save(tmp_path / "model")
+        bad = tmp_path / "model" / "w_001.srmb"
+        save_matrix(random_orthonormal_rows(3, 40, seed=9), bad)
+        with pytest.raises(ValueError, match="3x40") as info:
+            SrmModel.load(tmp_path / "model", keep_on_disk=keep_on_disk)
+        assert str(bad) in str(info.value)
 
     def test_orthonormality_enforced(self):
         with pytest.raises(ValueError, match="orthonormal"):
