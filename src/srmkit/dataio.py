@@ -10,6 +10,7 @@ bit-exactly and can be read by row range without loading the whole file.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -33,7 +34,9 @@ def save_matrix(mat: np.ndarray, path) -> None:
 
     Values are stored row-major, little-endian, after a 25-byte header.
     Non-finite values are rejected so that every stored file is valid
-    input for the solvers.
+    input for the solvers. The file is written beside ``path`` as
+    ``<name>.tmp`` and renamed into place, so an interrupted write never
+    leaves a truncated matrix at ``path``.
     """
     mat = np.asarray(mat)
     if mat.ndim != 2:
@@ -47,9 +50,16 @@ def save_matrix(mat: np.ndarray, path) -> None:
     code = _CODE_BY_DTYPE[mat.dtype]
     header = struct.pack("<4sIBQQ", MAGIC, VERSION, code, mat.shape[0], mat.shape[1])
     le = mat.astype(_DTYPE_BY_CODE[code], copy=False)
-    with open(path, "wb") as f:
-        f.write(header)
-        np.ascontiguousarray(le).tofile(f)
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.write(header)
+            np.ascontiguousarray(le).tofile(f)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def read_header(path) -> tuple[int, int, np.dtype]:
@@ -129,7 +139,7 @@ class DatasetManifest:
     same run count and voxel count; within a run all subjects share the
     timeframe count (required for a per-run shared response). ``run_ids``
     holds the dataset's index of each run when this manifest keeps only some
-    of them (see :meth:`without_run`); errors report those indices.
+    of them (see :meth:`select_runs`); errors report those indices.
     """
 
     subjects: tuple[str, ...]
@@ -162,6 +172,10 @@ class DatasetManifest:
         keep = [s for s in range(self.n_runs) if s != run]
         if not keep:
             raise ValueError("cannot drop the only run")
+        return self.select_runs(keep)
+
+    def select_runs(self, keep) -> "DatasetManifest":
+        """Manifest restricted to the runs at positions ``keep``, in that order."""
         ids = self.run_ids or range(self.n_runs)
         return DatasetManifest(
             subjects=self.subjects,

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataio import DatasetManifest
-from .fastsrm import FastSrmConfig, fastsrm_fit
+from .fastsrm import FastSrmConfig, fastsrm_fit, reduce_dataset
 from .srm import SrmModel, detsrm_fit, probsrm_fit
 
 DEGENERATE_SS = 1e-24
@@ -51,12 +51,16 @@ def r2_map(pred: np.ndarray, truth: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     Returns (scores, degenerate): columns whose centered sum of squares falls
     below 1e-24 are flagged degenerate and score 0.
     """
-    pred = np.asarray(pred, dtype=np.float64)
-    truth = np.asarray(truth, dtype=np.float64)
+    pred = np.asarray(pred)
+    truth = np.asarray(truth)
     if pred.shape != truth.shape:
         raise ValueError(f"shape mismatch: {pred.shape} vs {truth.shape}")
-    ss_tot = np.sum((truth - truth.mean(axis=0)) ** 2, axis=0)
-    ss_res = np.sum((pred - truth) ** 2, axis=0)
+    # One float64 t x v scratch serves both sums; float32 truth is upcast
+    # element by element inside the ufuncs instead of copied whole.
+    scratch = np.subtract(truth, truth.mean(axis=0, dtype=np.float64), dtype=np.float64)
+    ss_tot = np.sum(np.square(scratch, out=scratch), axis=0)
+    np.subtract(pred, truth, out=scratch, dtype=np.float64)
+    ss_res = np.sum(np.square(scratch, out=scratch), axis=0)
     degenerate = ss_tot < DEGENERATE_SS
     scores = np.zeros(truth.shape[1])
     live = ~degenerate
@@ -110,14 +114,18 @@ def fit(
     seed: int = 0,
     n_jobs: int = 1,
     component_dir: str | Path | None = None,
+    *,
+    reduced=None,
 ) -> SrmModel:
     """Fit one of :data:`ALGORITHMS` on a dataset; ``model.trace`` holds its
     per-iteration objective (log-likelihood for probsrm).
 
     fastsrm streams the runs from disk and needs ``atlas``; with
     ``component_dir`` it writes its components into that model directory
-    instead of keeping them in memory. The full-resolution fits load the
-    whole dataset and keep their components in memory.
+    instead of keeping them in memory, and ``reduced`` hands it the runs
+    already projected through ``atlas`` (see :func:`fastsrm_fit`). The
+    full-resolution fits load the whole dataset and keep their components
+    in memory.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
@@ -127,7 +135,9 @@ def fit(
         cfg = FastSrmConfig(
             k=k, n_iter=n_iter, n_jobs=n_jobs, seed=seed, component_dir=component_dir
         )
-        return fastsrm_fit(manifest, atlas, cfg)
+        return fastsrm_fit(manifest, atlas, cfg, reduced=reduced)
+    if reduced is not None:
+        raise ValueError(f"{algorithm} fits full-resolution data; reduced data is for fastsrm")
     solver = detsrm_fit if algorithm == "detsrm" else probsrm_fit
     model, _ = solver(manifest.load_all(), k, n_iter=n_iter, seed=seed, n_jobs=n_jobs)
     return model
@@ -169,6 +179,19 @@ def _score_left_out_run(manifest, spatial, run, algorithm, k, subjects=None):
     return folds
 
 
+def _fold_reduced(table, manifest, atlas, run, n_jobs):
+    """Projections of every run but ``run``, indexed [subject][run]; runs
+    missing from ``table`` are projected first and stored there."""
+    keep = [s for s in range(manifest.n_runs) if s != run]
+    todo = [s for s in keep if table[0][s] is None]
+    if todo:
+        projected = reduce_dataset(manifest.select_runs(todo), atlas, n_jobs=n_jobs)
+        for row, runs in zip(table, projected):
+            for s, x in zip(todo, runs):
+                row[s] = x
+    return [[row[s] for s in keep] for row in table]
+
+
 def cosmoothing(
     manifest: DatasetManifest,
     algorithm: str,
@@ -186,6 +209,10 @@ def cosmoothing(
     ``seed`` and the left-out run index (the fit is the only stochastic
     step and is shared by all subjects of a run), so any fold can be
     recomputed in isolation. Folds are enumerated subject-major.
+
+    fastsrm projects each run through the atlas once per evaluation (n*m
+    projections, not n*m*(m-1)): every fold fits on its slice of one table
+    of reduced runs, and a fold projects only the runs no earlier fold has.
     """
     if manifest.n_runs < 2:
         raise ValueError("co-smoothing needs at least 2 runs")
@@ -193,12 +220,21 @@ def cosmoothing(
         raise ValueError("co-smoothing needs at least 2 subjects")
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
+    # [subject][run] projections, filled lazily so that a corrupt run is
+    # reported by the first fold that trains on it.
+    table = None
+    if algorithm == "fastsrm" and atlas is not None:
+        table = [[None] * manifest.n_runs for _ in range(manifest.n_subjects)]
     folds = []
     for s in range(manifest.n_runs):
         try:
             training = manifest.without_run(s)
-            model = fit(training, algorithm, k, atlas, n_iter, fold_seed(seed, s), n_jobs)
+            reduced = None if table is None else _fold_reduced(table, manifest, atlas, s, n_jobs)
+            model = fit(
+                training, algorithm, k, atlas, n_iter, fold_seed(seed, s), n_jobs, reduced=reduced
+            )
             folds.extend(_score_left_out_run(manifest, model.spatial, s, algorithm, k))
+            del model  # release the components before the next fold's fit
         except Exception as exc:
             raise RuntimeError(f"fold with left-out run {s} failed: {exc}") from exc
     folds.sort(key=lambda f: (f.left_out_subject, f.left_out_run))

@@ -11,7 +11,6 @@ at a time so that peak memory stays independent of the subject count.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -77,7 +76,7 @@ def recover_components(
     accumulated in run order; the Procrustes step of the accumulated matrix
     is scale-invariant, so any positive rescaling of ``shared`` yields the
     same components. When ``component_dir`` is given, each component is
-    written there (atomic rename) and released before the next subject.
+    written there and released before the next subject.
     """
     if component_dir is not None:
         component_dir = Path(component_dir)
@@ -95,21 +94,43 @@ def recover_components(
         if component_dir is None:
             return w
         dest = component_dir / f"w_{i:03d}.srmb"
-        tmp = component_dir / f"w_{i:03d}.srmb.tmp"
-        save_matrix(w, tmp)
-        os.replace(tmp, dest)
+        save_matrix(w, dest)
         return dest
 
     return _map_subjects(recover_subject, manifest.n_subjects, n_jobs)
 
 
-def fastsrm_fit(manifest: DatasetManifest, atlas: Atlas, cfg: FastSrmConfig) -> SrmModel:
+def _check_reduced(reduced, manifest: DatasetManifest, atlas: Atlas) -> None:
+    if len(reduced) != manifest.n_subjects:
+        raise ValueError(f"reduced data has {len(reduced)} subjects, "
+                         f"dataset has {manifest.n_subjects}")
+    for i, runs in enumerate(reduced):
+        if len(runs) != manifest.n_runs:
+            raise ValueError(f"subject {i}: reduced data has {len(runs)} runs, "
+                             f"dataset has {manifest.n_runs}")
+        for s, x in enumerate(runs):
+            expected = (manifest.t_per_run[s], atlas.c)
+            if np.shape(x) != expected:
+                raise ValueError(f"subject {i}, run {s}: reduced run has shape "
+                                 f"{np.shape(x)}, expected {expected}")
+
+
+def fastsrm_fit(
+    manifest: DatasetManifest, atlas: Atlas, cfg: FastSrmConfig, *, reduced=None
+) -> SrmModel:
     """Fit spatial components through the atlas-compressed pipeline.
 
     Step 1 projects every run onto the atlas (streaming). Step 2 runs the
     alternating fit on the reduced data. Step 3 recovers each subject's
     full-resolution components by orthonormal regression against the reduced
     shared response, streaming runs from disk once more.
+
+    ``reduced`` replaces step 1 with runs already projected through
+    ``atlas``, indexed [subject][run] in the order of ``manifest`` (as
+    :func:`reduce_dataset` returns them); run s of every subject must be
+    t_s x c. Given the projections of the same runs, the result is
+    bit-identical to the fit that projects them itself. Cross-validation
+    uses it to project each run once for all of its folds.
 
     The returned model carries ``trace`` (the reduced-space fit trace) and
     ``reduced_shared`` (the step-2 shared response, which is not
@@ -120,7 +141,10 @@ def fastsrm_fit(manifest: DatasetManifest, atlas: Atlas, cfg: FastSrmConfig) -> 
     if cfg.k >= atlas.c:
         raise ValueError(f"k={cfg.k} must be smaller than the parcel count c={atlas.c}")
 
-    reduced = reduce_dataset(manifest, atlas, n_jobs=cfg.n_jobs)
+    if reduced is None:
+        reduced = reduce_dataset(manifest, atlas, n_jobs=cfg.n_jobs)
+    else:
+        _check_reduced(reduced, manifest, atlas)
     reduced_model, reduced_shared = detsrm_fit(
         reduced, cfg.k, n_iter=cfg.n_iter, seed=cfg.seed, n_jobs=1
     )

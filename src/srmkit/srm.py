@@ -28,7 +28,7 @@ SIGMA_EIG_FLOOR = 1e-10
 
 
 def _procrustes_svd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal row-space solution U V of the SVD of m, plus singular values."""
+    """Orthonormal row-space solution U V^T of the SVD of m, plus singular values."""
     u, d, vt = np.linalg.svd(m, full_matrices=False)
     return u @ vt, d
 

@@ -97,6 +97,22 @@ class TestBinaryFormat:
         with pytest.raises(FormatError, match="truncated|bytes"):
             load_matrix(p)
 
+    def test_interrupted_write_keeps_old_file(self, tmp_path, monkeypatch):
+        p = tmp_path / "m.srmb"
+        save_matrix(np.ones((3, 2)), p)
+        old = p.read_bytes()
+
+        class FailingData:
+            def tofile(self, f):
+                f.write(b"partial")
+                raise OSError("no space left on device")
+
+        monkeypatch.setattr(np, "ascontiguousarray", lambda a: FailingData())
+        with pytest.raises(OSError, match="no space"):
+            save_matrix(np.zeros((4, 4)), p)
+        assert p.read_bytes() == old
+        assert list(tmp_path.glob("*.tmp")) == []
+
     def test_rejects_non_finite(self, tmp_path):
         with pytest.raises(ValueError, match="finite"):
             save_matrix(np.array([[1.0, np.nan]]), tmp_path / "m.srmb")

@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import srmkit
 from srmkit import (
+    Atlas,
     balanced_partition,
     cosmoothing,
     cosmoothing_fold,
@@ -49,6 +51,32 @@ class TestR2Score:
         a = r2_score(pred, truth)
         b = r2_score(pred[perm], truth[perm])
         assert abs(a - b) <= 1e-9 * max(1.0, abs(a))
+
+    def test_map_float32_truth_matches_float64_bit_for_bit(self):
+        rng = np.random.default_rng(7)
+        truth = (rng.standard_normal((60, 30)) * 3.0 + 1.0).astype(np.float32)
+        truth[:, 4] = 2.5  # a degenerate column
+        pred = rng.standard_normal((60, 30))
+        for t in (truth, truth[::2, 1::2]):
+            p = pred[: t.shape[0], : t.shape[1]]
+            a = r2_map(p, t)
+            b = r2_map(p, t.astype(np.float64))
+            assert np.array_equal(a[0], b[0])
+            assert np.array_equal(a[1], b[1])
+
+    def test_map_holds_one_float64_copy(self):
+        import tracemalloc
+
+        rng = np.random.default_rng(8)
+        truth = rng.standard_normal((200, 2000)).astype(np.float32)
+        pred = rng.standard_normal((200, 2000))
+        tracemalloc.start()
+        try:
+            r2_map(pred, truth)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * 200 * 2000 * 8
 
     def test_map_flags_degenerate_columns(self):
         truth = np.column_stack([np.arange(4.0), np.full(4, 2.0)])
@@ -167,6 +195,37 @@ class TestCosmoothing:
         alone = cosmoothing_fold(manifest, "detsrm", k=3, run=1, subject=2, n_iter=4, seed=7)
         assert np.array_equal(alone.scores, target.scores)
         assert np.array_equal(alone.degenerate, target.degenerate)
+
+    def test_fastsrm_projects_each_run_once(self, make_dataset, monkeypatch):
+        manifest, _ = make_dataset(n=3, m=3, t_list=(20, 20, 20), v=40, k=2, sigma=0.5, seed=28)
+        calls = {"n": 0}
+        project = srmkit.fastsrm.project_run
+
+        def counting(x, atlas):
+            calls["n"] += 1
+            return project(x, atlas)
+
+        monkeypatch.setattr(srmkit.fastsrm, "project_run", counting)
+        atlas = balanced_partition(40, 8, seed=4)
+        result = cosmoothing(manifest, "fastsrm", k=2, atlas=atlas, n_iter=2, seed=0)
+        assert len(result.folds) == 9
+        assert calls["n"] == 3 * 3
+
+    @pytest.mark.parametrize("n_jobs", [1, 2])
+    def test_fastsrm_folds_recompute_bit_for_bit(self, make_dataset, n_jobs):
+        manifest, _ = make_dataset(
+            n=3, m=3, t_list=(20, 25, 20), v=50, k=3, sigma=0.6, seed=29, dtype=np.float32
+        )
+        weights = np.random.default_rng(30).uniform(0.0, 1.0, size=(10, 50))
+        atlas = Atlas.probabilistic(weights)
+        full = cosmoothing(manifest, "fastsrm", k=3, atlas=atlas, n_iter=4, seed=7, n_jobs=n_jobs)
+        for fold in full.folds:
+            alone = cosmoothing_fold(
+                manifest, "fastsrm", k=3, run=fold.left_out_run, subject=fold.left_out_subject,
+                atlas=atlas, n_iter=4, seed=7, n_jobs=n_jobs,
+            )
+            assert np.array_equal(alone.scores, fold.scores)
+            assert np.array_equal(alone.degenerate, fold.degenerate)
 
     def test_fold_enumeration_and_mean_maps(self, make_dataset):
         manifest, _ = make_dataset(n=2, m=2, v=30, k=2, sigma=0.5, seed=25)

@@ -9,6 +9,7 @@ from srmkit import (
     fastsrm_fit,
     fastsrm_transform,
     recover_components,
+    reduce_dataset,
     subspace_error,
 )
 from srmkit.srm import SrmModel
@@ -42,6 +43,36 @@ def test_atlas_dataset_mismatch(make_dataset):
     atlas = balanced_partition(39, 8, seed=0)
     with pytest.raises(ValueError, match="voxels"):
         fastsrm_fit(manifest, atlas, FastSrmConfig(k=4, n_iter=2))
+
+
+def test_given_reduced_runs_fit_is_byte_identical(make_dataset):
+    manifest, _ = make_dataset(n=3, m=3, t_list=(20, 25, 15), v=50, k=3, sigma=0.4, seed=16)
+    atlas = balanced_partition(50, 10, seed=8)
+    cfg = FastSrmConfig(k=3, n_iter=5, seed=2)
+    reduced = reduce_dataset(manifest, atlas)
+    given = fastsrm_fit(manifest, atlas, cfg, reduced=reduced)
+    own = fastsrm_fit(manifest, atlas, cfg)
+    for i in range(3):
+        assert given.spatial_component(i).tobytes() == own.spatial_component(i).tobytes()
+    assert given.trace == own.trace
+
+
+def test_given_reduced_runs_are_validated(make_dataset):
+    manifest, _ = make_dataset(n=3, m=2, t_list=(20, 25), v=50, k=3, sigma=0.4, seed=17)
+    atlas = balanced_partition(50, 10, seed=9)
+    cfg = FastSrmConfig(k=3, n_iter=2, seed=0)
+    reduced = reduce_dataset(manifest, atlas)
+    wrong_t = [list(runs) for runs in reduced]
+    wrong_t[1][1] = wrong_t[1][1][:-1]
+    wrong_c = [[x[:, :-1] for x in runs] for runs in reduced]
+    for bad, match in (
+        (reduced[:2], "2 subjects"),
+        ([runs[:1] for runs in reduced], "1 runs"),
+        (wrong_t, r"subject 1, run 1: .*\(24, 10\)"),
+        (wrong_c, r"subject 0, run 0: .*\(20, 9\)"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            fastsrm_fit(manifest, atlas, cfg, reduced=bad)
 
 
 def test_config_validation():
