@@ -18,6 +18,7 @@ from .dataio import (
     load_matrix,
     preprocess_run,
     read_header,
+    save_json,
     save_manifest,
     save_matrix,
 )
@@ -85,6 +86,7 @@ __all__ = [
     "reduce_dataset",
     "roi_mask",
     "save_atlas",
+    "save_json",
     "save_manifest",
     "save_matrix",
     "shared_posterior",

@@ -18,7 +18,7 @@ import numpy as np
 from . import __version__
 from .atlas import load_atlas
 from .bench import PeakRssSampler, run_bench
-from .dataio import load_manifest, load_matrix, save_matrix
+from .dataio import _atomic_open, load_manifest, load_matrix, save_json, save_matrix
 from .evaluation import ALGORITHMS, cosmoothing, fit, mean_within, roi_mask
 from .fastsrm import fastsrm_transform
 from .srm import SrmModel
@@ -128,9 +128,7 @@ def cmd_fit(args, parser) -> int:
         "trace": [float(x) for x in model.trace],
         "wall_time_s": wall,
     }
-    with open(out / "fit_log.json", "w") as f:
-        json.dump(log, f, indent=2, sort_keys=True)
-        f.write("\n")
+    save_json(log, out / "fit_log.json")
     print(f"model written to {out / 'model'}")
     return 0
 
@@ -210,9 +208,7 @@ def cmd_evaluate(args, parser) -> int:
         "peak_mem_bytes": sampler.peak_bytes,
         "baseline_mem_bytes": sampler.start_bytes,
     }
-    with open(out / "summary.json", "w") as f:
-        json.dump(summary, f, indent=2, sort_keys=True)
-        f.write("\n")
+    save_json(summary, out / "summary.json")
     if roi_voxels == 0:
         print("warning: ROI is empty at this threshold", file=sys.stderr)
     print(f"summary written to {out / 'summary.json'}")
@@ -261,7 +257,7 @@ def cmd_bench(args, parser) -> int:
     if args.out == "-":
         sys.stdout.write(lines)
     else:
-        with open(args.out, "w") as f:
+        with _atomic_open(args.out, "w") as f:
             f.write(lines)
         print(f"reports written to {args.out}")
     return 0

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import os
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -27,6 +28,30 @@ _CODE_BY_DTYPE = {np.dtype(np.float64): 0, np.dtype(np.float32): 1}
 
 class FormatError(ValueError):
     """Raised when a file does not conform to the SRMB layout."""
+
+
+@contextmanager
+def _atomic_open(path, mode: str):
+    """Open ``<name>.tmp`` beside ``path`` and rename it onto ``path`` once
+    the block completes; if the block raises, remove it, so ``path`` keeps
+    its previous content and no half-written file is ever visible."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, mode) as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def save_json(obj, path) -> None:
+    """Write ``obj`` as indented, key-sorted JSON through ``<name>.tmp``, so an
+    interrupted write leaves any previous file at ``path`` intact."""
+    with _atomic_open(path, "w") as f:
+        json.dump(obj, f, indent=2, sort_keys=True)
+        f.write("\n")
 
 
 def save_matrix(mat: np.ndarray, path) -> None:
@@ -50,16 +75,9 @@ def save_matrix(mat: np.ndarray, path) -> None:
     code = _CODE_BY_DTYPE[mat.dtype]
     header = struct.pack("<4sIBQQ", MAGIC, VERSION, code, mat.shape[0], mat.shape[1])
     le = mat.astype(_DTYPE_BY_CODE[code], copy=False)
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with open(tmp, "wb") as f:
-            f.write(header)
-            np.ascontiguousarray(le).tofile(f)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    with _atomic_open(path, "wb") as f:
+        f.write(header)
+        np.ascontiguousarray(le).tofile(f)
 
 
 def read_header(path) -> tuple[int, int, np.dtype]:
@@ -234,6 +252,4 @@ def load_manifest(path) -> DatasetManifest:
 def save_manifest(path, subject_runs: dict[str, list[str]]) -> None:
     """Write a manifest JSON file; run paths must be relative to it."""
     doc = {"subjects": [{"id": sid, "runs": list(rr)} for sid, rr in subject_runs.items()]}
-    with open(path, "w") as f:
-        json.dump(doc, f, indent=2, sort_keys=True)
-        f.write("\n")
+    save_json(doc, path)

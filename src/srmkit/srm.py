@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataio import load_matrix, read_header, save_matrix
+from .dataio import load_matrix, read_header, save_json, save_matrix
 
 ORTHONORMALITY_TOL = 1e-8
 SIGMA_EIG_FLOOR = 1e-10
@@ -197,9 +197,7 @@ class SrmModel:
         if self.sigma_s is not None:
             save_matrix(self.sigma_s, directory / "sigma_s.srmb")
             desc["sigma_s"] = "sigma_s.srmb"
-        with open(directory / "model.json", "w") as f:
-            json.dump(desc, f, indent=2, sort_keys=True)
-            f.write("\n")
+        save_json(desc, directory / "model.json")
 
     @classmethod
     def load(cls, directory, keep_on_disk: bool = True) -> "SrmModel":
@@ -394,8 +392,9 @@ def probsrm_fit(data, k: int, n_iter: int = 10, seed=0, n_jobs: int = 1):
     """EM fit of the Gaussian shared response model.
 
     The shared response S[tau] ~ N(0, Sigma) is integrated out; each subject
-    has its own isotropic noise variance sigma_i^2 and orthonormal W_i. Data
-    are centered per time-course before fitting (the model has no intercept).
+    has its own isotropic noise variance sigma_i^2 and orthonormal W_i. Time-
+    courses are centered (no intercept) within the t x k products X W^T and
+    S^T X, so the input is neither copied nor modified.
 
     The E-step computes the exact posterior of S given all subjects; the
     M-step solves the expected complete-data problem in closed form (a
@@ -416,12 +415,11 @@ def probsrm_fit(data, k: int, n_iter: int = 10, seed=0, n_jobs: int = 1):
     n, m, t_per_run, v = _validate_stack(data, k)
     total_t = sum(t_per_run)
 
-    # Enforce centered time-courses on a private copy (float64 for the EM math).
-    centered = [
-        [np.asarray(x, dtype=np.float64) - np.asarray(x, dtype=np.float64).mean(axis=0) for x in runs]
+    # sum_s ||X_is - 1 mu_is^T||^2, centering one run at a time
+    ssq = np.array([
+        _sum_squares(x - x.mean(axis=0) for x in (np.asarray(r, dtype=np.float64) for r in runs))
         for runs in data
-    ]
-    ssq = np.array([_sum_squares(runs) for runs in centered])
+    ])
 
     spatial = init_spatial(n, k, v, seed)
     sigma_s = np.eye(k)
@@ -435,7 +433,8 @@ def probsrm_fit(data, k: int, n_iter: int = 10, seed=0, n_jobs: int = 1):
         means = []
         quad = float(np.sum(ssq / sigma_sq))
         for s in range(m):
-            q = _project_sum([centered[i][s] for i in range(n)], spatial, sigma_sq)
+            q = _project_sum([data[i][s] for i in range(n)], spatial, sigma_sq)
+            q -= q.mean(axis=0)
             mu = q @ cov
             quad -= float(np.sum(mu * q))
             means.append(mu)
@@ -453,7 +452,9 @@ def probsrm_fit(data, k: int, n_iter: int = 10, seed=0, n_jobs: int = 1):
         msq = sum(float(np.sum(mu * mu)) for mu in post_means)
         second_moment = total_t * post_cov + sum(mu.T @ mu for mu in post_means)
 
-        spatial, partial = _update_components(centered, post_means, ssq, n_jobs)
+        # S^T X = S^T (X - 1 mu^T) needs column-centered S; mu is only centered to rounding
+        centered = [mu - mu.mean(axis=0) for mu in post_means]
+        spatial, partial = _update_components(data, centered, ssq, n_jobs)
         post_var = total_t * float(np.trace(post_cov))
         sigma_sq = np.array([max((p + post_var + msq) / (total_t * v), 1e-30) for p in partial])
 

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from srmkit import (
     load_matrix,
     preprocess_run,
     read_header,
+    save_json,
     save_manifest,
     save_matrix,
 )
@@ -126,6 +129,22 @@ class TestBinaryFormat:
             save_matrix(np.zeros((0, 3)), tmp_path / "m.srmb")
         with pytest.raises(ValueError):
             save_matrix(np.zeros((2, 2), dtype=np.int32), tmp_path / "m.srmb")
+
+
+def test_interrupted_json_write_keeps_old_file(tmp_path, monkeypatch):
+    p = tmp_path / "doc.json"
+    save_json({"a": 1}, p)
+    old = p.read_bytes()
+
+    def failing_dump(obj, f, **kwargs):
+        f.write('{"a": ')
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(json, "dump", failing_dump)
+    with pytest.raises(OSError, match="no space"):
+        save_json({"a": 2}, p)
+    assert p.read_bytes() == old
+    assert list(tmp_path.glob("*.tmp")) == []
 
 
 class TestPreprocess:

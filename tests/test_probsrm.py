@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -109,3 +111,49 @@ def test_model_roundtrip_with_prob_params(tmp_path):
     back = SrmModel.load(tmp_path / "m", keep_on_disk=False)
     assert np.array_equal(back.sigma_sq, model.sigma_sq)
     assert np.array_equal(back.sigma_s, model.sigma_s)
+
+
+def _float32_runs(n=4, m=3, t=60, v=2000, seed=10):
+    rng = np.random.default_rng(seed)
+    offsets = 50.0 * rng.standard_normal(v)
+    return [
+        [(rng.standard_normal((t, v)) + offsets).astype(np.float32) for _ in range(m)]
+        for _ in range(n)
+    ]
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_peak_memory_is_dataset_plus_few_runs(dtype):
+    # The centering lives in the t x k products, so the fit allocates no
+    # copy of the dataset: a handful of transient run-sized buffers at most.
+    data = [[x.astype(dtype) for x in runs] for runs in _float32_runs()]
+    run_bytes = data[0][0].size * 8
+    tracemalloc.start()
+    try:
+        probsrm_fit(data, k=3, n_iter=2, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * run_bytes, f"peak {peak / run_bytes:.1f} float64 runs"
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_input_left_untouched(dtype):
+    data = [[x.astype(dtype) for x in runs] for runs in _float32_runs(v=300)]
+    before = [[x.tobytes() for x in runs] for runs in data]
+    probsrm_fit(data, k=3, n_iter=3, seed=0)
+    assert [[x.tobytes() for x in runs] for runs in data] == before
+
+
+def test_float32_matches_float64_upcast_bit_for_bit():
+    data32 = _float32_runs(v=300)
+    data64 = [[x.astype(np.float64) for x in runs] for runs in data32]
+    m32, s32 = probsrm_fit(data32, k=3, n_iter=4, seed=2)
+    m64, s64 = probsrm_fit(data64, k=3, n_iter=4, seed=2)
+    for i in range(4):
+        assert np.array_equal(m32.spatial_component(i), m64.spatial_component(i))
+    assert m32.trace == m64.trace
+    assert np.array_equal(m32.sigma_sq, m64.sigma_sq)
+    assert np.array_equal(m32.sigma_s, m64.sigma_s)
+    for a, b in zip(s32.runs, s64.runs):
+        assert np.array_equal(a, b)

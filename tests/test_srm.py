@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -282,6 +284,20 @@ class TestSrmModel:
         with pytest.raises(ValueError, match="3x40") as info:
             SrmModel.load(tmp_path / "model", keep_on_disk=keep_on_disk)
         assert str(bad) in str(info.value)
+
+    def test_interrupted_save_keeps_old_descriptor(self, tmp_path, monkeypatch):
+        SrmModel([random_orthonormal_rows(2, 8, seed=5)]).save(tmp_path / "model")
+        old = (tmp_path / "model" / "model.json").read_bytes()
+
+        def failing_dump(obj, f, **kwargs):
+            f.write("{")
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(json, "dump", failing_dump)
+        with pytest.raises(OSError, match="no space"):
+            SrmModel([random_orthonormal_rows(3, 8, seed=6)]).save(tmp_path / "model")
+        assert (tmp_path / "model" / "model.json").read_bytes() == old
+        assert list((tmp_path / "model").glob("*.tmp")) == []
 
     def test_orthonormality_enforced(self):
         with pytest.raises(ValueError, match="orthonormal"):
