@@ -16,7 +16,6 @@ from .dataio import (
     FormatError,
     load_manifest,
     load_matrix,
-    preprocess_run,
     read_header,
     save_json,
     save_manifest,
@@ -34,19 +33,16 @@ from .evaluation import (
     roi_mask,
 )
 from .fastsrm import (
-    FastSrmConfig,
     fastsrm_fit,
     fastsrm_transform,
     recover_components,
     reduce_dataset,
 )
 from .srm import (
-    SharedResponse,
     SrmModel,
     detsrm_fit,
     probsrm_fit,
     procrustes_update,
-    reconstruct,
     shared_posterior,
     update_shared,
 )
@@ -56,11 +52,9 @@ __all__ = [
     "Atlas",
     "CosmoothingResult",
     "DatasetManifest",
-    "FastSrmConfig",
     "FormatError",
     "PlantedModel",
     "R2Map",
-    "SharedResponse",
     "SrmModel",
     "balanced_partition",
     "cosmoothing",
@@ -74,14 +68,12 @@ __all__ = [
     "load_manifest",
     "load_matrix",
     "mean_within",
-    "preprocess_run",
     "probsrm_fit",
     "procrustes_update",
     "project_run",
     "r2_map",
     "r2_score",
     "read_header",
-    "reconstruct",
     "recover_components",
     "reduce_dataset",
     "roi_mask",

@@ -1,6 +1,5 @@
 """Command-line surface: fit models, transform runs, run the cross-validated
-reconstruction benchmark, generate synthetic datasets, and time/measure the
-fits.
+reconstruction benchmark and generate synthetic datasets.
 
 Exit codes: 0 on success, 1 on runtime failure, 2 on argument errors.
 """
@@ -8,7 +7,6 @@ Exit codes: 0 on success, 1 on runtime failure, 2 on argument errors.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 from pathlib import Path
@@ -17,22 +15,21 @@ import numpy as np
 
 from . import __version__
 from .atlas import load_atlas
-from .bench import PeakRssSampler, run_bench
-from .dataio import _atomic_open, load_manifest, load_matrix, save_json, save_matrix
+from .bench import PeakRssSampler
+from .dataio import load_manifest, load_matrix, save_json, save_matrix
 from .evaluation import ALGORITHMS, cosmoothing, fit, mean_within, roi_mask
 from .fastsrm import fastsrm_transform
 from .srm import SrmModel
 from .synthetic import generate
 
 
-def _add_common_fit_args(p, n_jobs=True):
+def _add_common_fit_args(p):
     p.add_argument("--manifest", required=True, help="dataset manifest JSON")
     p.add_argument("--k", type=int, required=True, help="number of components")
     p.add_argument("--atlas", help="atlas SRMB file (required for fastsrm)")
     p.add_argument("--atlas-kind", choices=("partition", "prob"), default=None)
     p.add_argument("--n-iter", type=int, default=10)
-    if n_jobs:
-        p.add_argument("--n-jobs", type=int, default=1)
+    p.add_argument("--n-jobs", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
 
 
@@ -83,12 +80,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dtype", choices=("f64", "f32"), default="f64")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_synth)
-
-    p = sub.add_parser("bench", help="time and measure single-threaded fits on one dataset")
-    p.add_argument("--algos", required=True, help="comma-separated algorithms")
-    _add_common_fit_args(p, n_jobs=False)
-    p.add_argument("--out", default="-", help="JSON-lines output file, or - for stdout")
-    p.set_defaults(func=cmd_bench)
 
     return parser
 
@@ -232,34 +223,6 @@ def cmd_synth(args, parser) -> int:
         parser.error(str(exc))
     print(f"dataset written to {args.out} ({manifest.n_subjects} subjects, "
           f"{manifest.n_runs} runs, v={manifest.v})")
-    return 0
-
-
-def cmd_bench(args, parser) -> int:
-    algos = [a.strip() for a in args.algos.split(",") if a.strip()]
-    for a in algos:
-        if a not in ALGORITHMS:
-            parser.error(f"unknown algorithm {a!r}")
-    manifest, atlas = _load_inputs(args, parser, need_atlas="fastsrm" in algos)
-    reports = []
-    for algo in algos:
-        report = run_bench(
-            manifest,
-            algo,
-            args.k,
-            atlas=atlas,
-            atlas_id=args.atlas,
-            n_iter=args.n_iter,
-            seed=args.seed,
-        )
-        reports.append(report)
-    lines = "".join(json.dumps(r, sort_keys=True) + "\n" for r in reports)
-    if args.out == "-":
-        sys.stdout.write(lines)
-    else:
-        with _atomic_open(args.out, "w") as f:
-            f.write(lines)
-        print(f"reports written to {args.out}")
     return 0
 
 

@@ -1,5 +1,4 @@
-"""Run-matrix storage (SRMB binary format), dataset manifests and temporal
-preprocessing.
+"""Run-matrix storage (SRMB binary format) and dataset manifests.
 
 A run matrix is the t x v recording of one run of one subject: rows are
 timeframes, columns are voxels (or features). Matrices are stored in a small
@@ -123,30 +122,6 @@ def load_matrix(path, row_range: tuple[int, int] | None = None) -> np.ndarray:
     if data.size != count:
         raise FormatError(f"{path}: short read")
     return data.reshape(stop - start, cols)
-
-
-def preprocess_run(mat: np.ndarray) -> np.ndarray:
-    """Detrend and standardize each voxel time-course.
-
-    Per column: subtract the least-squares linear trend over time, then
-    scale the residual to unit population variance (divisor t). Columns
-    whose residual variance falls below 1e-12 are zeroed rather than
-    rejected, since masked recordings routinely contain dead voxels.
-    """
-    mat = np.asarray(mat)
-    t = mat.shape[0]
-    if t < 3:
-        raise ValueError(f"preprocessing needs at least 3 timeframes, got {t}")
-    x = mat.astype(np.float64, copy=False)
-    ramp = np.arange(t, dtype=np.float64) - (t - 1) / 2.0
-    mean = x.mean(axis=0)
-    slope = (ramp @ x) / (ramp @ ramp)
-    resid = x - mean - np.outer(ramp, slope)
-    var = np.mean(resid * resid, axis=0)
-    live = var >= 1e-12
-    out = np.zeros_like(resid)
-    out[:, live] = resid[:, live] / np.sqrt(var[live])
-    return out.astype(mat.dtype, copy=False)
 
 
 @dataclass(frozen=True)

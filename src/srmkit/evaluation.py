@@ -18,8 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from .dataio import DatasetManifest
-from .fastsrm import FastSrmConfig, fastsrm_fit, reduce_dataset
-from .srm import SrmModel, detsrm_fit, probsrm_fit
+from .fastsrm import fastsrm_fit, reduce_dataset
+from .srm import SrmModel, _check_fit_args, detsrm_fit, probsrm_fit
 
 DEGENERATE_SS = 1e-24
 ROI_THRESHOLD = 0.05  # reference cut for "informative" voxels
@@ -132,12 +132,12 @@ def fit(
     if algorithm == "fastsrm":
         if atlas is None:
             raise ValueError("fastsrm needs an atlas")
-        cfg = FastSrmConfig(
-            k=k, n_iter=n_iter, n_jobs=n_jobs, seed=seed, component_dir=component_dir
+        return fastsrm_fit(
+            manifest, atlas, k, n_iter, seed, n_jobs, component_dir, reduced=reduced
         )
-        return fastsrm_fit(manifest, atlas, cfg, reduced=reduced)
     if reduced is not None:
         raise ValueError(f"{algorithm} fits full-resolution data; reduced data is for fastsrm")
+    _check_fit_args(k, n_iter, n_jobs)  # before the whole dataset is loaded
     solver = detsrm_fit if algorithm == "detsrm" else probsrm_fit
     model, _ = solver(manifest.load_all(), k, n_iter=n_iter, seed=seed, n_jobs=n_jobs)
     return model

@@ -11,38 +11,13 @@ at a time so that peak memory stays independent of the subject count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .atlas import Atlas, project_run
 from .dataio import DatasetManifest, save_matrix
-from .srm import SharedResponse, SrmModel, _map_subjects, _project_sum, _subject_step, detsrm_fit
-
-
-@dataclass
-class FastSrmConfig:
-    """Knobs of the compressed fit.
-
-    ``component_dir`` is None to keep the recovered components in memory, or
-    the model directory that recovery writes them into one subject at a
-    time (created if missing; it ends up a loadable model directory).
-    """
-
-    k: int
-    n_iter: int = 10
-    n_jobs: int = 1
-    seed: int = 0
-    component_dir: str | Path | None = None
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("k must be at least 1")
-        if self.n_iter < 1:
-            raise ValueError("n_iter must be at least 1")
-        if self.n_jobs < 1:
-            raise ValueError("n_jobs must be at least 1")
+from .srm import SrmModel, _check_fit_args, _map_subjects, _project_sum, _subject_step, detsrm_fit
 
 
 def reduce_dataset(
@@ -65,12 +40,12 @@ def reduce_dataset(
 
 def recover_components(
     manifest: DatasetManifest,
-    shared: SharedResponse | list[np.ndarray],
+    shared: list[np.ndarray],
     n_jobs: int = 1,
     component_dir: str | Path | None = None,
 ) -> list[np.ndarray | Path]:
     """Recover full-resolution components from a (possibly ill-scaled) shared
-    response by orthonormal regression.
+    response, one t_s x k array per run, by orthonormal regression.
 
     Per subject, runs are streamed from disk and the k x v cross products
     accumulated in run order; the Procrustes step of the accumulated matrix
@@ -78,16 +53,19 @@ def recover_components(
     same components. When ``component_dir`` is given, each component is
     written there and released before the next subject.
     """
+    runs = [np.asarray(sh) for sh in shared]
+    if len(runs) != manifest.n_runs:
+        raise ValueError(f"{len(runs)} shared runs for a {manifest.n_runs}-run dataset")
+    k = runs[0].shape[-1]
+    for s, sh in enumerate(runs):
+        if sh.shape != (manifest.t_per_run[s], k):
+            raise ValueError(f"run {s}: shared response has shape {sh.shape}, "
+                             f"expected ({manifest.t_per_run[s]}, {k})")
+        if not np.all(np.isfinite(sh)):
+            raise ValueError(f"run {s}: shared response contains non-finite values")
     if component_dir is not None:
         component_dir = Path(component_dir)
         component_dir.mkdir(parents=True, exist_ok=True)
-    runs = list(shared.runs) if isinstance(shared, SharedResponse) else list(shared)
-    if len(runs) != manifest.n_runs:
-        raise ValueError(f"{len(runs)} shared runs for a {manifest.n_runs}-run dataset")
-    for s, sh in enumerate(runs):
-        if sh.shape[0] != manifest.t_per_run[s]:
-            raise ValueError(f"run {s}: shared response has {sh.shape[0]} timeframes, "
-                             f"data has {manifest.t_per_run[s]}")
 
     def recover_subject(i):
         w, _ = _subject_step(runs, lambda s: manifest.load_run(i, s), manifest.v)
@@ -116,7 +94,15 @@ def _check_reduced(reduced, manifest: DatasetManifest, atlas: Atlas) -> None:
 
 
 def fastsrm_fit(
-    manifest: DatasetManifest, atlas: Atlas, cfg: FastSrmConfig, *, reduced=None
+    manifest: DatasetManifest,
+    atlas: Atlas,
+    k: int,
+    n_iter: int = 10,
+    seed=0,
+    n_jobs: int = 1,
+    component_dir: str | Path | None = None,
+    *,
+    reduced=None,
 ) -> SrmModel:
     """Fit spatial components through the atlas-compressed pipeline.
 
@@ -124,6 +110,12 @@ def fastsrm_fit(
     alternating fit on the reduced data. Step 3 recovers each subject's
     full-resolution components by orthonormal regression against the reduced
     shared response, streaming runs from disk once more.
+
+    ``k``, ``n_iter``, ``seed`` and ``n_jobs`` mean what they mean for
+    :func:`detsrm_fit`; ``k`` must also be below the parcel count.
+    ``component_dir`` is None to keep the recovered components in memory,
+    or the model directory that recovery writes them into one subject at a
+    time (created if missing; it ends up a loadable model directory).
 
     ``reduced`` replaces step 1 with runs already projected through
     ``atlas``, indexed [subject][run] in the order of ``manifest`` (as
@@ -133,29 +125,29 @@ def fastsrm_fit(
     uses it to project each run once for all of its folds.
 
     The returned model carries ``trace`` (the reduced-space fit trace) and
-    ``reduced_shared`` (the step-2 shared response, which is not
-    correctly scaled for reconstruction; use :func:`fastsrm_transform`).
+    ``reduced_shared`` (the step-2 shared response, one t_s x k array per
+    run, which is not correctly scaled for reconstruction; use
+    :func:`fastsrm_transform`).
     """
+    _check_fit_args(k, n_iter, n_jobs)
     if atlas.v != manifest.v:
         raise ValueError(f"atlas has {atlas.v} voxels, dataset has {manifest.v}")
-    if cfg.k >= atlas.c:
-        raise ValueError(f"k={cfg.k} must be smaller than the parcel count c={atlas.c}")
+    if k >= atlas.c:
+        raise ValueError(f"k={k} must be smaller than the parcel count c={atlas.c}")
 
     if reduced is None:
-        reduced = reduce_dataset(manifest, atlas, n_jobs=cfg.n_jobs)
+        reduced = reduce_dataset(manifest, atlas, n_jobs=n_jobs)
     else:
         _check_reduced(reduced, manifest, atlas)
-    reduced_model, reduced_shared = detsrm_fit(
-        reduced, cfg.k, n_iter=cfg.n_iter, seed=cfg.seed, n_jobs=1
-    )
+    reduced_model, reduced_shared = detsrm_fit(reduced, k, n_iter=n_iter, seed=seed, n_jobs=1)
     del reduced
 
     spatial = recover_components(
-        manifest, reduced_shared, n_jobs=cfg.n_jobs, component_dir=cfg.component_dir
+        manifest, reduced_shared, n_jobs=n_jobs, component_dir=component_dir
     )
     model = SrmModel(spatial, validate=False)
-    if cfg.component_dir is not None:
-        model.save(cfg.component_dir)  # descriptor only; components are already in place
+    if component_dir is not None:
+        model.save(component_dir)  # descriptor only; components are already in place
     model.trace = reduced_model.trace
     model.reduced_shared = reduced_shared
     return model

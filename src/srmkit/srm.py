@@ -14,7 +14,9 @@ compare products S W_i or row spaces, never raw factors.
 from __future__ import annotations
 
 import json
+import os
 import shutil
+import uuid
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -87,39 +89,6 @@ def update_shared(runs, spatial) -> np.ndarray:
     return _project_sum(runs, spatial) / len(runs)
 
 
-def reconstruct(w_i: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Predicted t x v data of one subject: the product S W_i."""
-    if s.shape[1] != w_i.shape[0]:
-        raise ValueError(f"shared response {s.shape} does not match components {w_i.shape}")
-    return s @ w_i
-
-
-class SharedResponse:
-    """Per-run t_s x k shared time courses."""
-
-    def __init__(self, runs):
-        runs = [np.asarray(r) for r in runs]
-        if not runs:
-            raise ValueError("need at least one run")
-        k = runs[0].shape[1]
-        for r in runs:
-            if r.ndim != 2 or r.shape[1] != k:
-                raise ValueError("runs disagree on component count")
-            if not np.all(np.isfinite(r)):
-                raise ValueError("shared response contains non-finite values")
-        self.runs = runs
-        self.k = k
-
-    def concatenated(self) -> np.ndarray:
-        return np.concatenate(self.runs, axis=0)
-
-    def __len__(self) -> int:
-        return len(self.runs)
-
-    def __getitem__(self, s: int) -> np.ndarray:
-        return self.runs[s]
-
-
 class SrmModel:
     """Fitted spatial components, optionally with noise/covariance parameters.
 
@@ -169,20 +138,16 @@ class SrmModel:
         return isinstance(self.spatial[i], (str, Path))
 
     def save(self, directory) -> None:
-        """Serialize as a directory: JSON descriptor plus one SRMB file per subject."""
+        """Serialize as a directory: JSON descriptor plus one SRMB file per subject.
+
+        When every component already sits in ``directory`` under its own
+        name (fastsrm's ``component_dir``), only ``model.json`` is written,
+        atomically. Otherwise the model is written into a new sibling
+        ``<name>.<token>.tmp`` directory, which then replaces ``directory``
+        whole, so a failed save leaves a model already at ``directory`` intact.
+        """
         directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
-        names = []
-        for i in range(self.n):
-            name = f"w_{i:03d}.srmb"
-            dest = directory / name
-            if self.is_on_disk(i):
-                src = Path(self.spatial[i])
-                if src.resolve() != dest.resolve():
-                    shutil.copyfile(src, dest)
-            else:
-                save_matrix(np.asarray(self.spatial[i], dtype=np.float64), dest)
-            names.append(name)
+        names = [f"w_{i:03d}.srmb" for i in range(self.n)]
         desc = {
             "format": "srmkit-model",
             "version": 1,
@@ -192,12 +157,29 @@ class SrmModel:
             "dtype": "f64",
             "components": names,
             "sigma_sq": None if self.sigma_sq is None else self.sigma_sq.tolist(),
-            "sigma_s": None,
+            "sigma_s": None if self.sigma_s is None else "sigma_s.srmb",
         }
-        if self.sigma_s is not None:
-            save_matrix(self.sigma_s, directory / "sigma_s.srmb")
-            desc["sigma_s"] = "sigma_s.srmb"
-        save_json(desc, directory / "model.json")
+        if self.sigma_s is None and all(
+            self.is_on_disk(i) and Path(self.spatial[i]).resolve() == (directory / name).resolve()
+            for i, name in enumerate(names)
+        ):
+            save_json(desc, directory / "model.json")
+            return
+        staging = directory.with_name(f"{directory.name}.{uuid.uuid4().hex[:12]}.tmp")
+        staging.mkdir(parents=True)
+        try:
+            for i, name in enumerate(names):
+                if self.is_on_disk(i):
+                    shutil.copyfile(self.spatial[i], staging / name)
+                else:
+                    save_matrix(np.asarray(self.spatial[i], dtype=np.float64), staging / name)
+            if self.sigma_s is not None:
+                save_matrix(self.sigma_s, staging / "sigma_s.srmb")
+            save_json(desc, staging / "model.json")
+            _replace_dir(staging, directory)
+        except BaseException:
+            shutil.rmtree(staging, ignore_errors=True)
+            raise
 
     @classmethod
     def load(cls, directory, keep_on_disk: bool = True) -> "SrmModel":
@@ -216,6 +198,23 @@ class SrmModel:
         if desc.get("sigma_s"):
             sigma_s = load_matrix(directory / desc["sigma_s"])
         return cls(spatial, sigma_sq=desc.get("sigma_sq"), sigma_s=sigma_s, validate=not keep_on_disk)
+
+
+def _replace_dir(src: Path, dest: Path) -> None:
+    """Rename directory ``src`` (``*.tmp``) to ``dest``, replacing the
+    directory there; the old one is parked at ``src`` with suffix ``.old``
+    and moved back if the second rename fails."""
+    if not dest.exists():
+        os.rename(src, dest)
+        return
+    old = src.with_suffix(".old")
+    os.rename(dest, old)
+    try:
+        os.rename(src, dest)
+    except BaseException:
+        os.rename(old, dest)
+        raise
+    shutil.rmtree(old)
 
 
 def check_orthonormal(w: np.ndarray, tol: float = ORTHONORMALITY_TOL) -> None:
@@ -254,9 +253,14 @@ def _validate_stack(data, k):
     total_t = sum(t_per_run)
     if k > min(v, total_t):
         raise ValueError(f"k={k} exceeds min(v={v}, total timeframes={total_t})")
-    if k < 1:
-        raise ValueError("k must be at least 1")
     return n, m, t_per_run, v
+
+
+def _check_fit_args(k, n_iter, n_jobs) -> None:
+    """Reject the counts every fit needs positive, before it reads any run."""
+    for name, value in (("k", k), ("n_iter", n_iter), ("n_jobs", n_jobs)):
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1")
 
 
 def init_spatial(n: int, k: int, v: int, seed) -> list[np.ndarray]:
@@ -303,6 +307,19 @@ def _sum_squares(runs) -> float:
     return sum(float(np.dot(f, f)) for f in flats)
 
 
+def _centered_sum_squares(runs) -> float:
+    """sum_s ||X_s - 1 mu_s^T||_F^2 with mu_s the column means, accumulated in
+    float64 in run order. Each run is centered in place in an owned float64
+    copy that is released before the next one is made."""
+    total = 0.0
+    for x in runs:
+        c = np.array(x, dtype=np.float64)
+        c -= c.mean(axis=0)
+        total += float(np.dot(c.ravel(), c.ravel()))
+        del c
+    return total
+
+
 def _update_components(data, shared, ssq, n_jobs):
     """Procrustes step of every subject. Returns the components and, per
     subject, ssq[i] - 2 sum(d_i) with d_i the singular values of S^T X_i;
@@ -328,7 +345,7 @@ def detsrm_fit(data, k: int, n_iter: int = 10, seed=0, n_jobs: int = 1):
         ``data[i][s]`` is the t_s x v matrix of subject i, run s. All
         subjects share v and, within a run, t_s.
     k : int
-        Number of components; at most min(v, total timeframes).
+        Number of components; at least 1 and at most min(v, total timeframes).
     n_iter : int
         Fixed iteration count (no convergence tolerance); each iteration is
         one exact shared-response update followed by one exact per-subject
@@ -336,19 +353,19 @@ def detsrm_fit(data, k: int, n_iter: int = 10, seed=0, n_jobs: int = 1):
     seed
         Seeds the component initialization.
     n_jobs : int
-        Upper bound on concurrent per-subject updates. Has no effect on the
-        result.
+        Upper bound on concurrent per-subject updates, at least 1. Has no
+        effect on the result.
 
     Returns
     -------
-    (SrmModel, SharedResponse)
-        The model carries ``trace``, the residual sum-of-squares after every
-        iteration, computed from the Procrustes singular values d_i as
+    (SrmModel, list of ndarray)
+        The shared response is one t_s x k array per run. The model carries
+        ``trace``, the residual sum-of-squares after every iteration,
+        computed from the Procrustes singular values d_i as
         sum_i (||X_i||^2 - 2 sum(d_i)) + n sum_s ||S_s||^2: exact up to
         rounding of about 1e-15 * sum_i ||X_i||^2, and clamped at 0.
     """
-    if n_iter < 1:
-        raise ValueError("n_iter must be at least 1")
+    _check_fit_args(k, n_iter, n_jobs)
     n, m, _, v = _validate_stack(data, k)
     spatial = init_spatial(n, k, v, seed)
     ssq = [_sum_squares(runs) for runs in data]
@@ -359,7 +376,7 @@ def detsrm_fit(data, k: int, n_iter: int = 10, seed=0, n_jobs: int = 1):
         trace.append(max(sum(partial) + n * _sum_squares(shared), 0.0))
     model = SrmModel(spatial, validate=False)
     model.trace = trace
-    return model, SharedResponse(shared)
+    return model, shared
 
 
 # ---------------------------------------------------------------------------
@@ -405,21 +422,16 @@ def probsrm_fit(data, k: int, n_iter: int = 10, seed=0, n_jobs: int = 1):
     eigenvalue floor engages (reported via RuntimeWarning) and the recorded
     trace is no longer meaningful.
 
-    Returns (SrmModel, SharedResponse) where the shared response holds the
-    posterior means under the final parameters. The model carries ``trace``,
-    the log-likelihood with n_iter + 1 entries: the initial parameters and
-    every update thereafter.
+    Returns (SrmModel, list of ndarray) where the list holds, per run, the
+    t_s x k posterior means under the final parameters. The model carries
+    ``trace``, the log-likelihood with n_iter + 1 entries: the initial
+    parameters and every update thereafter.
     """
-    if n_iter < 1:
-        raise ValueError("n_iter must be at least 1")
+    _check_fit_args(k, n_iter, n_jobs)
     n, m, t_per_run, v = _validate_stack(data, k)
     total_t = sum(t_per_run)
 
-    # sum_s ||X_is - 1 mu_is^T||^2, centering one run at a time
-    ssq = np.array([
-        _sum_squares(x - x.mean(axis=0) for x in (np.asarray(r, dtype=np.float64) for r in runs))
-        for runs in data
-    ])
+    ssq = np.array([_centered_sum_squares(runs) for runs in data])
 
     spatial = init_spatial(n, k, v, seed)
     sigma_s = np.eye(k)
@@ -475,4 +487,4 @@ def probsrm_fit(data, k: int, n_iter: int = 10, seed=0, n_jobs: int = 1):
     trace.append(float(ll))
     model = SrmModel(spatial, sigma_sq=sigma_sq, sigma_s=sigma_s, validate=False)
     model.trace = trace
-    return model, SharedResponse(post_means)
+    return model, post_means

@@ -18,7 +18,6 @@ from srmkit import (
     cosmoothing,
     detsrm_fit,
     fastsrm_fit,
-    FastSrmConfig,
     generate,
     mean_within,
     probsrm_fit,
@@ -167,7 +166,7 @@ def test_criterion_04_orthonormality_matrix(tmp_path):
                 probsrm_fit(data, k, n_iter=4, seed=3)[0],
                 fastsrm_fit(
                     manifest, atlas,
-                    FastSrmConfig(k=k, n_iter=4, seed=3),
+                    k=k, n_iter=4, seed=3,
                 ),
             ]
             for model in fits:
@@ -305,12 +304,12 @@ def test_criterion_07_scale_invariant_recovery(small_planted):
     manifest, _ = small_planted("scale", sigma_list=0.8)
     atlas = balanced_partition(120, 24, seed=2)
     model = fastsrm_fit(
-        manifest, atlas, FastSrmConfig(k=4, n_iter=6, seed=1)
+        manifest, atlas, k=4, n_iter=6, seed=1
     )
     base = recover_components(manifest, model.reduced_shared)
     worst = 0.0
     for f in (1e-3, 3.7, 1e3):
-        scaled = recover_components(manifest, [f * s for s in model.reduced_shared.runs])
+        scaled = recover_components(manifest, [f * s for s in model.reduced_shared])
         for w_b, w_s in zip(base, scaled):
             worst = max(worst, float(np.max(np.abs(w_b - w_s))))
     check(
@@ -354,7 +353,7 @@ def test_criterion_09_identity_compression(small_planted, tmp_path):
     atlas = Atlas.partition(np.arange(120))
     fast = fastsrm_fit(
         manifest, atlas,
-        FastSrmConfig(k=4, n_iter=8, seed=11, component_dir=tmp_path / "spill"),
+        k=4, n_iter=8, seed=11, component_dir=tmp_path / "spill",
     )
     full, _ = detsrm_fit(manifest.load_all(), k=4, n_iter=8, seed=11)
     rel = abs(fast.trace[-1] - full.trace[-1]) / abs(
@@ -389,7 +388,7 @@ def test_criterion_10_noiseless_exact_recovery(small_planted, tmp_path):
     atlas = balanced_partition(600, 10, seed=3)  # c = 2k
     fast = fastsrm_fit(
         manifest, atlas,
-        FastSrmConfig(k=5, n_iter=50, seed=2, component_dir=tmp_path / "spill"),
+        k=5, n_iter=50, seed=2, component_dir=tmp_path / "spill",
     )
     fast_err = max(
         subspace_error(fast.spatial_component(i), truth.spatial[i]) for i in range(4)
@@ -450,7 +449,7 @@ def test_criterion_12_determinism_across_n_jobs(small_planted, tmp_path):
     fast = [
         fastsrm_fit(
             manifest, atlas,
-            FastSrmConfig(k=4, n_iter=5, seed=6, n_jobs=j, component_dir=tmp_path / f"sp{j}"),
+            k=4, n_iter=5, seed=6, n_jobs=j, component_dir=tmp_path / f"sp{j}",
         )
         for j in (1, 4)
     ]

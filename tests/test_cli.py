@@ -157,62 +157,6 @@ def test_repeat_fit_byte_identical_model_dirs(tmp_path):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
-def test_bench_reports(tmp_path, capsys):
-    ds = run_synth(tmp_path)
-    atlas_path = tmp_path / "atlas.srmb"
-    save_atlas(balanced_partition(40, 8, seed=2), atlas_path)
-    out = tmp_path / "bench.jsonl"
-    code = main(
-        [
-            "bench", "--algos", "detsrm,fastsrm", "--manifest", str(ds / "manifest.json"),
-            "--k", "3", "--atlas", str(atlas_path), "--seed", "3", "--out", str(out),
-        ]
-    )
-    assert code == 0
-    lines = [json.loads(line) for line in out.read_text().splitlines()]
-    assert [r["algorithm"] for r in lines] == ["detsrm", "fastsrm"]
-    schema = load_schema("bench_report")
-    for report in lines:
-        jsonschema.validate(report, schema)
-        assert report["wall_time_s"] > 0
-        assert report["peak_mem_bytes"] > 0
-        assert report["t"] == [20, 25]
-
-
-def test_bench_traces_deterministic_across_runs(tmp_path):
-    ds = run_synth(tmp_path)
-    traces = []
-    for name in ("b1.jsonl", "b2.jsonl"):
-        out = tmp_path / name
-        assert main(
-            [
-                "bench", "--algos", "detsrm,probsrm", "--manifest",
-                str(ds / "manifest.json"), "--k", "3", "--seed", "5", "--out", str(out),
-            ]
-        ) == 0
-        lines = [json.loads(line) for line in out.read_text().splitlines()]
-        traces.append([r["trace"] for r in lines])
-    assert traces[0] == traces[1]
-
-
-def test_bench_rejects_unknown_algorithm(tmp_path, capsys):
-    ds = run_synth(tmp_path)
-    with pytest.raises(SystemExit) as exc:
-        main(["bench", "--algos", "detsrm,magic", "--manifest",
-              str(ds / "manifest.json"), "--k", "2"])
-    assert exc.value.code == 2
-
-
-def test_bench_rejects_n_jobs(tmp_path, capsys):
-    # bench always fits single-threaded; the flag is refused, not ignored.
-    ds = run_synth(tmp_path)
-    with pytest.raises(SystemExit) as exc:
-        main(["bench", "--algos", "detsrm", "--manifest", str(ds / "manifest.json"),
-              "--k", "2", "--n-jobs", "4"])
-    assert exc.value.code == 2
-    assert "--n-jobs" in capsys.readouterr().err
-
-
 def test_evaluate_reports_baseline_memory(tmp_path):
     ds = run_synth(tmp_path)
     out = tmp_path / "eval"

@@ -8,7 +8,6 @@ from srmkit import (
     FormatError,
     load_manifest,
     load_matrix,
-    preprocess_run,
     read_header,
     save_json,
     save_manifest,
@@ -145,42 +144,6 @@ def test_interrupted_json_write_keeps_old_file(tmp_path, monkeypatch):
         save_json({"a": 2}, p)
     assert p.read_bytes() == old
     assert list(tmp_path.glob("*.tmp")) == []
-
-
-class TestPreprocess:
-    def test_pure_trend_removed(self):
-        out = preprocess_run(np.array([[1.0], [2.0], [3.0]]))
-        assert np.allclose(out, 0.0, atol=1e-12)
-
-    def test_constant_course_zeroed(self):
-        out = preprocess_run(np.full((4, 1), 5.0))
-        assert np.array_equal(out, np.zeros((4, 1)))
-
-    def test_fixed_point(self):
-        rng = np.random.default_rng(0)
-        once = preprocess_run(rng.standard_normal((50, 8)))
-        twice = preprocess_run(once)
-        assert np.max(np.abs(twice - once)) < 1e-12
-
-    def test_output_moments_and_trend_orthogonality(self):
-        rng = np.random.default_rng(1)
-        t = 37
-        out = preprocess_run(rng.standard_normal((t, 20)) * 7 + 3)
-        live = np.any(out != 0, axis=0)
-        assert np.all(np.abs(out[:, live].mean(axis=0)) <= 1e-10)
-        var = np.mean(out[:, live] ** 2, axis=0) - out[:, live].mean(axis=0) ** 2
-        assert np.all(np.abs(var - 1.0) <= 1e-10)
-        ramp = np.arange(t) - (t - 1) / 2
-        ramp = ramp / np.linalg.norm(ramp)
-        assert np.all(np.abs(ramp @ (out[:, live] / np.linalg.norm(out[:, live], axis=0))) <= 1e-8)
-
-    def test_too_short(self):
-        with pytest.raises(ValueError):
-            preprocess_run(np.zeros((2, 3)))
-
-    def test_preserves_dtype(self):
-        out = preprocess_run(np.random.default_rng(2).standard_normal((10, 3)).astype(np.float32))
-        assert out.dtype == np.float32
 
 
 class TestManifest:

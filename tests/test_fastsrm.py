@@ -3,15 +3,17 @@ import pytest
 
 from srmkit import (
     Atlas,
-    FastSrmConfig,
     balanced_partition,
     detsrm_fit,
     fastsrm_fit,
     fastsrm_transform,
+    fit,
+    probsrm_fit,
     recover_components,
     reduce_dataset,
     subspace_error,
 )
+from srmkit import dataio
 from srmkit.srm import SrmModel
 
 from conftest import random_orthonormal_rows
@@ -22,8 +24,8 @@ def test_identity_compression_matches_full_fit(make_dataset, tmp_path):
     # pipeline must reproduce the plain fit bit-for-bit given the same seed.
     manifest, _ = make_dataset(n=3, m=2, t_list=(30, 25), v=40, k=4, sigma=0.5, seed=3)
     atlas = Atlas.partition(np.arange(40))
-    cfg = FastSrmConfig(k=4, n_iter=6, seed=9, component_dir=tmp_path / "spill")
-    fast = fastsrm_fit(manifest, atlas, cfg)
+    cfg = dict(k=4, n_iter=6, seed=9, component_dir=tmp_path / "spill")
+    fast = fastsrm_fit(manifest, atlas, **cfg)
     full, _ = detsrm_fit(manifest.load_all(), k=4, n_iter=6, seed=9)
     rel = abs(fast.trace[-1] - full.trace[-1]) / full.trace[-1]
     assert rel <= 1e-8
@@ -35,23 +37,23 @@ def test_k_must_be_below_parcel_count(make_dataset):
     manifest, _ = make_dataset(v=40, k=4)
     atlas = balanced_partition(40, 4, seed=0)
     with pytest.raises(ValueError, match="parcel count"):
-        fastsrm_fit(manifest, atlas, FastSrmConfig(k=4, n_iter=2))
+        fastsrm_fit(manifest, atlas, k=4, n_iter=2)
 
 
 def test_atlas_dataset_mismatch(make_dataset):
     manifest, _ = make_dataset(v=40, k=4)
     atlas = balanced_partition(39, 8, seed=0)
     with pytest.raises(ValueError, match="voxels"):
-        fastsrm_fit(manifest, atlas, FastSrmConfig(k=4, n_iter=2))
+        fastsrm_fit(manifest, atlas, k=4, n_iter=2)
 
 
 def test_given_reduced_runs_fit_is_byte_identical(make_dataset):
     manifest, _ = make_dataset(n=3, m=3, t_list=(20, 25, 15), v=50, k=3, sigma=0.4, seed=16)
     atlas = balanced_partition(50, 10, seed=8)
-    cfg = FastSrmConfig(k=3, n_iter=5, seed=2)
+    cfg = dict(k=3, n_iter=5, seed=2)
     reduced = reduce_dataset(manifest, atlas)
-    given = fastsrm_fit(manifest, atlas, cfg, reduced=reduced)
-    own = fastsrm_fit(manifest, atlas, cfg)
+    given = fastsrm_fit(manifest, atlas, **cfg, reduced=reduced)
+    own = fastsrm_fit(manifest, atlas, **cfg)
     for i in range(3):
         assert given.spatial_component(i).tobytes() == own.spatial_component(i).tobytes()
     assert given.trace == own.trace
@@ -60,7 +62,7 @@ def test_given_reduced_runs_fit_is_byte_identical(make_dataset):
 def test_given_reduced_runs_are_validated(make_dataset):
     manifest, _ = make_dataset(n=3, m=2, t_list=(20, 25), v=50, k=3, sigma=0.4, seed=17)
     atlas = balanced_partition(50, 10, seed=9)
-    cfg = FastSrmConfig(k=3, n_iter=2, seed=0)
+    cfg = dict(k=3, n_iter=2, seed=0)
     reduced = reduce_dataset(manifest, atlas)
     wrong_t = [list(runs) for runs in reduced]
     wrong_t[1][1] = wrong_t[1][1][:-1]
@@ -72,14 +74,53 @@ def test_given_reduced_runs_are_validated(make_dataset):
         (wrong_c, r"subject 0, run 0: .*\(20, 9\)"),
     ):
         with pytest.raises(ValueError, match=match):
-            fastsrm_fit(manifest, atlas, cfg, reduced=bad)
+            fastsrm_fit(manifest, atlas, **cfg, reduced=bad)
 
 
-def test_config_validation():
-    with pytest.raises(ValueError):
-        FastSrmConfig(k=0)
-    with pytest.raises(ValueError):
-        FastSrmConfig(k=2, n_jobs=0)
+def test_config_validation(make_dataset):
+    manifest, _ = make_dataset(v=40, k=4)
+    atlas = balanced_partition(40, 8, seed=0)
+    with pytest.raises(ValueError, match="k must"):
+        fastsrm_fit(manifest, atlas, k=0)
+    with pytest.raises(ValueError, match="n_iter must"):
+        fastsrm_fit(manifest, atlas, k=2, n_iter=0)
+
+
+@pytest.mark.parametrize("algorithm", ["detsrm", "probsrm", "fastsrm"])
+def test_every_fit_rejects_zero_n_jobs(make_dataset, monkeypatch, algorithm):
+    manifest, _ = make_dataset(n=2, m=2, v=30, k=3, sigma=0.2, seed=18)
+    data = manifest.load_all()
+    atlas = balanced_partition(30, 9, seed=2)
+    loads = []
+    real_load = dataio.load_matrix
+
+    def counting_load(*args, **kwargs):
+        loads.append(args)
+        return real_load(*args, **kwargs)
+
+    monkeypatch.setattr(dataio, "load_matrix", counting_load)
+    direct = {
+        "detsrm": lambda: detsrm_fit(data, k=3, n_jobs=0),
+        "probsrm": lambda: probsrm_fit(data, k=3, n_jobs=0),
+        "fastsrm": lambda: fastsrm_fit(manifest, atlas, k=3, n_jobs=0),
+    }[algorithm]
+    for call in (lambda: fit(manifest, algorithm, k=3, atlas=atlas, n_jobs=0), direct):
+        with pytest.raises(ValueError, match="n_jobs must be at least 1"):
+            call()
+    assert loads == []  # rejected before any run is read
+
+
+def test_recover_components_validates_shared(make_dataset):
+    manifest, _ = make_dataset(n=2, m=2, t_list=(20, 25), v=30, k=3, sigma=0.2, seed=19)
+    good = [np.ones((20, 3)), np.ones((25, 3))]
+    with pytest.raises(ValueError, match="1 shared runs"):
+        recover_components(manifest, good[:1])
+    with pytest.raises(ValueError, match=r"run 1: .*\(25, 2\), expected \(25, 3\)"):
+        recover_components(manifest, [good[0], np.ones((25, 2))])
+    with pytest.raises(ValueError, match=r"run 0: .*\(19, 3\), expected \(20, 3\)"):
+        recover_components(manifest, [np.ones((19, 3)), good[1]])
+    with pytest.raises(ValueError, match="run 1: .*non-finite"):
+        recover_components(manifest, [good[0], np.full((25, 3), np.nan)])
 
 
 def test_n_jobs_bit_identical(make_dataset, tmp_path):
@@ -87,10 +128,10 @@ def test_n_jobs_bit_identical(make_dataset, tmp_path):
     atlas = balanced_partition(50, 10, seed=1)
     out = {}
     for jobs in (1, 4):
-        cfg = FastSrmConfig(
+        cfg = dict(
             k=3, n_iter=5, n_jobs=jobs, seed=2, component_dir=tmp_path / f"spill{jobs}"
         )
-        out[jobs] = fastsrm_fit(manifest, atlas, cfg)
+        out[jobs] = fastsrm_fit(manifest, atlas, **cfg)
     for i in range(4):
         a = out[1].spatial_component(i)
         b = out[4].spatial_component(i)
@@ -104,8 +145,8 @@ def test_n_jobs_bit_identical(make_dataset, tmp_path):
 def test_components_spill_to_disk_atomically(make_dataset, tmp_path):
     manifest, _ = make_dataset(n=2, m=2, v=30, k=3, sigma=0.2, seed=6)
     atlas = balanced_partition(30, 9, seed=2)
-    cfg = FastSrmConfig(k=3, n_iter=3, seed=0, component_dir=tmp_path / "spill")
-    model = fastsrm_fit(manifest, atlas, cfg)
+    cfg = dict(k=3, n_iter=3, seed=0, component_dir=tmp_path / "spill")
+    model = fastsrm_fit(manifest, atlas, **cfg)
     for i in range(2):
         assert model.is_on_disk(i)
         assert model.spatial[i].exists()
@@ -119,8 +160,8 @@ def test_components_spill_to_disk_atomically(make_dataset, tmp_path):
 def test_inmemory_components(make_dataset):
     manifest, _ = make_dataset(n=2, m=2, v=30, k=3, sigma=0.2, seed=6)
     atlas = balanced_partition(30, 9, seed=2)
-    cfg = FastSrmConfig(k=3, n_iter=3, seed=0)
-    model = fastsrm_fit(manifest, atlas, cfg)
+    cfg = dict(k=3, n_iter=3, seed=0)
+    model = fastsrm_fit(manifest, atlas, **cfg)
     assert not model.is_on_disk(0)
     w = model.spatial_component(0)
     assert np.max(np.abs(w @ w.T - np.eye(3))) <= 1e-8
@@ -129,11 +170,11 @@ def test_inmemory_components(make_dataset):
 def test_recovery_is_scale_invariant(make_dataset, tmp_path):
     manifest, _ = make_dataset(n=3, m=2, t_list=(25, 30), v=60, k=4, sigma=0.8, seed=8)
     atlas = balanced_partition(60, 12, seed=4)
-    cfg = FastSrmConfig(k=4, n_iter=5, seed=1)
-    model = fastsrm_fit(manifest, atlas, cfg)
+    cfg = dict(k=4, n_iter=5, seed=1)
+    model = fastsrm_fit(manifest, atlas, **cfg)
     base = recover_components(manifest, model.reduced_shared)
     for f in (1e-3, 3.7, 1e3):
-        scaled = recover_components(manifest, [f * s for s in model.reduced_shared.runs])
+        scaled = recover_components(manifest, [f * s for s in model.reduced_shared])
         for w_b, w_s in zip(base, scaled):
             assert np.max(np.abs(w_b - w_s)) <= 1e-8
 
@@ -141,8 +182,8 @@ def test_recovery_is_scale_invariant(make_dataset, tmp_path):
 def test_planted_recovery_with_compression(make_dataset):
     manifest, truth = make_dataset(n=4, m=2, t_list=(60, 60), v=400, k=5, sigma=0.0, seed=9)
     atlas = balanced_partition(400, 20, seed=5)  # c = 4k
-    cfg = FastSrmConfig(k=5, n_iter=20, seed=3)
-    model = fastsrm_fit(manifest, atlas, cfg)
+    cfg = dict(k=5, n_iter=20, seed=3)
+    model = fastsrm_fit(manifest, atlas, **cfg)
     for i in range(4):
         assert subspace_error(model.spatial_component(i), truth.spatial[i]) <= 1e-3
 
@@ -180,8 +221,8 @@ def test_transform_matches_planted_product(make_dataset):
     # arbitrarily scaled.
     manifest, truth = make_dataset(n=3, m=2, t_list=(40, 35), v=80, k=4, sigma=0.0, seed=14)
     atlas = balanced_partition(80, 16, seed=6)
-    cfg = FastSrmConfig(k=4, n_iter=15, seed=4)
-    model = fastsrm_fit(manifest, atlas, cfg)
+    cfg = dict(k=4, n_iter=15, seed=4)
+    model = fastsrm_fit(manifest, atlas, **cfg)
     runs = [manifest.load_run(i, 0) for i in range(3)]
     shared = fastsrm_transform(model, runs)
     for i in range(3):
@@ -199,6 +240,6 @@ def test_worker_failure_names_subject_and_run(make_dataset, tmp_path):
     target.write_bytes(bytes(raw))
     atlas = balanced_partition(30, 6, seed=7)
     with pytest.raises(RuntimeError, match=r"subject 1, run 0") as info:
-        fastsrm_fit(manifest, atlas, FastSrmConfig(k=3, n_iter=2, seed=0))
+        fastsrm_fit(manifest, atlas, k=3, n_iter=2, seed=0)
     assert str(info.value).count("subject 1, run 0") == 1
     assert str(target) in str(info.value)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from srmkit import SrmModel, probsrm_fit, shared_posterior
+from srmkit.srm import _centered_sum_squares
 
 from conftest import random_orthonormal_rows
 
@@ -66,7 +67,7 @@ def test_fitted_parameters_well_formed():
     assert np.all(model.sigma_sq > 0)
     assert np.allclose(model.sigma_s, model.sigma_s.T)
     assert np.all(np.linalg.eigvalsh(model.sigma_s) >= -1e-12)
-    assert [s.shape for s in shared.runs] == [(20, 4), (20, 4)]
+    assert [s.shape for s in shared] == [(20, 4), (20, 4)]
 
 
 def test_recovers_planted_noise_levels(make_dataset):
@@ -138,6 +139,23 @@ def test_peak_memory_is_dataset_plus_few_runs(dtype):
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_centered_sum_squares_holds_one_run(dtype):
+    # probsrm's one-time sum of squares copies, centers and drops one run at
+    # a time, whatever the input dtype.
+    runs = [x.astype(dtype) for x in _float32_runs(n=1)[0]]
+    run_bytes = runs[0].size * 8
+    tracemalloc.start()
+    try:
+        total = _centered_sum_squares(runs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.2 * run_bytes, f"peak {peak / run_bytes:.1f} float64 runs"
+    centered = [x.astype(np.float64) - x.astype(np.float64).mean(axis=0) for x in runs]
+    assert total == sum(float(np.dot(c.ravel(), c.ravel())) for c in centered)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
 def test_input_left_untouched(dtype):
     data = [[x.astype(dtype) for x in runs] for runs in _float32_runs(v=300)]
     before = [[x.tobytes() for x in runs] for runs in data]
@@ -155,5 +173,5 @@ def test_float32_matches_float64_upcast_bit_for_bit():
     assert m32.trace == m64.trace
     assert np.array_equal(m32.sigma_sq, m64.sigma_sq)
     assert np.array_equal(m32.sigma_s, m64.sigma_s)
-    for a, b in zip(s32.runs, s64.runs):
+    for a, b in zip(s32, s64):
         assert np.array_equal(a, b)

@@ -1,17 +1,18 @@
 import json
+import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from srmkit import (
-    SharedResponse,
     SrmModel,
     detsrm_fit,
     procrustes_update,
-    reconstruct,
     save_matrix,
     update_shared,
 )
+from srmkit import srm
 
 from conftest import random_orthonormal_rows
 
@@ -102,27 +103,6 @@ class TestUpdateShared:
             update_shared([x, np.zeros((4, 8))], [w, w])
 
 
-class TestReconstruct:
-    def test_identity(self):
-        s = np.random.default_rng(11).standard_normal((7, 3))
-        assert np.array_equal(reconstruct(np.eye(3), s), s)
-
-    def test_zero_shared(self):
-        w = random_orthonormal_rows(3, 9, seed=12)
-        assert np.array_equal(reconstruct(w, np.zeros((5, 3))), np.zeros((5, 9)))
-
-    def test_roundtrip_is_row_space_projection(self):
-        rng = np.random.default_rng(13)
-        x = rng.standard_normal((10, 8))
-        w = random_orthonormal_rows(3, 8, seed=14)
-        out = reconstruct(w, update_shared([x], [w]))
-        assert np.max(np.abs(out - x @ w.T @ w)) <= 1e-10
-
-    def test_shape_error(self):
-        with pytest.raises(ValueError):
-            reconstruct(np.eye(3), np.zeros((5, 4)))
-
-
 class TestDetSrm:
     def test_noiseless_single_subject_recovery(self):
         rng = np.random.default_rng(20)
@@ -170,7 +150,7 @@ class TestDetSrm:
             )
 
         q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
-        base = objective(shared.runs, [model.spatial_component(i) for i in range(2)])
+        base = objective(shared, [model.spatial_component(i) for i in range(2)])
         rotated = objective(
             [shared[0] @ q.T], [q @ model.spatial_component(i) for i in range(2)]
         )
@@ -197,7 +177,7 @@ class TestDetSrm:
         rng = np.random.default_rng(26)
         data = [[rng.standard_normal((t, 10)) for t in (12, 17, 9)] for _ in range(2)]
         model, shared = detsrm_fit(data, k=3, n_iter=3, seed=5)
-        assert [s.shape for s in shared.runs] == [(12, 3), (17, 3), (9, 3)]
+        assert [s.shape for s in shared] == [(12, 3), (17, 3), (9, 3)]
 
     def test_validation_errors(self):
         rng = np.random.default_rng(27)
@@ -217,7 +197,7 @@ class TestDetSrm:
         m4, s4 = detsrm_fit(data, k=4, n_iter=5, seed=6, n_jobs=4)
         for i in range(4):
             assert np.array_equal(m1.spatial_component(i), m4.spatial_component(i))
-        for a, b in zip(s1.runs, s4.runs):
+        for a, b in zip(s1, s4):
             assert np.array_equal(a, b)
         assert m1.trace == m4.trace
 
@@ -299,6 +279,65 @@ class TestSrmModel:
         assert (tmp_path / "model" / "model.json").read_bytes() == old
         assert list((tmp_path / "model").glob("*.tmp")) == []
 
+    @pytest.mark.parametrize("source", ["memory", "disk"])
+    def test_failed_save_keeps_old_model(self, tmp_path, monkeypatch, source):
+        old = SrmModel([random_orthonormal_rows(2, 8, seed=i) for i in range(2)])
+        old.save(tmp_path / "model")
+        before = {p.name: p.read_bytes() for p in (tmp_path / "model").iterdir()}
+        new = SrmModel([random_orthonormal_rows(3, 8, seed=10 + i) for i in range(2)])
+        if source == "disk":
+            new.save(tmp_path / "src")
+            new = SrmModel.load(tmp_path / "src")
+        target = "copyfile" if source == "disk" else "save_matrix"
+        module = shutil if source == "disk" else srm
+        real = getattr(module, target)
+        calls = []
+
+        def fail_after_first(src, dest):
+            calls.append(dest)
+            if len(calls) == 1:
+                return real(src, dest)
+            Path(dest).write_bytes(b"SRMB")  # a partial file at the destination
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(module, target, fail_after_first)
+        with pytest.raises(OSError, match="no space"):
+            new.save(tmp_path / "model")
+        monkeypatch.undo()
+        assert len(calls) == 2
+        assert {p.name: p.read_bytes() for p in (tmp_path / "model").iterdir()} == before
+        back = SrmModel.load(tmp_path / "model", keep_on_disk=False)
+        for i in range(2):
+            assert back.spatial_component(i).tobytes() == old.spatial[i].tobytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            ["model"] + (["src"] if source == "disk" else [])
+        )
+
+    def test_save_over_existing_replaces_directory(self, tmp_path):
+        SrmModel([random_orthonormal_rows(2, 8, seed=i) for i in range(3)],
+                 sigma_s=np.eye(2)).save(tmp_path / "model")
+        new = SrmModel([random_orthonormal_rows(2, 8, seed=7)])
+        new.save(tmp_path / "model")
+        names = sorted(p.name for p in (tmp_path / "model").iterdir())
+        assert names == ["model.json", "w_000.srmb"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model"]
+        back = SrmModel.load(tmp_path / "model", keep_on_disk=False)
+        assert back.n == 1 and back.sigma_s is None
+        assert np.array_equal(back.spatial_component(0), new.spatial[0])
+
+    def test_save_in_place_writes_only_descriptor(self, tmp_path, monkeypatch):
+        SrmModel([random_orthonormal_rows(2, 8, seed=i) for i in range(2)]).save(tmp_path / "m")
+        lazy = SrmModel.load(tmp_path / "m")
+
+        def refuse(*args):
+            raise AssertionError("component rewritten")
+
+        monkeypatch.setattr(shutil, "copyfile", refuse)
+        monkeypatch.setattr(srm, "save_matrix", refuse)
+        (tmp_path / "m" / "model.json").unlink()
+        lazy.save(tmp_path / "m")
+        assert SrmModel.load(tmp_path / "m").n == 2
+
     def test_orthonormality_enforced(self):
         with pytest.raises(ValueError, match="orthonormal"):
             SrmModel([np.ones((2, 6))])
@@ -311,11 +350,3 @@ class TestSrmModel:
             SrmModel(w, sigma_s=np.array([[1.0, 0.5], [0.0, 1.0]]))
         with pytest.raises(ValueError, match="semi-definite"):
             SrmModel(w, sigma_s=np.diag([1.0, -2.0]))
-
-    def test_shared_response_validation(self):
-        with pytest.raises(ValueError):
-            SharedResponse([])
-        with pytest.raises(ValueError, match="component count"):
-            SharedResponse([np.zeros((4, 2)), np.zeros((4, 3))])
-        with pytest.raises(ValueError, match="finite"):
-            SharedResponse([np.full((3, 2), np.nan)])
