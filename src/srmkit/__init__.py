@@ -43,7 +43,6 @@ from .srm import (
     detsrm_fit,
     probsrm_fit,
     procrustes_update,
-    shared_posterior,
     update_shared,
 )
 from .synthetic import PlantedModel, balanced_partition, generate, subspace_error
@@ -81,7 +80,6 @@ __all__ = [
     "save_json",
     "save_manifest",
     "save_matrix",
-    "shared_posterior",
     "subspace_error",
     "update_shared",
 ]

@@ -109,25 +109,18 @@ def project_run(x: np.ndarray, atlas: Atlas) -> np.ndarray:
     return (x @ atlas.weights.T) @ atlas._op
 
 
-def load_atlas(path, kind: str | None = None) -> Atlas:
+def load_atlas(path) -> Atlas:
     """Load an atlas from an SRMB file.
 
-    A 1 x v integer-valued matrix is a partition (parcel labels); a c x v
-    matrix is probabilistic. Pass ``kind`` ("partition" or "prob") to force
-    the interpretation; otherwise it is inferred from the file shape.
+    A 1 x v matrix is a partition and must hold integer parcel labels (read
+    as weights, it would be a single parcel, which no fit can use); a c x v
+    matrix with c > 1 is probabilistic.
     """
     mat = load_matrix(path)
-    if kind not in (None, "partition", "prob"):
-        raise ValueError(f"unknown atlas kind {kind!r}")
-    rows, cols = mat.shape
-    looks_partition = rows == 1 and np.array_equal(mat, np.round(mat))
-    if kind == "partition" or (kind is None and looks_partition):
-        if rows != 1:
-            raise ValueError(f"{path}: partition atlas must be a 1 x v label vector")
+    if mat.shape[0] == 1:
         if not np.array_equal(mat, np.round(mat)):
             raise ValueError(f"{path}: partition labels must be integer-valued")
-        labels = mat[0].astype(np.int64)
-        atlas = Atlas.partition(labels)
+        atlas = Atlas.partition(mat[0].astype(np.int64))
     else:
         atlas = Atlas.probabilistic(mat)
     if atlas.c >= atlas.v:

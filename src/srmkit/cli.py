@@ -23,13 +23,23 @@ from .srm import SrmModel
 from .synthetic import generate
 
 
+def _count(text: str) -> int:
+    """argparse type of the counts a fit needs positive."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_common_fit_args(p):
     p.add_argument("--manifest", required=True, help="dataset manifest JSON")
-    p.add_argument("--k", type=int, required=True, help="number of components")
+    p.add_argument("--k", type=_count, required=True, help="number of components")
     p.add_argument("--atlas", help="atlas SRMB file (required for fastsrm)")
-    p.add_argument("--atlas-kind", choices=("partition", "prob"), default=None)
-    p.add_argument("--n-iter", type=int, default=10)
-    p.add_argument("--n-jobs", type=int, default=1)
+    p.add_argument("--n-iter", type=_count, default=10)
+    p.add_argument("--n-jobs", type=_count, default=1)
     p.add_argument("--seed", type=int, default=0)
 
 
@@ -95,7 +105,7 @@ def _load_inputs(args, parser, need_atlas: bool):
     if args.atlas:
         if not Path(args.atlas).is_file():
             parser.error(f"atlas not found: {args.atlas}")
-        atlas = load_atlas(args.atlas, kind=args.atlas_kind)
+        atlas = load_atlas(args.atlas)
     elif need_atlas:
         parser.error("fastsrm requires --atlas")
     return manifest, atlas
@@ -133,9 +143,17 @@ def cmd_transform(args, parser) -> int:
     if not 0 <= args.run < manifest.n_runs:
         parser.error(f"run {args.run} out of range (dataset has {manifest.n_runs})")
     model = SrmModel.load(args.model)
-    subjects = (
-        [int(x) for x in args.subjects.split(",")] if args.subjects else list(range(model.n))
-    )
+    subjects = list(range(model.n))
+    if args.subjects:
+        try:
+            subjects = [int(x) for x in args.subjects.split(",")]
+        except ValueError:
+            parser.error(f"--subjects must be comma-separated integers, got {args.subjects!r}")
+    n = min(model.n, manifest.n_subjects)
+    for i in subjects:
+        if not 0 <= i < n:
+            parser.error(f"subject {i} out of range (model has {model.n}, "
+                         f"dataset has {manifest.n_subjects})")
     runs = [manifest.load_run(i, args.run) for i in subjects]
     shared = fastsrm_transform(model, runs, subjects)
     save_matrix(shared, args.out)

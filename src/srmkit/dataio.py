@@ -132,7 +132,7 @@ class DatasetManifest:
     same run count and voxel count; within a run all subjects share the
     timeframe count (required for a per-run shared response). ``run_ids``
     holds the dataset's index of each run when this manifest keeps only some
-    of them (see :meth:`select_runs`); errors report those indices.
+    of them (see :meth:`without_run`); errors report those indices.
     """
 
     subjects: tuple[str, ...]
@@ -165,10 +165,6 @@ class DatasetManifest:
         keep = [s for s in range(self.n_runs) if s != run]
         if not keep:
             raise ValueError("cannot drop the only run")
-        return self.select_runs(keep)
-
-    def select_runs(self, keep) -> "DatasetManifest":
-        """Manifest restricted to the runs at positions ``keep``, in that order."""
         ids = self.run_ids or range(self.n_runs)
         return DatasetManifest(
             subjects=self.subjects,

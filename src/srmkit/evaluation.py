@@ -76,8 +76,6 @@ class R2Map:
     degenerate: np.ndarray
     left_out_run: int
     left_out_subject: int
-    algorithm: str
-    k: int
 
 
 @dataclass
@@ -91,13 +89,6 @@ class CosmoothingResult:
     def mean_map(self) -> np.ndarray:
         """Voxelwise mean score across every fold."""
         return np.mean([f.scores for f in self.folds], axis=0)
-
-    def run_mean_map(self, run: int) -> np.ndarray:
-        """Voxelwise mean over the left-out subjects of one run."""
-        maps = [f.scores for f in self.folds if f.left_out_run == run]
-        if not maps:
-            raise ValueError(f"no folds for run {run}")
-        return np.mean(maps, axis=0)
 
 
 def fold_seed(base_seed: int, run: int) -> int:
@@ -114,36 +105,28 @@ def fit(
     seed: int = 0,
     n_jobs: int = 1,
     component_dir: str | Path | None = None,
-    *,
-    reduced=None,
 ) -> SrmModel:
     """Fit one of :data:`ALGORITHMS` on a dataset; ``model.trace`` holds its
     per-iteration objective (log-likelihood for probsrm).
 
     fastsrm streams the runs from disk and needs ``atlas``; with
     ``component_dir`` it writes its components into that model directory
-    instead of keeping them in memory, and ``reduced`` hands it the runs
-    already projected through ``atlas`` (see :func:`fastsrm_fit`). The
-    full-resolution fits load the whole dataset and keep their components
-    in memory.
+    instead of keeping them in memory. The full-resolution fits load the
+    whole dataset and keep their components in memory.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
     if algorithm == "fastsrm":
         if atlas is None:
             raise ValueError("fastsrm needs an atlas")
-        return fastsrm_fit(
-            manifest, atlas, k, n_iter, seed, n_jobs, component_dir, reduced=reduced
-        )
-    if reduced is not None:
-        raise ValueError(f"{algorithm} fits full-resolution data; reduced data is for fastsrm")
+        return fastsrm_fit(manifest, atlas, k, n_iter, seed, n_jobs, component_dir)
     _check_fit_args(k, n_iter, n_jobs)  # before the whole dataset is loaded
     solver = detsrm_fit if algorithm == "detsrm" else probsrm_fit
     model, _ = solver(manifest.load_all(), k, n_iter=n_iter, seed=seed, n_jobs=n_jobs)
     return model
 
 
-def _score_left_out_run(manifest, spatial, run, algorithm, k, subjects=None):
+def _score_left_out_run(manifest, spatial, run, subjects=None):
     """Score reconstruction of each requested left-out subject for one run.
 
     All subjects' projections onto their own bases are computed once; each
@@ -166,30 +149,8 @@ def _score_left_out_run(manifest, spatial, run, algorithm, k, subjects=None):
         pred = shared @ spatial[i]
         truth = manifest.load_run(i, run)
         scores, degenerate = r2_map(pred, truth)
-        folds.append(
-            R2Map(
-                scores=scores,
-                degenerate=degenerate,
-                left_out_run=run,
-                left_out_subject=i,
-                algorithm=algorithm,
-                k=k,
-            )
-        )
+        folds.append(R2Map(scores, degenerate, left_out_run=run, left_out_subject=i))
     return folds
-
-
-def _fold_reduced(table, manifest, atlas, run, n_jobs):
-    """Projections of every run but ``run``, indexed [subject][run]; runs
-    missing from ``table`` are projected first and stored there."""
-    keep = [s for s in range(manifest.n_runs) if s != run]
-    todo = [s for s in keep if table[0][s] is None]
-    if todo:
-        projected = reduce_dataset(manifest.select_runs(todo), atlas, n_jobs=n_jobs)
-        for row, runs in zip(table, projected):
-            for s, x in zip(todo, runs):
-                row[s] = x
-    return [[row[s] for s in keep] for row in table]
 
 
 def cosmoothing(
@@ -211,8 +172,9 @@ def cosmoothing(
     recomputed in isolation. Folds are enumerated subject-major.
 
     fastsrm projects each run through the atlas once per evaluation (n*m
-    projections, not n*m*(m-1)): every fold fits on its slice of one table
-    of reduced runs, and a fold projects only the runs no earlier fold has.
+    projections, not n*m*(m-1)): the first fold, which reads every run
+    anyway, projects the whole dataset, and every fold fits on it without
+    its left-out run.
     """
     if manifest.n_runs < 2:
         raise ValueError("co-smoothing needs at least 2 runs")
@@ -220,20 +182,21 @@ def cosmoothing(
         raise ValueError("co-smoothing needs at least 2 subjects")
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
-    # [subject][run] projections, filled lazily so that a corrupt run is
-    # reported by the first fold that trains on it.
-    table = None
-    if algorithm == "fastsrm" and atlas is not None:
-        table = [[None] * manifest.n_runs for _ in range(manifest.n_subjects)]
+    if algorithm == "fastsrm" and atlas is None:
+        raise ValueError("fastsrm needs an atlas")
     folds = []
     for s in range(manifest.n_runs):
         try:
             training = manifest.without_run(s)
-            reduced = None if table is None else _fold_reduced(table, manifest, atlas, s, n_jobs)
-            model = fit(
-                training, algorithm, k, atlas, n_iter, fold_seed(seed, s), n_jobs, reduced=reduced
-            )
-            folds.extend(_score_left_out_run(manifest, model.spatial, s, algorithm, k))
+            fit_seed = fold_seed(seed, s)
+            if algorithm == "fastsrm":
+                if s == 0:  # fold 0 reads every run anyway, so a bad run fails fold 0
+                    reduced = reduce_dataset(manifest, atlas, n_jobs=n_jobs)
+                held_in = [runs[:s] + runs[s + 1:] for runs in reduced]
+                model = fastsrm_fit(training, atlas, k, n_iter, fit_seed, n_jobs, reduced=held_in)
+            else:
+                model = fit(training, algorithm, k, atlas, n_iter, fit_seed, n_jobs)
+            folds.extend(_score_left_out_run(manifest, model.spatial, s))
             del model  # release the components before the next fold's fit
         except Exception as exc:
             raise RuntimeError(f"fold with left-out run {s} failed: {exc}") from exc
@@ -256,7 +219,7 @@ def cosmoothing_fold(
     full sweep, so the map matches bit-for-bit."""
     training = manifest.without_run(run)
     model = fit(training, algorithm, k, atlas, n_iter, fold_seed(seed, run), n_jobs)
-    return _score_left_out_run(manifest, model.spatial, run, algorithm, k, subjects=[subject])[0]
+    return _score_left_out_run(manifest, model.spatial, run, subjects=[subject])[0]
 
 
 def roi_mask(maps, threshold: float = ROI_THRESHOLD) -> np.ndarray:

@@ -302,9 +302,14 @@ def _subject_step(shared, run, v):
 
 
 def _sum_squares(runs) -> float:
-    """sum_s ||X_s||_F^2, accumulated in float64 in run order."""
-    flats = (np.asarray(x, dtype=np.float64).ravel() for x in runs)
-    return sum(float(np.dot(f, f)) for f in flats)
+    """sum_s ||X_s||_F^2, accumulated in float64 in run order. Each run's
+    float64 upcast is released before the next one is made."""
+    total = 0.0
+    for x in runs:
+        f = np.asarray(x, dtype=np.float64).ravel()
+        total += float(np.dot(f, f))
+        del f
+    return total
 
 
 def _centered_sum_squares(runs) -> float:
@@ -391,18 +396,6 @@ def _posterior_cov(sigma_sq, sigma_s):
     b = np.eye(sigma_s.shape[0]) + alpha * sigma_s
     cov = np.linalg.solve(b, sigma_s)
     return (cov + cov.T) / 2.0, b
-
-
-def shared_posterior(run_stack, spatial, sigma_sq, sigma_s):
-    """Gaussian posterior of the shared response given one run of all subjects.
-
-    Returns (mean, cov): the t x k posterior means and the k x k posterior
-    covariance (identical across timepoints). Exploits the orthonormality of
-    each W_i, which collapses the nv-dimensional conditioning to k x k
-    solves: the posterior covariance is (Sigma^-1 + sum_i I/sigma_i^2)^-1.
-    """
-    cov, _ = _posterior_cov(sigma_sq, sigma_s)
-    return _project_sum(run_stack, spatial, sigma_sq) @ cov, cov
 
 
 def probsrm_fit(data, k: int, n_iter: int = 10, seed=0, n_jobs: int = 1):

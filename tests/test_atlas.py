@@ -123,12 +123,6 @@ class TestLoadAtlas:
         assert atlas.kind == "probabilistic"
         assert (atlas.c, atlas.v) == (3, 10)
 
-    def test_kind_override(self, tmp_path):
-        p = tmp_path / "atlas.srmb"
-        save_matrix(np.array([[0.0, 1.0, 1.0, 0.0]]), p)
-        atlas = load_atlas(p, kind="prob")
-        assert atlas.kind == "probabilistic"
-
     def test_missing_parcel_in_file(self, tmp_path):
         p = tmp_path / "atlas.srmb"
         save_matrix(np.array([[0.0, 2.0, 0.0]]), p)
@@ -145,7 +139,7 @@ class TestLoadAtlas:
         p = tmp_path / "atlas.srmb"
         save_matrix(np.array([[0.0, 0.5, 1.0]]), p)
         with pytest.raises(ValueError, match="integer"):
-            load_atlas(p, kind="partition")
+            load_atlas(p)
 
     def test_save_load_roundtrip(self, tmp_path):
         atlas = balanced_partition(30, 6, seed=1)

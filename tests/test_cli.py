@@ -91,13 +91,51 @@ def test_fastsrm_fit_with_atlas(tmp_path):
     code = main(
         [
             "fit", "--algo", "fastsrm", "--manifest", str(ds / "manifest.json"),
-            "--k", "3", "--atlas", str(atlas_path), "--atlas-kind", "partition",
+            "--k", "3", "--atlas", str(atlas_path),
             "--seed", "1", "--out", str(out),
         ]
     )
     assert code == 0
     w = load_matrix(out / "model" / "w_000.srmb")
     assert np.max(np.abs(w @ w.T - np.eye(3))) <= 1e-8
+
+
+@pytest.mark.parametrize("command", ["fit", "evaluate"])
+@pytest.mark.parametrize("flag", ["--k", "--n-iter", "--n-jobs"])
+@pytest.mark.parametrize("value", ["0", "x"])
+def test_bad_counts_are_argument_errors(tmp_path, capsys, command, flag, value):
+    ds = run_synth(tmp_path)
+    out = tmp_path / "out"
+    args = [command, "--algo", "detsrm", "--manifest", str(ds / "manifest.json"),
+            "--k", "2", "--out", str(out), flag, value]
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("subjects", ["7", "-1", "0,3", "a"])
+def test_transform_bad_subjects_are_argument_errors(tmp_path, capsys, monkeypatch, subjects):
+    import srmkit.dataio
+
+    ds = run_synth(tmp_path)
+    fit_out = tmp_path / "fit"
+    assert main(["fit", "--algo", "detsrm", "--manifest", str(ds / "manifest.json"),
+                 "--k", "3", "--out", str(fit_out)]) == 0
+    capsys.readouterr()
+
+    def no_load(*args, **kwargs):
+        raise AssertionError("a run was read")
+
+    monkeypatch.setattr(srmkit.dataio, "load_matrix", no_load)
+    with pytest.raises(SystemExit) as exc:
+        main(["transform", "--model", str(fit_out / "model"),
+              "--manifest", str(ds / "manifest.json"), "--run", "0",
+              f"--subjects={subjects}", "--out", str(tmp_path / "s.srmb")])
+    assert exc.value.code == 2
+    assert "subject" in capsys.readouterr().err
+    assert not (tmp_path / "s.srmb").exists()
 
 
 def test_evaluate_rejects_single_run(tmp_path, capsys):

@@ -235,9 +235,6 @@ class TestCosmoothing:
             (0, 0), (0, 1), (1, 0), (1, 1),
         ]
         assert result.mean_map().shape == (30,)
-        assert result.run_mean_map(1).shape == (30,)
-        with pytest.raises(ValueError):
-            result.run_mean_map(5)
 
     def test_failure_reports_fold(self, make_dataset):
         manifest, _ = make_dataset(n=2, m=2, v=30, k=2, sigma=0.5, seed=26)

@@ -3,8 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from srmkit import SrmModel, probsrm_fit, shared_posterior
-from srmkit.srm import _centered_sum_squares
+from srmkit import SrmModel, probsrm_fit
+from srmkit.srm import _centered_sum_squares, _posterior_cov
 
 from conftest import random_orthonormal_rows
 
@@ -37,7 +37,9 @@ def test_posterior_mean_matches_gaussian_conditioning():
     sigma_s = np.diag([4.0, 3.0, 2.0, 1.0])
     sigma_sq = [0.7]
     x = rng.standard_normal((9, k))
-    mean, cov = shared_posterior([x], [np.eye(k)], sigma_sq, sigma_s)
+    # The E-step's q @ cov for one subject with W = I.
+    cov, _ = _posterior_cov(sigma_sq, sigma_s)
+    mean = (x / sigma_sq[0]) @ cov
     oracle = x @ (sigma_s @ np.linalg.inv(sigma_s + sigma_sq[0] * np.eye(k))).T
     assert np.max(np.abs(mean - oracle)) <= 1e-10
     cov_oracle = np.linalg.inv(np.linalg.inv(sigma_s) + np.eye(k) / sigma_sq[0])

@@ -36,10 +36,24 @@ PUBLIC = [
     "save_json",
     "save_manifest",
     "save_matrix",
-    "shared_posterior",
     "subspace_error",
     "update_shared",
 ]
+
+
+FIT_OPTIONS = ["--algo", "--atlas", "--k", "--manifest", "--n-iter", "--n-jobs", "--out", "--seed"]
+CLI_OPTIONS = {
+    "evaluate": sorted(FIT_OPTIONS + ["--roi-from", "--roi-threshold"]),
+    "fit": FIT_OPTIONS,
+    "synth": ["--dtype", "--isotropic", "--k", "--m", "--n", "--out", "--seed", "--sigma", "--t",
+              "--v"],
+    "transform": ["--manifest", "--model", "--out", "--run", "--subjects"],
+}
+
+
+def _subcommands():
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices
 
 
 def test_exported_names_are_pinned():
@@ -52,5 +66,12 @@ def test_every_exported_name_resolves():
 
 
 def test_cli_subcommands_are_pinned():
-    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
-    assert sorted(sub.choices) == ["evaluate", "fit", "synth", "transform"]
+    assert sorted(_subcommands()) == ["evaluate", "fit", "synth", "transform"]
+
+
+def test_cli_options_are_pinned():
+    got = {
+        name: sorted(o for a in p._actions for o in a.option_strings if o not in ("-h", "--help"))
+        for name, p in _subcommands().items()
+    }
+    assert got == CLI_OPTIONS

@@ -236,6 +236,25 @@ class TestDetSrm:
             energy = sum(np.sum(x**2) for runs in data for x in runs)
             assert 0.0 <= model.trace[-1] <= 1e-14 * energy
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_sum_squares_holds_one_run(self, dtype):
+        # detsrm's one-time sum of squares upcasts and drops one run at a
+        # time, whatever the input dtype.
+        import tracemalloc
+
+        rng = np.random.default_rng(12)
+        runs = [rng.standard_normal((60, 2000)).astype(dtype) for _ in range(3)]
+        run_bytes = runs[0].size * 8
+        tracemalloc.start()
+        try:
+            total = srm._sum_squares(runs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.2 * run_bytes, f"peak {peak / run_bytes:.1f} float64 runs"
+        flats = [x.astype(np.float64).ravel() for x in runs]
+        assert total == sum(float(np.dot(f, f)) for f in flats)
+
 
 class TestSrmModel:
     def test_save_load_roundtrip(self, tmp_path):
