@@ -18,7 +18,7 @@ from .atlas import load_atlas
 from .bench import PeakRssSampler
 from .dataio import load_manifest, load_matrix, save_json, save_matrix
 from .evaluation import ALGORITHMS, cosmoothing, fit, mean_within, roi_mask
-from .fastsrm import fastsrm_transform
+from .fastsrm import _check_atlas, fastsrm_transform
 from .srm import SrmModel
 from .synthetic import generate
 
@@ -108,6 +108,11 @@ def _load_inputs(args, parser, need_atlas: bool):
         atlas = load_atlas(args.atlas)
     elif need_atlas:
         parser.error("fastsrm requires --atlas")
+    if need_atlas:
+        try:
+            _check_atlas(atlas, args.k, manifest.v)
+        except ValueError as exc:
+            parser.error(str(exc))
     return manifest, atlas
 
 

@@ -115,7 +115,7 @@ def load_matrix(path, row_range: tuple[int, int] | None = None) -> np.ndarray:
     else:
         start, stop = row_range
         if not (0 <= start < stop <= rows):
-            raise ValueError(f"row range [{start}, {stop}) out of bounds for {rows} rows")
+            raise ValueError(f"{path}: row range [{start}, {stop}) out of bounds for {rows} rows")
     count = (stop - start) * cols
     offset = HEADER_SIZE + start * cols * dtype.itemsize
     data = np.fromfile(path, dtype=dtype, count=count, offset=offset)
@@ -149,12 +149,39 @@ class DatasetManifest:
     def n_runs(self) -> int:
         return len(self.t_per_run)
 
-    def load_run(self, subject: int, run: int) -> np.ndarray:
+    def _load_error(self, subject: int, run: int, exc: Exception) -> RuntimeError:
+        run_id = run if self.run_ids is None else self.run_ids[run]
+        return RuntimeError(f"failed loading subject {subject}, run {run_id}: {exc}")
+
+    def load_run(self, subject: int, run: int, rows: tuple[int, int] | None = None) -> np.ndarray:
+        """Subject ``subject``'s run ``run``, or only its rows [start, stop)
+        given ``rows``."""
         try:
-            return load_matrix(self.runs[subject][run])
+            return load_matrix(self.runs[subject][run], row_range=rows)
         except Exception as exc:
-            run_id = run if self.run_ids is None else self.run_ids[run]
-            raise RuntimeError(f"failed loading subject {subject}, run {run_id}: {exc}") from exc
+            raise self._load_error(subject, run, exc) from exc
+
+    def run_blocks(self, subject: int, run: int, block_rows: int):
+        """Yield (start, stop, rows [start, stop) of the run) over successive
+        blocks of ``block_rows`` rows (the last may be shorter), so that no
+        more than one block of the run is in memory at a time.
+
+        The file's shape is checked against the manifest before the first
+        block; every block is read through :meth:`load_run`, which checks the
+        header and file size again, so a file truncated while it is streamed
+        fails with the subject, run and file named.
+        """
+        path = self.runs[subject][run]
+        t = self.t_per_run[run]
+        try:
+            rows, cols, _ = read_header(path)
+            if (rows, cols) != (t, self.v):
+                raise FormatError(f"{path}: shape {rows}x{cols}, manifest expects {t}x{self.v}")
+        except Exception as exc:
+            raise self._load_error(subject, run, exc) from exc
+        for start in range(0, t, block_rows):
+            stop = min(start + block_rows, t)
+            yield start, stop, self.load_run(subject, run, rows=(start, stop))
 
     def load_all(self) -> list[list[np.ndarray]]:
         """Load every run into memory, indexed [subject][run]."""

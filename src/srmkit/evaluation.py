@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataio import DatasetManifest
-from .fastsrm import fastsrm_fit, reduce_dataset
+from .fastsrm import _check_atlas, fastsrm_fit, reduce_dataset
 from .srm import SrmModel, _check_fit_args, detsrm_fit, probsrm_fit
 
 DEGENERATE_SS = 1e-24
@@ -182,8 +182,10 @@ def cosmoothing(
         raise ValueError("co-smoothing needs at least 2 subjects")
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
-    if algorithm == "fastsrm" and atlas is None:
-        raise ValueError("fastsrm needs an atlas")
+    if algorithm == "fastsrm":
+        if atlas is None:
+            raise ValueError("fastsrm needs an atlas")
+        _check_atlas(atlas, k, manifest.v)
     folds = []
     for s in range(manifest.n_runs):
         try:

@@ -2,11 +2,12 @@
 response in parcel space, then recover full-resolution components by
 orthonormal regression.
 
-Full-resolution runs are streamed from disk and never held together: the
-process keeps the reduced data (small by construction), the atlas, at most
-one t x v run per worker, and the k x v accumulators. Recovered components
-are kept in memory, or, given a model directory, written there one subject
-at a time so that peak memory stays independent of the subject count.
+Full-resolution runs are streamed from disk in blocks of rows and never
+held whole: the process keeps the reduced data (small by construction), the
+atlas, the k x v accumulators and one row block per worker. Recovered
+components are kept in memory, or, given a model directory, written there
+one subject at a time so that peak memory stays independent of the subject
+count.
 """
 
 from __future__ import annotations
@@ -19,21 +20,49 @@ from .atlas import Atlas, project_run
 from .dataio import DatasetManifest, save_matrix
 from .srm import SrmModel, _check_fit_args, _map_subjects, _project_sum, _subject_step, detsrm_fit
 
+BLOCK_BYTES = 8 << 20  # float64 bytes of run rows read from disk at a time
+
+
+def _block_rows(v: int, min_bytes: int = 0) -> int:
+    """Rows per block: ``BLOCK_BYTES`` (read at call time), or ``min_bytes``
+    if larger, of float64 rows of v voxels, and at least one row. The block
+    size never depends on ``n_jobs``, so results do not either."""
+    return max(1, max(BLOCK_BYTES, min_bytes) // (8 * v))
+
+
+def _check_atlas(atlas: Atlas, k: int, v: int) -> None:
+    """Reject an atlas that does not fit the dataset, or a ``k`` it cannot hold."""
+    if atlas.v != v:
+        raise ValueError(f"atlas has {atlas.v} voxels, dataset has {v}")
+    if k >= atlas.c:
+        raise ValueError(f"k={k} must be smaller than the parcel count c={atlas.c}")
+
 
 def reduce_dataset(
     manifest: DatasetManifest, atlas: Atlas, n_jobs: int = 1
 ) -> list[list[np.ndarray]]:
     """Project every run into parcel space (float64), indexed [subject][run].
 
-    Runs are loaded one at a time per worker; only the t x c projections are
-    retained.
+    Runs are read from disk a block of rows at a time per worker and each
+    block is projected on its own; only the t x c projections are retained.
+    A partition's projection is row-local, so its result is bit-identical to
+    projecting whole runs. A probabilistic atlas's blocks are at least as
+    large as its dense c x v weights, since each block's product repacks
+    them; where a run spans several blocks, the result agrees with the
+    whole-run product to rounding (BLAS may order a row's sum by the number
+    of rows it is given).
     """
+    dense = atlas.weights.nbytes if atlas.kind == "probabilistic" else 0
+    rows = _block_rows(manifest.v, dense)
+
+    def reduce_run(i, s):
+        out = np.empty((manifest.t_per_run[s], atlas.c))
+        for start, stop, x in manifest.run_blocks(i, s, rows):
+            out[start:stop] = project_run(x, atlas)
+        return out
 
     def reduce_subject(i):
-        return [
-            project_run(manifest.load_run(i, s), atlas).astype(np.float64, copy=False)
-            for s in range(manifest.n_runs)
-        ]
+        return [reduce_run(i, s) for s in range(manifest.n_runs)]
 
     return _map_subjects(reduce_subject, manifest.n_subjects, n_jobs)
 
@@ -47,11 +76,11 @@ def recover_components(
     """Recover full-resolution components from a (possibly ill-scaled) shared
     response, one t_s x k array per run, by orthonormal regression.
 
-    Per subject, runs are streamed from disk and the k x v cross products
-    accumulated in run order; the Procrustes step of the accumulated matrix
-    is scale-invariant, so any positive rescaling of ``shared`` yields the
-    same components. When ``component_dir`` is given, each component is
-    written there and released before the next subject.
+    Per subject, runs are streamed from disk in blocks of rows and the k x v
+    cross products accumulated in run and row order; the Procrustes step of
+    the accumulated matrix is scale-invariant, so any positive rescaling of
+    ``shared`` yields the same components. When ``component_dir`` is given,
+    each component is written there and released before the next subject.
     """
     runs = [np.asarray(sh) for sh in shared]
     if len(runs) != manifest.n_runs:
@@ -67,8 +96,10 @@ def recover_components(
         component_dir = Path(component_dir)
         component_dir.mkdir(parents=True, exist_ok=True)
 
+    rows = _block_rows(manifest.v)
+
     def recover_subject(i):
-        w, _ = _subject_step(runs, lambda s: manifest.load_run(i, s), manifest.v)
+        w, _ = _subject_step(runs, lambda s: manifest.run_blocks(i, s, rows), manifest.v)
         if component_dir is None:
             return w
         dest = component_dir / f"w_{i:03d}.srmb"
@@ -130,10 +161,9 @@ def fastsrm_fit(
     :func:`fastsrm_transform`).
     """
     _check_fit_args(k, n_iter, n_jobs)
-    if atlas.v != manifest.v:
-        raise ValueError(f"atlas has {atlas.v} voxels, dataset has {manifest.v}")
-    if k >= atlas.c:
-        raise ValueError(f"k={k} must be smaller than the parcel count c={atlas.c}")
+    _check_atlas(atlas, k, manifest.v)
+    if component_dir is not None:
+        Path(component_dir).mkdir(parents=True, exist_ok=True)  # fails before any run is read
 
     if reduced is None:
         reduced = reduce_dataset(manifest, atlas, n_jobs=n_jobs)

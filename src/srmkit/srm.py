@@ -285,19 +285,22 @@ def _map_subjects(fn, n, n_jobs):
         return list(pool.map(fn, range(n)))
 
 
-def _subject_step(shared, run, v):
+def _subject_step(shared, blocks, v):
     """Orthonormal components of one subject given the shared response.
 
-    Accumulates sum_s S_s^T X_s in float64, in run order, where ``run(s)``
-    returns the subject's t_s x v matrix of run s (from memory or from disk;
-    each run is released before the next is fetched), then returns the
-    Procrustes solution and its singular values. The accumulator and the
+    Accumulates sum_s S_s^T X_s in float64, in run order, where ``blocks(s)``
+    yields (start, stop, X_s[start:stop]) over the rows of the subject's run
+    s: an in-memory run is one block, a run streamed from disk is read a
+    block at a time. Each block's product S_s[start:stop]^T X_s[start:stop]
+    is added in row order, and a float32 block is upcast on its own. Returns
+    the Procrustes solution and its singular values. The accumulator and the
     scratch product are per call, so worker threads never share them.
     """
     acc = np.zeros((shared[0].shape[1], v), dtype=np.float64)
     scratch = np.empty_like(acc)
     for s, sh in enumerate(shared):
-        acc += np.matmul(sh.T, run(s), out=scratch)
+        for start, stop, x in blocks(s):
+            acc += np.matmul(sh[start:stop].T, x, out=scratch)
     return _procrustes_svd(acc)
 
 
@@ -330,7 +333,8 @@ def _update_components(data, shared, ssq, n_jobs):
     subject, ssq[i] - 2 sum(d_i) with d_i the singular values of S^T X_i;
     adding ||S||^2 gives ||X_i - S W_i||^2, since W_i has orthonormal rows."""
     def step(i):
-        w, d = _subject_step(shared, lambda s: data[i][s], data[i][0].shape[1])
+        runs = data[i]  # each in-memory run is one block
+        w, d = _subject_step(shared, lambda s: [(0, len(runs[s]), runs[s])], runs[0].shape[1])
         return w, ssq[i] - 2.0 * float(np.sum(d))
 
     updated = _map_subjects(step, len(data), n_jobs)

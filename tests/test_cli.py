@@ -115,6 +115,20 @@ def test_bad_counts_are_argument_errors(tmp_path, capsys, command, flag, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["fit", "evaluate"])
+@pytest.mark.parametrize("k, v, match", [("8", 40, "parcel count"), ("3", 39, "voxels")])
+def test_unusable_atlas_is_argument_error(tmp_path, capsys, command, k, v, match):
+    ds = run_synth(tmp_path)
+    save_atlas(balanced_partition(v, 8, seed=2), tmp_path / "atlas.srmb")
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--algo", "fastsrm", "--manifest", str(ds / "manifest.json"),
+              "--k", k, "--atlas", str(tmp_path / "atlas.srmb"), "--out", str(out)])
+    assert exc.value.code == 2
+    assert match in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("subjects", ["7", "-1", "0,3", "a"])
 def test_transform_bad_subjects_are_argument_errors(tmp_path, capsys, monkeypatch, subjects):
     import srmkit.dataio

@@ -194,3 +194,34 @@ class TestManifest:
         single = DatasetManifest(("a",), ((sub.runs[0][0],),), 4, (5,))
         with pytest.raises(ValueError):
             single.without_run(0)
+
+    def test_run_blocks_cover_the_run_in_order(self, tmp_path):
+        p = self._write_runs(tmp_path, {"a": [(5, 4), (7, 4)], "b": [(5, 4), (7, 4)]})
+        man = load_manifest(p)
+        blocks = list(man.run_blocks(1, 1, 3))
+        assert [(start, stop) for start, stop, _ in blocks] == [(0, 3), (3, 6), (6, 7)]
+        whole = man.load_run(1, 1)
+        for start, stop, x in blocks:
+            assert x.shape == (stop - start, 4)
+            assert np.array_equal(x, whole[start:stop])
+        assert [(a, b) for a, b, _ in man.run_blocks(0, 0, 99)] == [(0, 5)]
+
+    def test_run_blocks_check_shape_against_manifest(self, tmp_path):
+        p = self._write_runs(tmp_path, {"a": [(5, 4)], "b": [(5, 4)]})
+        man = load_manifest(p)
+        target = man.runs[1][0]
+        save_matrix(np.zeros((6, 4)), target)  # one row more than the manifest says
+        with pytest.raises(RuntimeError, match=r"subject 1, run 0: .*6x4, manifest expects 5x4"):
+            next(man.run_blocks(1, 0, 2))
+
+    def test_truncation_mid_stream_names_the_file(self, tmp_path):
+        p = self._write_runs(tmp_path, {"a": [(6, 4)], "b": [(6, 4)]})
+        man = load_manifest(p)
+        target = man.runs[0][0]
+        blocks = man.run_blocks(0, 0, 2)
+        next(blocks)
+        target.write_bytes(target.read_bytes()[:-8])
+        with pytest.raises(RuntimeError, match="subject 0, run 0") as info:
+            next(blocks)
+        assert isinstance(info.value.__cause__, FormatError)
+        assert str(target) in str(info.value.__cause__)

@@ -211,6 +211,15 @@ class TestCosmoothing:
         assert len(result.folds) == 9
         assert calls["n"] == 3 * 3
 
+    def test_fastsrm_k_checked_before_any_projection(self, make_dataset, monkeypatch):
+        manifest, _ = make_dataset(n=3, m=3, t_list=(20, 20, 20), v=40, k=2, sigma=0.5, seed=28)
+        calls = []
+        monkeypatch.setattr(srmkit.fastsrm, "project_run", lambda x, atlas: calls.append(x))
+        atlas = balanced_partition(40, 8, seed=4)
+        with pytest.raises(ValueError, match="parcel count"):
+            cosmoothing(manifest, "fastsrm", k=8, atlas=atlas, n_iter=2, seed=0)
+        assert calls == []
+
     @pytest.mark.parametrize("n_jobs", [1, 2])
     def test_fastsrm_folds_recompute_bit_for_bit(self, make_dataset, n_jobs):
         manifest, _ = make_dataset(

@@ -13,8 +13,9 @@ from srmkit import (
     reduce_dataset,
     subspace_error,
 )
-from srmkit import dataio
-from srmkit.srm import SrmModel
+from srmkit import dataio, fastsrm
+from srmkit.dataio import FormatError
+from srmkit.srm import SrmModel, _subject_step
 
 from conftest import random_orthonormal_rows
 
@@ -243,3 +244,114 @@ def test_worker_failure_names_subject_and_run(make_dataset, tmp_path):
         fastsrm_fit(manifest, atlas, k=3, n_iter=2, seed=0)
     assert str(info.value).count("subject 1, run 0") == 1
     assert str(target) in str(info.value)
+
+
+def _small_blocks(monkeypatch, rows, v):
+    """Make fastsrm stream ``rows``-row blocks of v-voxel runs."""
+    monkeypatch.setattr(fastsrm, "BLOCK_BYTES", rows * 8 * v)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("kind", ["partition", "probabilistic"])
+def test_streamed_reduction_matches_whole_runs(make_dataset, monkeypatch, kind, dtype):
+    # 7-row blocks over runs of 30 and 25 rows: neither is a multiple of the block.
+    # Partition projection is row-local, so blocks give the same bytes. The
+    # dense product of a probabilistic atlas goes through BLAS, whose
+    # summation order for a row can depend on how many rows it is given (edge
+    # tiles, threads), so blocks agree with whole runs to rounding only.
+    manifest, _ = make_dataset(n=2, m=2, t_list=(30, 25), v=60, k=3, sigma=0.3, seed=31,
+                               dtype=dtype)
+    if kind == "partition":
+        atlas = balanced_partition(60, 6, seed=3)
+    else:
+        atlas = Atlas.probabilistic(np.random.default_rng(32).uniform(0.0, 1.0, size=(6, 60)))
+    _small_blocks(monkeypatch, 7, 60)
+    calls = []
+    project = fastsrm.project_run
+
+    def counting(x, a):
+        calls.append(len(x))
+        return project(x, a)
+
+    monkeypatch.setattr(fastsrm, "project_run", counting)
+    streamed = reduce_dataset(manifest, atlas)
+    assert sorted(set(calls)) == [2, 4, 7]  # 7-row blocks; 30 and 25 rows leave 2 and 4
+    for i in range(2):
+        for s in range(2):
+            whole = project(manifest.load_run(i, s), atlas).astype(np.float64, copy=False)
+            assert streamed[i][s].dtype == np.float64
+            if kind == "partition":
+                assert streamed[i][s].tobytes() == whole.tobytes()
+            else:
+                assert np.max(np.abs(streamed[i][s] - whole)) <= 1e-12 * np.max(np.abs(whole))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_streamed_recovery_matches_in_memory_step(make_dataset, monkeypatch, dtype):
+    manifest, _ = make_dataset(n=3, m=2, t_list=(30, 25), v=60, k=3, sigma=0.3, seed=33,
+                               dtype=dtype)
+    rng = np.random.default_rng(34)
+    shared = [rng.standard_normal((t, 3)) for t in manifest.t_per_run]
+    _small_blocks(monkeypatch, 7, 60)
+    streamed = recover_components(manifest, shared)
+    for i, runs in enumerate(manifest.load_all()):
+        whole, _ = _subject_step(shared, lambda s: [(0, len(runs[s]), runs[s])], 60)
+        assert np.linalg.norm(streamed[i] - whole) <= 1e-12 * np.linalg.norm(whole)
+
+
+def test_float32_recovery_holds_less_than_one_float64_run(make_dataset, monkeypatch):
+    # Each float32 block is read and upcast on its own: neither the run nor
+    # a float64 copy of it is ever whole in memory.
+    import tracemalloc
+
+    t, v = 200, 2000
+    manifest, _ = make_dataset(n=1, m=1, t_list=(t,), v=v, k=3, sigma=0.3, seed=35,
+                               dtype=np.float32)
+    shared = [np.random.default_rng(36).standard_normal((t, 3))]
+    _small_blocks(monkeypatch, 25, v)
+    run_bytes = t * v * 8
+    tracemalloc.start()
+    try:
+        recover_components(manifest, shared)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < run_bytes, f"peak {peak / run_bytes:.2f} float64 runs"
+
+
+def test_run_truncated_between_passes_names_it(make_dataset, monkeypatch, tmp_path):
+    manifest, _ = make_dataset(n=2, m=2, v=30, k=3, sigma=0.2, seed=37)
+    atlas = balanced_partition(30, 9, seed=2)
+    target = manifest.runs[1][1]
+    reduced_fit = fastsrm.detsrm_fit
+
+    def fit_then_truncate(*args, **kwargs):
+        out = reduced_fit(*args, **kwargs)
+        target.write_bytes(target.read_bytes()[:-8])
+        return out
+
+    monkeypatch.setattr(fastsrm, "detsrm_fit", fit_then_truncate)
+    out = tmp_path / "model"
+    with pytest.raises(RuntimeError, match="subject 1, run 1") as info:
+        fastsrm_fit(manifest, atlas, k=3, n_iter=2, component_dir=out)
+    assert str(target) in str(info.value)
+    assert isinstance(info.value.__cause__, FormatError)
+    assert list(out.rglob("*.tmp")) == []
+
+
+def test_unusable_component_dir_fails_before_any_read(make_dataset, monkeypatch, tmp_path):
+    manifest, _ = make_dataset(n=2, m=2, v=30, k=3, sigma=0.2, seed=38)
+    atlas = balanced_partition(30, 9, seed=2)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    loads = []
+    real_load = dataio.load_matrix
+
+    def counting_load(*args, **kwargs):
+        loads.append(args)
+        return real_load(*args, **kwargs)
+
+    monkeypatch.setattr(dataio, "load_matrix", counting_load)
+    with pytest.raises(OSError):
+        fastsrm_fit(manifest, atlas, k=3, n_iter=2, component_dir=blocker / "model")
+    assert loads == []
