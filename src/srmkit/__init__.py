@@ -32,12 +32,7 @@ from .evaluation import (
     r2_score,
     roi_mask,
 )
-from .fastsrm import (
-    fastsrm_fit,
-    fastsrm_transform,
-    recover_components,
-    reduce_dataset,
-)
+from .fastsrm import fastsrm_fit, recover_components, reduce_dataset
 from .srm import (
     SrmModel,
     detsrm_fit,
@@ -60,7 +55,6 @@ __all__ = [
     "cosmoothing_fold",
     "detsrm_fit",
     "fastsrm_fit",
-    "fastsrm_transform",
     "fit",
     "generate",
     "load_atlas",

@@ -110,10 +110,10 @@ def run_bench(
     """Time one fit end to end (including its data loading) and report it.
 
     Fits run single-threaded (n_jobs=1) so that timings compare algorithms,
-    not scheduling. fastsrm writes its components to a temporary directory
-    that is removed afterwards. Returns a JSON-ready report;
-    ``peak_mem_bytes`` and ``baseline_mem_bytes`` are omitted (with a
-    warning) where sampling is unsupported.
+    not scheduling. fastsrm writes its components to a model directory
+    inside a temporary directory that is removed afterwards. Returns a
+    JSON-ready report; ``peak_mem_bytes`` and ``baseline_mem_bytes`` are
+    omitted (with a warning) where sampling is unsupported.
     """
     gc.collect()
     sampler = PeakRssSampler()
@@ -121,7 +121,7 @@ def run_bench(
         start = time.perf_counter()
         with sampler:
             model = fit(manifest, algorithm, k, atlas=atlas, n_iter=n_iter, seed=seed,
-                        component_dir=spill)
+                        component_dir=os.path.join(spill, "model"))
         wall = time.perf_counter() - start
         trace = model.trace
         del model

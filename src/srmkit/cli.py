@@ -16,10 +16,10 @@ import numpy as np
 from . import __version__
 from .atlas import load_atlas
 from .bench import PeakRssSampler
-from .dataio import load_manifest, load_matrix, save_json, save_matrix
-from .evaluation import ALGORITHMS, cosmoothing, fit, mean_within, roi_mask
-from .fastsrm import _check_atlas, fastsrm_transform
-from .srm import SrmModel
+from .dataio import load_manifest, load_matrix, read_header, save_json, save_matrix
+from .evaluation import ALGORITHMS, ROI_THRESHOLD, cosmoothing, fit, mean_within, roi_mask
+from .fastsrm import _check_atlas
+from .srm import SrmModel, update_shared
 from .synthetic import generate
 
 
@@ -32,6 +32,15 @@ def _count(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
+
+
+def _list_of(convert):
+    """argparse type of a comma-separated list; argparse reports the
+    ValueError of a bad entry as an argument error, naming the type."""
+    def parse(text: str) -> list:
+        return [convert(x) for x in text.split(",")]
+    parse.__name__ = f"comma-separated {convert.__name__}"
+    return parse
 
 
 def _add_common_fit_args(p):
@@ -58,14 +67,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True, help="model directory")
     p.add_argument("--manifest", required=True)
     p.add_argument("--run", type=int, required=True)
-    p.add_argument("--subjects", help="comma-separated subject indices (default: all)")
+    p.add_argument("--subjects", type=_list_of(int),
+                   help="comma-separated subject indices (default: all)")
     p.add_argument("--out", required=True, help="output SRMB file")
     p.set_defaults(func=cmd_transform)
 
     p = sub.add_parser("evaluate", help="cross-validated reconstruction scores")
     p.add_argument("--algo", choices=ALGORITHMS, required=True)
     _add_common_fit_args(p)
-    p.add_argument("--roi-threshold", type=float, default=0.05)
+    p.add_argument("--roi-threshold", type=float, default=ROI_THRESHOLD)
     p.add_argument(
         "--roi-from",
         action="append",
@@ -81,10 +91,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate a planted synthetic dataset")
     p.add_argument("--n", type=int, required=True, help="subjects")
     p.add_argument("--m", type=int, required=True, help="runs")
-    p.add_argument("--t", required=True, help="timeframes per run (single value or comma list)")
+    p.add_argument("--t", type=_list_of(int), required=True,
+                   help="timeframes per run (single value or comma list)")
     p.add_argument("--v", type=int, required=True, help="voxels")
     p.add_argument("--k", type=int, required=True, help="components")
-    p.add_argument("--sigma", default="0", help="noise level (single value or per-subject list)")
+    p.add_argument("--sigma", type=_list_of(float), default="0",
+                   help="noise level (single value or per-subject list)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--isotropic", action="store_true", help="equal component variances")
     p.add_argument("--dtype", choices=("f64", "f32"), default="f64")
@@ -94,13 +106,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_inputs(args, parser, need_atlas: bool):
+def _load_manifest(args, parser):
     if not Path(args.manifest).is_file():
         parser.error(f"manifest not found: {args.manifest}")
     try:
-        manifest = load_manifest(args.manifest)
+        return load_manifest(args.manifest)
     except Exception as exc:
         parser.error(f"invalid manifest: {exc}")
+
+
+def _load_inputs(args, parser, need_atlas: bool):
+    manifest = _load_manifest(args, parser)
     atlas = None
     if args.atlas:
         if not Path(args.atlas).is_file():
@@ -142,25 +158,21 @@ def cmd_fit(args, parser) -> int:
 def cmd_transform(args, parser) -> int:
     if not Path(args.model).is_dir():
         parser.error(f"model directory not found: {args.model}")
-    if not Path(args.manifest).is_file():
-        parser.error(f"manifest not found: {args.manifest}")
-    manifest = load_manifest(args.manifest)
+    manifest = _load_manifest(args, parser)
     if not 0 <= args.run < manifest.n_runs:
         parser.error(f"run {args.run} out of range (dataset has {manifest.n_runs})")
     model = SrmModel.load(args.model)
-    subjects = list(range(model.n))
-    if args.subjects:
-        try:
-            subjects = [int(x) for x in args.subjects.split(",")]
-        except ValueError:
-            parser.error(f"--subjects must be comma-separated integers, got {args.subjects!r}")
+    if model.v != manifest.v:
+        parser.error(f"model has {model.v} voxels, dataset has {manifest.v}")
+    subjects = args.subjects or range(model.n)
     n = min(model.n, manifest.n_subjects)
     for i in subjects:
         if not 0 <= i < n:
             parser.error(f"subject {i} out of range (model has {model.n}, "
                          f"dataset has {manifest.n_subjects})")
-    runs = [manifest.load_run(i, args.run) for i in subjects]
-    shared = fastsrm_transform(model, runs, subjects)
+    # one subject's run and components in memory at a time
+    shared = update_shared((manifest.load_run(i, args.run) for i in subjects),
+                           (model.spatial_component(i) for i in subjects))
     save_matrix(shared, args.out)
     print(f"shared response written to {args.out}")
     return 0
@@ -172,6 +184,12 @@ def cmd_evaluate(args, parser) -> int:
         parser.error("co-smoothing needs at least 2 runs (one is held out per fold)")
     if manifest.n_subjects < 2:
         parser.error("co-smoothing needs at least 2 subjects (one is held out per fold)")
+    for path in args.roi_from or []:
+        try:
+            if (shape := read_header(path)[:2]) != (1, manifest.v):
+                raise ValueError(f"{path} is {shape[0]}x{shape[1]}, not 1x{manifest.v}")
+        except (OSError, ValueError) as exc:
+            parser.error(f"--roi-from: {exc}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
@@ -202,10 +220,7 @@ def cmd_evaluate(args, parser) -> int:
         )
     mean_map = result.mean_map()
     save_matrix(mean_map[None, :], out / "mean_map.srmb")
-    if args.roi_from:
-        roi_maps = [load_matrix(p)[0] for p in args.roi_from]
-    else:
-        roi_maps = [mean_map]
+    roi_maps = [load_matrix(p)[0] for p in args.roi_from] if args.roi_from else [mean_map]
     mask = roi_mask(roi_maps, threshold=args.roi_threshold)
     roi_voxels = int(mask.sum())
     mean_roi = mean_within(mask, mean_map)
@@ -230,12 +245,8 @@ def cmd_evaluate(args, parser) -> int:
 
 
 def cmd_synth(args, parser) -> int:
-    t_list = [int(x) for x in args.t.split(",")]
-    if len(t_list) == 1:
-        t_list = t_list * args.m
-    sigma = [float(x) for x in args.sigma.split(",")]
-    if len(sigma) == 1:
-        sigma = sigma * args.n
+    t_list = args.t * args.m if len(args.t) == 1 else args.t
+    sigma = args.sigma * args.n if len(args.sigma) == 1 else args.sigma
     dtype = np.float64 if args.dtype == "f64" else np.float32
     try:
         manifest, _ = generate(

@@ -19,7 +19,7 @@ import numpy as np
 
 from .dataio import DatasetManifest
 from .fastsrm import _check_atlas, fastsrm_fit, reduce_dataset
-from .srm import SrmModel, _check_fit_args, detsrm_fit, probsrm_fit
+from .srm import SrmModel, _check_fit_args, _project_sum, detsrm_fit, probsrm_fit
 
 DEGENERATE_SS = 1e-24
 ROI_THRESHOLD = 0.05  # reference cut for "informative" voxels
@@ -135,14 +135,8 @@ def _score_left_out_run(manifest, spatial, run, subjects=None):
     bit-for-bit.
     """
     n = manifest.n_subjects
-    proj = []
-    for z in range(n):
-        x = manifest.load_run(z, run)
-        proj.append(x @ spatial[z].T.astype(np.float64, copy=False))
-        del x
-    total = np.zeros_like(proj[0])
-    for p in proj:
-        total += p
+    proj = [_project_sum([(manifest.load_run(z, run), spatial[z])]) for z in range(n)]
+    total = sum(proj)
     folds = []
     for i in subjects if subjects is not None else range(n):
         shared = (total - proj[i]) / (n - 1)

@@ -12,13 +12,14 @@ count.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
 
 from .atlas import Atlas, project_run
 from .dataio import DatasetManifest, save_matrix
-from .srm import SrmModel, _check_fit_args, _map_subjects, _project_sum, _subject_step, detsrm_fit
+from .srm import SrmModel, _check_fit_args, _map_subjects, _staged_dir, _subject_step, detsrm_fit
 
 BLOCK_BYTES = 8 << 20  # float64 bytes of run rows read from disk at a time
 
@@ -145,8 +146,10 @@ def fastsrm_fit(
     ``k``, ``n_iter``, ``seed`` and ``n_jobs`` mean what they mean for
     :func:`detsrm_fit`; ``k`` must also be below the parcel count.
     ``component_dir`` is None to keep the recovered components in memory,
-    or the model directory that recovery writes them into one subject at a
-    time (created if missing; it ends up a loadable model directory).
+    or the model directory to write them to. Recovery writes them one
+    subject at a time into a new sibling ``<name>.<token>.tmp``, which then
+    replaces ``component_dir`` whole as a loadable model directory, so a fit
+    that fails leaves a model already at ``component_dir`` intact.
 
     ``reduced`` replaces step 1 with runs already projected through
     ``atlas``, indexed [subject][run] in the order of ``manifest`` (as
@@ -158,51 +161,28 @@ def fastsrm_fit(
     The returned model carries ``trace`` (the reduced-space fit trace) and
     ``reduced_shared`` (the step-2 shared response, one t_s x k array per
     run, which is not correctly scaled for reconstruction; use
-    :func:`fastsrm_transform`).
+    :func:`update_shared`).
     """
     _check_fit_args(k, n_iter, n_jobs)
     _check_atlas(atlas, k, manifest.v)
-    if component_dir is not None:
-        Path(component_dir).mkdir(parents=True, exist_ok=True)  # fails before any run is read
+    # the staging directory is made, or fails, before any run is read
+    staged = nullcontext() if component_dir is None else _staged_dir(Path(component_dir))
+    with staged as staging:
+        if reduced is None:
+            reduced = reduce_dataset(manifest, atlas, n_jobs=n_jobs)
+        else:
+            _check_reduced(reduced, manifest, atlas)
+        reduced_model, reduced_shared = detsrm_fit(reduced, k, n_iter=n_iter, seed=seed, n_jobs=1)
+        del reduced
 
-    if reduced is None:
-        reduced = reduce_dataset(manifest, atlas, n_jobs=n_jobs)
-    else:
-        _check_reduced(reduced, manifest, atlas)
-    reduced_model, reduced_shared = detsrm_fit(reduced, k, n_iter=n_iter, seed=seed, n_jobs=1)
-    del reduced
-
-    spatial = recover_components(
-        manifest, reduced_shared, n_jobs=n_jobs, component_dir=component_dir
-    )
-    model = SrmModel(spatial, validate=False)
-    if component_dir is not None:
-        model.save(component_dir)  # descriptor only; components are already in place
+        spatial = recover_components(
+            manifest, reduced_shared, n_jobs=n_jobs, component_dir=staging
+        )
+        model = SrmModel(spatial, validate=False)
+        if staging is not None:
+            model.save(staging)  # descriptor only; components are already in place
+    if staging is not None:
+        model.spatial = [Path(component_dir) / w.name for w in spatial]
     model.trace = reduced_model.trace
     model.reduced_shared = reduced_shared
     return model
-
-
-def fastsrm_transform(model: SrmModel, runs, subjects=None) -> np.ndarray:
-    """Shared response of one run: average each subject's data projected onto
-    its own basis, loading disk-backed components on demand.
-
-    ``runs[j]`` is the t x v matrix of subject ``subjects[j]`` (all fitted
-    subjects by default). Restricting ``subjects`` yields the leave-one-out
-    estimate used by cross-validated reconstruction.
-    """
-    if subjects is None:
-        subjects = list(range(model.n))
-    subjects = list(subjects)
-    if len(runs) != len(subjects):
-        raise ValueError(f"{len(runs)} runs for {len(subjects)} subjects")
-    if not subjects:
-        raise ValueError("need at least one subject")
-    for i in subjects:
-        if not 0 <= i < model.n:
-            raise ValueError(f"unknown subject {i} (model has {model.n})")
-    t = runs[0].shape[0]
-    for x, i in zip(runs, subjects):
-        if x.shape != (t, model.v):
-            raise ValueError(f"subject {i}: run shape {x.shape}, expected ({t}, {model.v})")
-    return _project_sum(runs, (model.spatial_component(i) for i in subjects)) / len(subjects)

@@ -19,6 +19,7 @@ import shutil
 import uuid
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -54,18 +55,22 @@ def procrustes_update(m: np.ndarray) -> np.ndarray:
     return w
 
 
-def _project_sum(runs, spatial, sigma_sq=None) -> np.ndarray:
-    """Sum over subjects of X_i W_i^T, each term divided by sigma_i^2 when
-    ``sigma_sq`` is given.
+def _project_sum(pairs, sigma_sq=None) -> np.ndarray:
+    """Sum over subjects of X_i W_i^T from (X_i, W_i) pairs in subject order,
+    each term divided by sigma_i^2 when ``sigma_sq`` is given.
 
-    ``spatial`` may be any iterable, so disk-backed components can be loaded
-    one at a time. The sum runs in subject order with a float64 accumulator,
-    so the result does not depend on scheduling.
+    ``pairs`` may be any iterable, so runs and disk-backed components can be
+    loaded one subject at a time: each pair is released before the next one
+    is drawn. The sum runs in subject order with a float64 accumulator, so
+    the result does not depend on scheduling.
     """
     total = 0.0  # becomes a float64 array at the first term
-    for i, (x, w) in enumerate(zip(runs, spatial)):
+    i = 0  # not enumerate(), whose reused result tuple would hold the last pair
+    for x, w in pairs:
         p = x @ w.T.astype(np.float64, copy=False)
+        del x, w
         total += p if sigma_sq is None else p / sigma_sq[i]
+        i += 1
     return total
 
 
@@ -74,19 +79,32 @@ def update_shared(runs, spatial) -> np.ndarray:
 
     This is the closed-form least-squares update of the shared response and
     doubles as the transform of new data through fitted components.
+    ``runs`` and ``spatial`` are equal-length iterables, consumed one (run,
+    components) pair at a time and checked as each pair arrives, so
+    generators that load each pair on demand keep one run in memory.
     """
-    if len(runs) != len(spatial):
-        raise ValueError(f"{len(runs)} runs but {len(spatial)} component matrices")
-    if not runs:
+    shapes = []  # (t, k) of every pair so far
+
+    def checked_pairs():
+        components = iter(spatial)  # not zip(), which would hold the last run
+        for x in runs:
+            w = next(components, None)
+            if w is None:
+                raise ValueError("runs and component matrices differ in count")
+            t, k = shapes[0] if shapes else (x.shape[0], w.shape[0])
+            if x.shape[0] != t or w.shape != (k, x.shape[1]):
+                raise ValueError(f"shape mismatch: run {x.shape} vs components {w.shape}, "
+                                 f"expected {t} timeframes and {k} components")
+            shapes.append((t, k))
+            yield x, w
+            del x, w  # released before the next run is drawn
+        if next(components, None) is not None:
+            raise ValueError("runs and component matrices differ in count")
+
+    total = _project_sum(checked_pairs())
+    if not shapes:
         raise ValueError("need at least one subject")
-    t = runs[0].shape[0]
-    k = spatial[0].shape[0]
-    for x, w in zip(runs, spatial):
-        if x.shape[0] != t:
-            raise ValueError("runs disagree on timeframe count")
-        if x.shape[1] != w.shape[1] or w.shape[0] != k:
-            raise ValueError(f"shape mismatch: run {x.shape} vs components {w.shape}")
-    return _project_sum(runs, spatial) / len(runs)
+    return total / len(shapes)
 
 
 class SrmModel:
@@ -165,9 +183,7 @@ class SrmModel:
         ):
             save_json(desc, directory / "model.json")
             return
-        staging = directory.with_name(f"{directory.name}.{uuid.uuid4().hex[:12]}.tmp")
-        staging.mkdir(parents=True)
-        try:
+        with _staged_dir(directory) as staging:
             for i, name in enumerate(names):
                 if self.is_on_disk(i):
                     shutil.copyfile(self.spatial[i], staging / name)
@@ -176,10 +192,6 @@ class SrmModel:
             if self.sigma_s is not None:
                 save_matrix(self.sigma_s, staging / "sigma_s.srmb")
             save_json(desc, staging / "model.json")
-            _replace_dir(staging, directory)
-        except BaseException:
-            shutil.rmtree(staging, ignore_errors=True)
-            raise
 
     @classmethod
     def load(cls, directory, keep_on_disk: bool = True) -> "SrmModel":
@@ -198,6 +210,21 @@ class SrmModel:
         if desc.get("sigma_s"):
             sigma_s = load_matrix(directory / desc["sigma_s"])
         return cls(spatial, sigma_sq=desc.get("sigma_sq"), sigma_s=sigma_s, validate=not keep_on_disk)
+
+
+@contextmanager
+def _staged_dir(directory: Path):
+    """Yield a new sibling ``<name>.<token>.tmp`` of ``directory``, made before
+    the block runs. It then replaces ``directory`` whole, or is removed if the
+    block raises, leaving ``directory`` as it was."""
+    staging = directory.with_name(f"{directory.name}.{uuid.uuid4().hex[:12]}.tmp")
+    staging.mkdir(parents=True)
+    try:
+        yield staging
+        _replace_dir(staging, directory)
+    except BaseException:
+        shutil.rmtree(staging, ignore_errors=True)
+        raise
 
 
 def _replace_dir(src: Path, dest: Path) -> None:
@@ -442,7 +469,7 @@ def probsrm_fit(data, k: int, n_iter: int = 10, seed=0, n_jobs: int = 1):
         means = []
         quad = float(np.sum(ssq / sigma_sq))
         for s in range(m):
-            q = _project_sum([data[i][s] for i in range(n)], spatial, sigma_sq)
+            q = _project_sum(zip([data[i][s] for i in range(n)], spatial), sigma_sq)
             q -= q.mean(axis=0)
             mu = q @ cov
             quad -= float(np.sum(mu * q))

@@ -28,14 +28,6 @@ class PlantedModel:
     shared_variances: np.ndarray  # diagonal of the shared covariance used to draw S
     seed: int
 
-    @property
-    def k(self) -> int:
-        return self.spatial[0].shape[0]
-
-    @property
-    def v(self) -> int:
-        return self.spatial[0].shape[1]
-
     def signal_variance(self, subject: int) -> np.ndarray:
         """Per-voxel variance of the planted signal for one subject,
         computed from the actually drawn shared time course."""

@@ -5,7 +5,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from srmkit import balanced_partition, load_matrix, save_atlas
+from srmkit import balanced_partition, load_matrix, save_atlas, save_matrix
 from srmkit.cli import main
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "src" / "srmkit" / "schemas"
@@ -296,3 +296,152 @@ def test_fastsrm_leaves_no_files_in_tempdir(tmp_path, monkeypatch):
     assert main(["evaluate", *common, "--out", str(tmp_path / "eval")]) == 0
     run_bench(load_manifest(ds / "manifest.json"), "fastsrm", k=3, atlas=atlas, n_iter=3)
     assert list(scratch.iterdir()) == []
+
+
+def test_transform_holds_about_one_run(tmp_path):
+    # Runs and components are loaded one subject at a time, so the peak is
+    # about one run, whatever the subject count.
+    import tracemalloc
+
+    n, t, v = 6, 60, 2000
+    ds = run_synth(tmp_path, n=n, m=2, t=str(t), v=v, k=3, sigma="0.5")
+    fit_out = tmp_path / "fit"
+    assert main(["fit", "--algo", "detsrm", "--manifest", str(ds / "manifest.json"),
+                 "--k", "3", "--n-iter", "2", "--out", str(fit_out)]) == 0
+    run_bytes = t * v * 8
+    tracemalloc.start()
+    try:
+        code = main(["transform", "--model", str(fit_out / "model"),
+                     "--manifest", str(ds / "manifest.json"), "--run", "0",
+                     "--out", str(tmp_path / "s.srmb")])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak <= 2 * run_bytes, f"peak {peak / run_bytes:.2f} runs"
+
+
+def test_transform_voxel_mismatch_is_argument_error(tmp_path, capsys, monkeypatch):
+    import srmkit.dataio
+
+    fit_out = tmp_path / "fit"
+    ds = run_synth(tmp_path, name="fitted", v=40)
+    assert main(["fit", "--algo", "detsrm", "--manifest", str(ds / "manifest.json"),
+                 "--k", "3", "--out", str(fit_out)]) == 0
+    other = run_synth(tmp_path, name="other", v=39)
+    capsys.readouterr()
+
+    def no_load(*args, **kwargs):
+        raise AssertionError("a run was read")
+
+    monkeypatch.setattr(srmkit.dataio, "load_matrix", no_load)
+    with pytest.raises(SystemExit) as exc:
+        main(["transform", "--model", str(fit_out / "model"),
+              "--manifest", str(other / "manifest.json"), "--run", "0",
+              "--out", str(tmp_path / "s.srmb")])
+    assert exc.value.code == 2
+    assert "40 voxels, dataset has 39" in capsys.readouterr().err
+    assert not (tmp_path / "s.srmb").exists()
+
+
+@pytest.mark.parametrize("case", ["missing", "wrong-width", "two-rows", "not-srmb"])
+def test_evaluate_bad_roi_from_is_argument_error(tmp_path, capsys, monkeypatch, case):
+    import srmkit.dataio
+
+    ds = run_synth(tmp_path, v=50)
+    roi = tmp_path / "roi.srmb"
+    if case == "wrong-width":
+        save_matrix(np.zeros((1, 7)), roi)
+    elif case == "two-rows":
+        save_matrix(np.zeros((2, 50)), roi)
+    elif case == "not-srmb":
+        roi.write_text("not a matrix")
+    capsys.readouterr()
+
+    def no_load(*args, **kwargs):
+        raise AssertionError("a run was read")
+
+    monkeypatch.setattr(srmkit.dataio, "load_matrix", no_load)
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["evaluate", "--algo", "detsrm", "--manifest", str(ds / "manifest.json"),
+              "--k", "3", "--roi-from", str(roi), "--out", str(out)])
+    assert exc.value.code == 2
+    assert "--roi-from" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_roi_threshold_default_is_the_library_reference():
+    from srmkit.cli import build_parser
+    from srmkit.evaluation import ROI_THRESHOLD
+
+    args = build_parser().parse_args(["evaluate", "--algo", "detsrm", "--manifest", "m.json",
+                                      "--k", "2", "--out", "o"])
+    assert args.roi_threshold == ROI_THRESHOLD
+
+
+@pytest.mark.parametrize("flag, value", [("--t", "2x"), ("--sigma", "abc")])
+def test_synth_list_options_are_argument_errors(tmp_path, capsys, flag, value):
+    args = {"--n": "2", "--m": "2", "--t": "10", "--v": "20", "--k": "2", "--sigma": "0.5"}
+    args[flag] = value
+    out = tmp_path / "bad"
+    with pytest.raises(SystemExit) as exc:
+        main(["synth", *[x for item in args.items() for x in item], "--out", str(out)])
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_failed_fastsrm_refit_leaves_the_old_model(tmp_path, monkeypatch):
+    import errno
+
+    from srmkit import fastsrm
+
+    ds = run_synth(tmp_path, n=4)
+    save_atlas(balanced_partition(40, 8, seed=2), tmp_path / "atlas.srmb")
+    common = ["fit", "--algo", "fastsrm", "--manifest", str(ds / "manifest.json"), "--k", "3",
+              "--atlas", str(tmp_path / "atlas.srmb"), "--out", str(tmp_path / "out")]
+    assert main([*common, "--seed", "0"]) == 0
+    model_dir = tmp_path / "out" / "model"
+    before = {p.name: p.read_bytes() for p in model_dir.iterdir()}
+    real_save = fastsrm.save_matrix
+
+    def full_disk(mat, path):
+        if path.name == "w_002.srmb":
+            raise OSError(errno.ENOSPC, "No space left on device", str(path))
+        real_save(mat, path)
+
+    monkeypatch.setattr(fastsrm, "save_matrix", full_disk)
+    assert main([*common, "--seed", "5"]) == 1
+    assert {p.name: p.read_bytes() for p in model_dir.iterdir()} == before
+    assert list((tmp_path / "out").glob("*.tmp*")) == []
+
+
+def test_fastsrm_refit_with_fewer_subjects_leaves_no_stale_components(tmp_path):
+    from srmkit import SrmModel
+
+    save_atlas(balanced_partition(40, 8, seed=2), tmp_path / "atlas.srmb")
+    out = tmp_path / "out"
+    for name, n in (("four", 4), ("two", 2)):
+        ds = run_synth(tmp_path, name=name, n=n)
+        assert main(["fit", "--algo", "fastsrm", "--manifest", str(ds / "manifest.json"),
+                     "--k", "3", "--atlas", str(tmp_path / "atlas.srmb"),
+                     "--out", str(out)]) == 0
+    assert sorted(p.name for p in (out / "model").iterdir()) == [
+        "model.json", "w_000.srmb", "w_001.srmb"]
+    assert SrmModel.load(out / "model", keep_on_disk=False).n == 2
+    assert list(out.glob("*.tmp*")) == []
+
+
+def test_transform_invalid_manifest_is_argument_error(tmp_path, capsys):
+    ds = run_synth(tmp_path)
+    fit_out = tmp_path / "fit"
+    assert main(["fit", "--algo", "detsrm", "--manifest", str(ds / "manifest.json"),
+                 "--k", "3", "--out", str(fit_out)]) == 0
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"subjects": []}')
+    with pytest.raises(SystemExit) as exc:
+        main(["transform", "--model", str(fit_out / "model"), "--manifest", str(bad),
+              "--run", "0", "--out", str(tmp_path / "s.srmb")])
+    assert exc.value.code == 2
+    assert "invalid manifest" in capsys.readouterr().err

@@ -6,12 +6,12 @@ from srmkit import (
     balanced_partition,
     detsrm_fit,
     fastsrm_fit,
-    fastsrm_transform,
     fit,
     probsrm_fit,
     recover_components,
     reduce_dataset,
     subspace_error,
+    update_shared,
 )
 from srmkit import dataio, fastsrm
 from srmkit.dataio import FormatError
@@ -151,7 +151,7 @@ def test_components_spill_to_disk_atomically(make_dataset, tmp_path):
     for i in range(2):
         assert model.is_on_disk(i)
         assert model.spatial[i].exists()
-    leftovers = list((tmp_path / "spill").rglob("*.tmp"))
+    leftovers = list((tmp_path / "spill").rglob("*.tmp")) + list(tmp_path.glob("spill.*"))
     assert leftovers == []
     # the spill directory is itself a loadable model directory
     back = SrmModel.load(model.spatial[0].parent, keep_on_disk=False)
@@ -193,27 +193,31 @@ def test_transform_identity_basis(make_dataset):
     manifest, _ = make_dataset(n=1, m=2, v=4, k=4, t_list=(10, 12), sigma=0.3, seed=10)
     model = SrmModel([np.eye(4)])
     x = manifest.load_run(0, 0)
-    assert np.allclose(fastsrm_transform(model, [x], [0]), x, atol=1e-12)
+    assert np.allclose(update_shared([x], [model.spatial_component(0)]), x, atol=1e-12)
 
 
 def test_transform_symmetric_subjects():
     w = random_orthonormal_rows(3, 12, seed=11)
     x = np.random.default_rng(12).standard_normal((8, 12))
     model = SrmModel([w, w])
-    out1 = fastsrm_transform(model, [x], [0])
-    out2 = fastsrm_transform(model, [x], [1])
+    out1 = update_shared([x], [model.spatial_component(0)])
+    out2 = update_shared([x], [model.spatial_component(1)])
     assert np.array_equal(out1, out2)
 
 
 def test_transform_validation():
-    model = SrmModel([random_orthonormal_rows(2, 10, seed=13)])
+    # An unknown subject is the CLI's to reject: test_transform_bad_subjects_are_argument_errors.
+    w = random_orthonormal_rows(2, 10, seed=13)
     x = np.zeros((5, 10))
-    with pytest.raises(ValueError, match="unknown subject"):
-        fastsrm_transform(model, [x], [3])
-    with pytest.raises(ValueError, match="runs"):
-        fastsrm_transform(model, [x, x], [0])
+    for runs, spatial in (([x, x], [w]), ([x], [w, w])):
+        with pytest.raises(ValueError, match="differ in count"):
+            update_shared(runs, spatial)
+        with pytest.raises(ValueError, match="differ in count"):
+            update_shared(iter(runs), iter(spatial))
     with pytest.raises(ValueError, match="shape"):
-        fastsrm_transform(model, [np.zeros((5, 9))], [0])
+        update_shared([np.zeros((5, 9))], [w])
+    with pytest.raises(ValueError, match="at least one subject"):
+        update_shared(iter([]), iter([]))
 
 
 def test_transform_matches_planted_product(make_dataset):
@@ -224,12 +228,12 @@ def test_transform_matches_planted_product(make_dataset):
     atlas = balanced_partition(80, 16, seed=6)
     cfg = dict(k=4, n_iter=15, seed=4)
     model = fastsrm_fit(manifest, atlas, **cfg)
-    runs = [manifest.load_run(i, 0) for i in range(3)]
-    shared = fastsrm_transform(model, runs)
+    shared = update_shared((manifest.load_run(i, 0) for i in range(3)),
+                           (model.spatial_component(i) for i in range(3)))
     for i in range(3):
         pred = shared @ model.spatial_component(i)
-        rel = np.linalg.norm(pred - runs[i]) / np.linalg.norm(runs[i])
-        assert rel <= 1e-6
+        x = manifest.load_run(i, 0)
+        assert np.linalg.norm(pred - x) / np.linalg.norm(x) <= 1e-6
 
 
 def test_worker_failure_names_subject_and_run(make_dataset, tmp_path):
@@ -336,7 +340,8 @@ def test_run_truncated_between_passes_names_it(make_dataset, monkeypatch, tmp_pa
         fastsrm_fit(manifest, atlas, k=3, n_iter=2, component_dir=out)
     assert str(target) in str(info.value)
     assert isinstance(info.value.__cause__, FormatError)
-    assert list(out.rglob("*.tmp")) == []
+    assert not out.exists()  # recovery wrote into a staging sibling, now removed
+    assert list(tmp_path.glob("model*")) == []
 
 
 def test_unusable_component_dir_fails_before_any_read(make_dataset, monkeypatch, tmp_path):

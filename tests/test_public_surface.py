@@ -16,7 +16,6 @@ PUBLIC = [
     "cosmoothing_fold",
     "detsrm_fit",
     "fastsrm_fit",
-    "fastsrm_transform",
     "fit",
     "generate",
     "load_atlas",

@@ -102,6 +102,29 @@ class TestUpdateShared:
         with pytest.raises(ValueError):
             update_shared([x, np.zeros((4, 8))], [w, w])
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_generators_match_lists_bit_for_bit(self, dtype):
+        rng = np.random.default_rng(11)
+        runs = [rng.standard_normal((7, 9)).astype(dtype) for _ in range(4)]
+        spatial = [random_orthonormal_rows(3, 9, seed=12 + i) for i in range(4)]
+        listed = update_shared(runs, spatial)
+        streamed = update_shared((x for x in runs), (w for w in spatial))
+        assert listed.dtype == np.float64
+        assert streamed.tobytes() == listed.tobytes()
+
+    def test_each_pair_is_checked_before_the_next_is_drawn(self):
+        w = random_orthonormal_rows(2, 8, seed=13)
+        drawn = []
+
+        def runs():
+            for t in (5, 4, 5):
+                drawn.append(t)
+                yield np.zeros((t, 8))
+
+        with pytest.raises(ValueError, match="expected 5 timeframes"):
+            update_shared(runs(), iter([w, w, w]))
+        assert drawn == [5, 4]
+
 
 class TestDetSrm:
     def test_noiseless_single_subject_recovery(self):
