@@ -110,8 +110,8 @@ def run_bench(
     """Time one fit end to end (including its data loading) and report it.
 
     Fits run single-threaded (n_jobs=1) so that timings compare algorithms,
-    not scheduling. fastsrm writes its components to a model directory
-    inside a temporary directory that is removed afterwards. Returns a
+    not scheduling. Every fit writes its model to a model directory inside
+    a temporary directory that is removed afterwards. Returns a
     JSON-ready report; ``peak_mem_bytes`` and ``baseline_mem_bytes`` are
     omitted (with a warning) where sampling is unsupported.
     """

@@ -17,14 +17,14 @@ from . import __version__
 from .atlas import load_atlas
 from .bench import PeakRssSampler
 from .dataio import load_manifest, load_matrix, read_header, save_json, save_matrix
-from .evaluation import ALGORITHMS, ROI_THRESHOLD, cosmoothing, fit, mean_within, roi_mask
-from .fastsrm import _check_atlas
+from .evaluation import (ALGORITHMS, ROI_THRESHOLD, _check_fit_inputs, cosmoothing, fit,
+                         mean_within, roi_mask)
 from .srm import SrmModel, update_shared
 from .synthetic import generate
 
 
 def _count(text: str) -> int:
-    """argparse type of the counts a fit needs positive."""
+    """argparse type of the counts that must be positive."""
     try:
         value = int(text)
     except ValueError:
@@ -89,12 +89,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("synth", help="generate a planted synthetic dataset")
-    p.add_argument("--n", type=int, required=True, help="subjects")
-    p.add_argument("--m", type=int, required=True, help="runs")
+    p.add_argument("--n", type=_count, required=True, help="subjects")
+    p.add_argument("--m", type=_count, required=True, help="runs")
     p.add_argument("--t", type=_list_of(int), required=True,
                    help="timeframes per run (single value or comma list)")
-    p.add_argument("--v", type=int, required=True, help="voxels")
-    p.add_argument("--k", type=int, required=True, help="components")
+    p.add_argument("--v", type=_count, required=True, help="voxels")
+    p.add_argument("--k", type=_count, required=True, help="components")
     p.add_argument("--sigma", type=_list_of(float), default="0",
                    help="noise level (single value or per-subject list)")
     p.add_argument("--seed", type=int, default=0)
@@ -115,32 +115,36 @@ def _load_manifest(args, parser):
         parser.error(f"invalid manifest: {exc}")
 
 
-def _load_inputs(args, parser, need_atlas: bool):
+def _load_inputs(args, parser, held_out: bool):
+    """Manifest and atlas of ``fit`` (``evaluate`` with ``held_out``), with
+    every argument the fit cannot use reported as an argument error."""
     manifest = _load_manifest(args, parser)
+    if held_out and manifest.n_runs < 2:
+        parser.error("co-smoothing needs at least 2 runs (one is held out per fold)")
+    if held_out and manifest.n_subjects < 2:
+        parser.error("co-smoothing needs at least 2 subjects (one is held out per fold)")
     atlas = None
     if args.atlas:
         if not Path(args.atlas).is_file():
             parser.error(f"atlas not found: {args.atlas}")
         atlas = load_atlas(args.atlas)
-    elif need_atlas:
+    elif args.algo == "fastsrm":
         parser.error("fastsrm requires --atlas")
-    if need_atlas:
-        try:
-            _check_atlas(atlas, args.k, manifest.v)
-        except ValueError as exc:
-            parser.error(str(exc))
+    try:
+        _check_fit_inputs(manifest, args.algo, args.k, atlas, args.n_iter, args.n_jobs, held_out)
+    except ValueError as exc:
+        parser.error(str(exc))
     return manifest, atlas
 
 
 def cmd_fit(args, parser) -> int:
-    manifest, atlas = _load_inputs(args, parser, need_atlas=args.algo == "fastsrm")
+    manifest, atlas = _load_inputs(args, parser, held_out=False)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
     model = fit(manifest, args.algo, args.k, atlas=atlas, n_iter=args.n_iter, seed=args.seed,
                 n_jobs=args.n_jobs, component_dir=out / "model")
     wall = time.perf_counter() - start
-    model.save(out / "model")  # fastsrm components are already in place
     log = {
         "algorithm": args.algo,
         "k": args.k,
@@ -179,11 +183,7 @@ def cmd_transform(args, parser) -> int:
 
 
 def cmd_evaluate(args, parser) -> int:
-    manifest, atlas = _load_inputs(args, parser, need_atlas=args.algo == "fastsrm")
-    if manifest.n_runs < 2:
-        parser.error("co-smoothing needs at least 2 runs (one is held out per fold)")
-    if manifest.n_subjects < 2:
-        parser.error("co-smoothing needs at least 2 subjects (one is held out per fold)")
+    manifest, atlas = _load_inputs(args, parser, held_out=True)
     for path in args.roi_from or []:
         try:
             if (shape := read_header(path)[:2]) != (1, manifest.v):

@@ -109,21 +109,35 @@ def fit(
     """Fit one of :data:`ALGORITHMS` on a dataset; ``model.trace`` holds its
     per-iteration objective (log-likelihood for probsrm).
 
-    fastsrm streams the runs from disk and needs ``atlas``; with
-    ``component_dir`` it writes its components into that model directory
-    instead of keeping them in memory. The full-resolution fits load the
-    whole dataset and keep their components in memory.
+    fastsrm streams the runs from disk and needs ``atlas``; the
+    full-resolution fits load the whole dataset. Every fit writes its model
+    to ``component_dir`` if given: fastsrm subject by subject as it recovers
+    the components, the others once the dataset is released.
     """
+    _check_fit_inputs(manifest, algorithm, k, atlas, n_iter, n_jobs)
+    if algorithm == "fastsrm":
+        return fastsrm_fit(manifest, atlas, k, n_iter, seed, n_jobs, component_dir)
+    solver = detsrm_fit if algorithm == "detsrm" else probsrm_fit
+    model, _ = solver(manifest.load_all(), k, n_iter=n_iter, seed=seed, n_jobs=n_jobs)
+    if component_dir is not None:
+        model.save(component_dir)
+    return model
+
+
+def _check_fit_inputs(manifest, algorithm, k, atlas, n_iter, n_jobs, held_out=False) -> None:
+    """Reject what a fit of ``algorithm`` on ``manifest`` cannot use, before
+    any run is read. With ``held_out``, every fold of :func:`cosmoothing`
+    must be able to fit ``k`` components without its left-out run."""
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
+    v = manifest.v
     if algorithm == "fastsrm":
         if atlas is None:
             raise ValueError("fastsrm needs an atlas")
-        return fastsrm_fit(manifest, atlas, k, n_iter, seed, n_jobs, component_dir)
-    _check_fit_args(k, n_iter, n_jobs)  # before the whole dataset is loaded
-    solver = detsrm_fit if algorithm == "detsrm" else probsrm_fit
-    model, _ = solver(manifest.load_all(), k, n_iter=n_iter, seed=seed, n_jobs=n_jobs)
-    return model
+        _check_atlas(atlas, k, manifest.v)
+        v = atlas.c  # the reduced fit's feature count
+    frames = sum(manifest.t_per_run) - (max(manifest.t_per_run) if held_out else 0)
+    _check_fit_args(k, n_iter, n_jobs, v, frames)
 
 
 def _score_left_out_run(manifest, spatial, run, subjects=None):
@@ -174,12 +188,7 @@ def cosmoothing(
         raise ValueError("co-smoothing needs at least 2 runs")
     if manifest.n_subjects < 2:
         raise ValueError("co-smoothing needs at least 2 subjects")
-    if algorithm not in ALGORITHMS:
-        raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
-    if algorithm == "fastsrm":
-        if atlas is None:
-            raise ValueError("fastsrm needs an atlas")
-        _check_atlas(atlas, k, manifest.v)
+    _check_fit_inputs(manifest, algorithm, k, atlas, n_iter, n_jobs, held_out=True)
     folds = []
     for s in range(manifest.n_runs):
         try:

@@ -19,7 +19,8 @@ import numpy as np
 
 from .atlas import Atlas, project_run
 from .dataio import DatasetManifest, save_matrix
-from .srm import SrmModel, _check_fit_args, _map_subjects, _staged_dir, _subject_step, detsrm_fit
+from .srm import (COMPONENT_FILE, SrmModel, _check_fit_args, _map_subjects, _save_descriptor,
+                  _staged_dir, _subject_step, detsrm_fit)
 
 BLOCK_BYTES = 8 << 20  # float64 bytes of run rows read from disk at a time
 
@@ -103,7 +104,7 @@ def recover_components(
         w, _ = _subject_step(runs, lambda s: manifest.run_blocks(i, s, rows), manifest.v)
         if component_dir is None:
             return w
-        dest = component_dir / f"w_{i:03d}.srmb"
+        dest = component_dir / COMPONENT_FILE.format(i)
         save_matrix(w, dest)
         return dest
 
@@ -145,11 +146,10 @@ def fastsrm_fit(
 
     ``k``, ``n_iter``, ``seed`` and ``n_jobs`` mean what they mean for
     :func:`detsrm_fit`; ``k`` must also be below the parcel count.
-    ``component_dir`` is None to keep the recovered components in memory,
-    or the model directory to write them to. Recovery writes them one
-    subject at a time into a new sibling ``<name>.<token>.tmp``, which then
-    replaces ``component_dir`` whole as a loadable model directory, so a fit
-    that fails leaves a model already at ``component_dir`` intact.
+    ``component_dir`` is None to keep the recovered components in memory, or
+    a model directory: they are written one subject at a time into a sibling
+    ``<name>.<token>.tmp`` that then replaces it whole, and the returned model
+    reads them there. A failed fit leaves a model already there intact.
 
     ``reduced`` replaces step 1 with runs already projected through
     ``atlas``, indexed [subject][run] in the order of ``manifest`` (as
@@ -163,8 +163,8 @@ def fastsrm_fit(
     run, which is not correctly scaled for reconstruction; use
     :func:`update_shared`).
     """
-    _check_fit_args(k, n_iter, n_jobs)
     _check_atlas(atlas, k, manifest.v)
+    _check_fit_args(k, n_iter, n_jobs, atlas.c, sum(manifest.t_per_run))
     # the staging directory is made, or fails, before any run is read
     staged = nullcontext() if component_dir is None else _staged_dir(Path(component_dir))
     with staged as staging:
@@ -178,11 +178,9 @@ def fastsrm_fit(
         spatial = recover_components(
             manifest, reduced_shared, n_jobs=n_jobs, component_dir=staging
         )
-        model = SrmModel(spatial, validate=False)
         if staging is not None:
-            model.save(staging)  # descriptor only; components are already in place
-    if staging is not None:
-        model.spatial = [Path(component_dir) / w.name for w in spatial]
+            _save_descriptor(staging, k, manifest.v, manifest.n_subjects)
+    model = SrmModel(spatial) if component_dir is None else SrmModel.load(component_dir)
     model.trace = reduced_model.trace
     model.reduced_shared = reduced_shared
     return model

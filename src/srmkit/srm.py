@@ -28,6 +28,8 @@ from .dataio import load_matrix, read_header, save_json, save_matrix
 
 ORTHONORMALITY_TOL = 1e-8
 SIGMA_EIG_FLOOR = 1e-10
+COMPONENT_FILE = "w_{:03d}.srmb"  # subject i's components in a model directory
+SIGMA_S_FILE = "sigma_s.srmb"
 
 
 def _procrustes_svd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -107,28 +109,43 @@ def update_shared(runs, spatial) -> np.ndarray:
     return total / len(shapes)
 
 
+def _save_descriptor(directory: Path, k: int, v: int, n: int, sigma_sq=None, sigma_s=None) -> None:
+    """Write ``model.json`` into a model directory whose other files are in place."""
+    save_json({
+        "format": "srmkit-model",
+        "version": 1,
+        "k": k,
+        "n": n,
+        "v": v,
+        "dtype": "f64",
+        "components": [COMPONENT_FILE.format(i) for i in range(n)],
+        "sigma_sq": None if sigma_sq is None else sigma_sq.tolist(),
+        "sigma_s": None if sigma_s is None else SIGMA_S_FILE,
+    }, directory / "model.json")
+
+
 class SrmModel:
     """Fitted spatial components, optionally with noise/covariance parameters.
 
-    ``spatial[i]`` is either an in-memory k x v array or a Path to an SRMB
-    file (disk-backed components are loaded on demand and never pinned).
+    ``spatial[i]`` is a k x v array with orthonormal rows, checked when the
+    model is built, or a Path to an SRMB file, checked each time it is read.
     ``sigma_sq`` (per-subject noise variances) and ``sigma_s`` (k x k shared
     covariance) are present only on probabilistic fits. Fits attach
     ``trace``: the residual sum of squares per iteration for detsrm and
     fastsrm (in parcel space), the log-likelihood for probsrm.
     """
 
-    def __init__(self, spatial, sigma_sq=None, sigma_s=None, validate=True):
+    def __init__(self, spatial, sigma_sq=None, sigma_s=None):
         if not spatial:
             raise ValueError("need at least one subject")
         self.spatial = list(spatial)
         self.sigma_sq = None if sigma_sq is None else np.asarray(sigma_sq, dtype=np.float64)
         self.sigma_s = None if sigma_s is None else np.asarray(sigma_s, dtype=np.float64)
-        first = self.spatial_component(0)
-        self.k, self.v = first.shape
-        if validate:
-            for i in range(self.n):
-                check_orthonormal(self.spatial_component(i))
+        for i in range(self.n):
+            if not self.is_on_disk(i):
+                check_orthonormal(self.spatial[i])
+        first = self.spatial[0]
+        self.k, self.v = read_header(first)[:2] if self.is_on_disk(0) else first.shape
         if self.sigma_sq is not None and (
             self.sigma_sq.shape != (self.n,) or np.any(self.sigma_sq <= 0)
         ):
@@ -147,9 +164,13 @@ class SrmModel:
         return len(self.spatial)
 
     def spatial_component(self, i: int) -> np.ndarray:
-        w = self.spatial[i]
-        if isinstance(w, (str, Path)):
-            return load_matrix(w)
+        if not self.is_on_disk(i):
+            return self.spatial[i]
+        w = load_matrix(self.spatial[i])
+        try:
+            check_orthonormal(w)
+        except ValueError as exc:
+            raise ValueError(f"{self.spatial[i]}: {exc}") from None
         return w
 
     def is_on_disk(self, i: int) -> bool:
@@ -158,58 +179,48 @@ class SrmModel:
     def save(self, directory) -> None:
         """Serialize as a directory: JSON descriptor plus one SRMB file per subject.
 
-        When every component already sits in ``directory`` under its own
-        name (fastsrm's ``component_dir``), only ``model.json`` is written,
-        atomically. Otherwise the model is written into a new sibling
-        ``<name>.<token>.tmp`` directory, which then replaces ``directory``
-        whole, so a failed save leaves a model already at ``directory`` intact.
+        The model is written into a new sibling ``<name>.<token>.tmp``
+        directory, which then replaces ``directory`` whole, so a failed save
+        leaves a model already at ``directory`` intact.
         """
         directory = Path(directory)
-        names = [f"w_{i:03d}.srmb" for i in range(self.n)]
-        desc = {
-            "format": "srmkit-model",
-            "version": 1,
-            "k": self.k,
-            "n": self.n,
-            "v": self.v,
-            "dtype": "f64",
-            "components": names,
-            "sigma_sq": None if self.sigma_sq is None else self.sigma_sq.tolist(),
-            "sigma_s": None if self.sigma_s is None else "sigma_s.srmb",
-        }
-        if self.sigma_s is None and all(
-            self.is_on_disk(i) and Path(self.spatial[i]).resolve() == (directory / name).resolve()
-            for i, name in enumerate(names)
-        ):
-            save_json(desc, directory / "model.json")
-            return
         with _staged_dir(directory) as staging:
-            for i, name in enumerate(names):
+            for i in range(self.n):
+                dest = staging / COMPONENT_FILE.format(i)
                 if self.is_on_disk(i):
-                    shutil.copyfile(self.spatial[i], staging / name)
+                    shutil.copyfile(self.spatial[i], dest)
                 else:
-                    save_matrix(np.asarray(self.spatial[i], dtype=np.float64), staging / name)
+                    save_matrix(np.asarray(self.spatial[i], dtype=np.float64), dest)
             if self.sigma_s is not None:
-                save_matrix(self.sigma_s, staging / "sigma_s.srmb")
-            save_json(desc, staging / "model.json")
+                save_matrix(self.sigma_s, staging / SIGMA_S_FILE)
+            _save_descriptor(staging, self.k, self.v, self.n, self.sigma_sq, self.sigma_s)
 
     @classmethod
-    def load(cls, directory, keep_on_disk: bool = True) -> "SrmModel":
+    def load(cls, directory) -> "SrmModel":
         directory = Path(directory)
         with open(directory / "model.json") as f:
             desc = json.load(f)
+        expected = {
+            "format": "srmkit-model",
+            "version": 1,
+            "components": [COMPONENT_FILE.format(i) for i in range(desc["n"])],
+        }
+        for key, value in expected.items():
+            if desc.get(key) != value:
+                raise ValueError(f"{directory / 'model.json'}: {key} is {desc.get(key)!r}, "
+                                 f"expected {value!r}")
+        if desc.get("sigma_s") not in (None, SIGMA_S_FILE):
+            raise ValueError(f"{directory / 'model.json'}: sigma_s is {desc['sigma_s']!r}, "
+                             f"expected null or {SIGMA_S_FILE!r}")
         paths = [directory / name for name in desc["components"]]
-        if len(paths) != desc["n"]:
-            raise ValueError(f"{directory}: descriptor does not match component files")
         for p in paths:
             rows, cols, _ = read_header(p)
             if (rows, cols) != (desc["k"], desc["v"]):
                 raise ValueError(f"{p}: shape {rows}x{cols}, expected {desc['k']}x{desc['v']}")
-        spatial = paths if keep_on_disk else [load_matrix(p) for p in paths]
         sigma_s = None
         if desc.get("sigma_s"):
-            sigma_s = load_matrix(directory / desc["sigma_s"])
-        return cls(spatial, sigma_sq=desc.get("sigma_sq"), sigma_s=sigma_s, validate=not keep_on_disk)
+            sigma_s = load_matrix(directory / SIGMA_S_FILE)
+        return cls(paths, sigma_sq=desc.get("sigma_sq"), sigma_s=sigma_s)
 
 
 @contextmanager
@@ -255,7 +266,7 @@ def check_orthonormal(w: np.ndarray, tol: float = ORTHONORMALITY_TOL) -> None:
 # shared fit plumbing
 
 
-def _validate_stack(data, k):
+def _validate_stack(data):
     """Check the [subject][run] layout and return (n, m, t_per_run, v)."""
     n = len(data)
     if n < 1:
@@ -277,17 +288,23 @@ def _validate_stack(data, k):
                 )
             if not np.all(np.isfinite(x)):
                 raise ValueError(f"subject {i} run {s}: non-finite values")
-    total_t = sum(t_per_run)
-    if k > min(v, total_t):
-        raise ValueError(f"k={k} exceeds min(v={v}, total timeframes={total_t})")
     return n, m, t_per_run, v
 
 
-def _check_fit_args(k, n_iter, n_jobs) -> None:
-    """Reject the counts every fit needs positive, before it reads any run."""
-    for name, value in (("k", k), ("n_iter", n_iter), ("n_jobs", n_jobs)):
+def _check_positive(**counts) -> None:
+    """Reject any of ``counts`` below 1, naming it."""
+    for name, value in counts.items():
         if value < 1:
             raise ValueError(f"{name} must be at least 1")
+
+
+def _check_fit_args(k, n_iter, n_jobs, v, total_t) -> None:
+    """Reject the counts every fit needs positive, and a ``k`` above the rank
+    that ``total_t`` timeframes of ``v`` features can hold, before any run
+    is read."""
+    _check_positive(k=k, n_iter=n_iter, n_jobs=n_jobs)
+    if k > min(v, total_t):
+        raise ValueError(f"k={k} exceeds min(v={v}, total timeframes={total_t})")
 
 
 def init_spatial(n: int, k: int, v: int, seed) -> list[np.ndarray]:
@@ -401,8 +418,8 @@ def detsrm_fit(data, k: int, n_iter: int = 10, seed=0, n_jobs: int = 1):
         sum_i (||X_i||^2 - 2 sum(d_i)) + n sum_s ||S_s||^2: exact up to
         rounding of about 1e-15 * sum_i ||X_i||^2, and clamped at 0.
     """
-    _check_fit_args(k, n_iter, n_jobs)
-    n, m, _, v = _validate_stack(data, k)
+    n, m, t_per_run, v = _validate_stack(data)
+    _check_fit_args(k, n_iter, n_jobs, v, sum(t_per_run))
     spatial = init_spatial(n, k, v, seed)
     ssq = [_sum_squares(runs) for runs in data]
     trace = []
@@ -410,7 +427,7 @@ def detsrm_fit(data, k: int, n_iter: int = 10, seed=0, n_jobs: int = 1):
         shared = [update_shared([data[i][s] for i in range(n)], spatial) for s in range(m)]
         spatial, partial = _update_components(data, shared, ssq, n_jobs)
         trace.append(max(sum(partial) + n * _sum_squares(shared), 0.0))
-    model = SrmModel(spatial, validate=False)
+    model = SrmModel(spatial)
     model.trace = trace
     return model, shared
 
@@ -451,9 +468,9 @@ def probsrm_fit(data, k: int, n_iter: int = 10, seed=0, n_jobs: int = 1):
     ``trace``, the log-likelihood with n_iter + 1 entries: the initial
     parameters and every update thereafter.
     """
-    _check_fit_args(k, n_iter, n_jobs)
-    n, m, t_per_run, v = _validate_stack(data, k)
+    n, m, t_per_run, v = _validate_stack(data)
     total_t = sum(t_per_run)
+    _check_fit_args(k, n_iter, n_jobs, v, total_t)
 
     ssq = np.array([_centered_sum_squares(runs) for runs in data])
 
@@ -509,6 +526,6 @@ def probsrm_fit(data, k: int, n_iter: int = 10, seed=0, n_jobs: int = 1):
 
     post_means, _, ll = e_step()
     trace.append(float(ll))
-    model = SrmModel(spatial, sigma_sq=sigma_sq, sigma_s=sigma_s, validate=False)
+    model = SrmModel(spatial, sigma_sq=sigma_sq, sigma_s=sigma_s)
     model.trace = trace
     return model, post_means

@@ -15,7 +15,7 @@ import numpy as np
 
 from .atlas import Atlas
 from .dataio import DatasetManifest, load_manifest, save_manifest, save_matrix
-from .srm import check_orthonormal, init_spatial
+from .srm import _check_positive, check_orthonormal, init_spatial
 
 
 @dataclass
@@ -65,6 +65,7 @@ def generate(
     rotation ambiguity. Data are X = S W + sigma_i * noise, one SRMB file
     per (subject, run), plus a manifest.
     """
+    _check_positive(n=n, m=m, v=v, k=k)
     t_list = [int(t) for t in (t_list if np.iterable(t_list) else [t_list] * m)]
     if len(t_list) != m:
         raise ValueError(f"expected {m} run lengths, got {len(t_list)}")

@@ -429,7 +429,10 @@ def test_fastsrm_refit_with_fewer_subjects_leaves_no_stale_components(tmp_path):
                      "--out", str(out)]) == 0
     assert sorted(p.name for p in (out / "model").iterdir()) == [
         "model.json", "w_000.srmb", "w_001.srmb"]
-    assert SrmModel.load(out / "model", keep_on_disk=False).n == 2
+    back = SrmModel.load(out / "model")
+    assert back.n == 2
+    for i in range(2):
+        back.spatial_component(i)  # reads and checks the component file
     assert list(out.glob("*.tmp*")) == []
 
 
@@ -445,3 +448,82 @@ def test_transform_invalid_manifest_is_argument_error(tmp_path, capsys):
               "--run", "0", "--out", str(tmp_path / "s.srmb")])
     assert exc.value.code == 2
     assert "invalid manifest" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("algo", ["detsrm", "probsrm", "fastsrm"])
+@pytest.mark.parametrize("command, k", [("fit", "40"), ("evaluate", "40"), ("evaluate", "25")])
+def test_k_above_frames_is_argument_error(tmp_path, capsys, monkeypatch, algo, command, k):
+    # 3 runs of 10 frames: a fit holds at most 30 components, an evaluate fold 20
+    import srmkit.dataio
+
+    ds = run_synth(tmp_path, m=3, t="10", v=60)
+    save_atlas(balanced_partition(60, 50, seed=2), tmp_path / "atlas.srmb")
+    capsys.readouterr()
+
+    def no_load(*args, **kwargs):
+        raise AssertionError("a run was read")
+
+    monkeypatch.setattr(srmkit.dataio, "load_matrix", no_load)
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--algo", algo, "--manifest", str(ds / "manifest.json"), "--k", k,
+              "--atlas", str(tmp_path / "atlas.srmb"), "--out", str(out)])
+    assert exc.value.code == 2
+    assert f"k={k} exceeds" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--n", "--m", "--v", "--k"])
+def test_synth_counts_below_one_are_argument_errors(tmp_path, capsys, flag):
+    args = {"--n": "2", "--m": "2", "--t": "10", "--v": "20", "--k": "2"}
+    args[flag] = "0"
+    out = tmp_path / "bad"
+    with pytest.raises(SystemExit) as exc:
+        main(["synth", *[x for item in args.items() for x in item], "--out", str(out)])
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_fastsrm_fit_writes_descriptor_once_and_reads_no_component(tmp_path, monkeypatch):
+    from srmkit import srm
+
+    ds = run_synth(tmp_path)
+    save_atlas(balanced_partition(40, 8, seed=2), tmp_path / "atlas.srmb")
+    writes, reads = [], []
+    real_save_json, real_load = srm.save_json, srm.load_matrix
+
+    def recording_save_json(obj, path):
+        writes.append(Path(path).name)
+        real_save_json(obj, path)
+
+    def recording_load(path, *args, **kwargs):
+        reads.append(path)
+        return real_load(path, *args, **kwargs)
+
+    monkeypatch.setattr(srm, "save_json", recording_save_json)
+    monkeypatch.setattr(srm, "load_matrix", recording_load)
+    assert main(["fit", "--algo", "fastsrm", "--manifest", str(ds / "manifest.json"), "--k", "3",
+                 "--atlas", str(tmp_path / "atlas.srmb"), "--out", str(tmp_path / "fit")]) == 0
+    assert writes == ["model.json"]
+    assert reads == []
+
+
+def test_transform_reads_each_component_once(tmp_path, monkeypatch):
+    from srmkit import srm
+
+    ds = run_synth(tmp_path)
+    assert main(["fit", "--algo", "detsrm", "--manifest", str(ds / "manifest.json"),
+                 "--k", "3", "--n-iter", "2", "--out", str(tmp_path / "fit")]) == 0
+    reads = []
+    real_load = srm.load_matrix
+
+    def recording_load(path, *args, **kwargs):
+        reads.append(Path(path).name)
+        return real_load(path, *args, **kwargs)
+
+    monkeypatch.setattr(srm, "load_matrix", recording_load)
+    assert main(["transform", "--model", str(tmp_path / "fit" / "model"),
+                 "--manifest", str(ds / "manifest.json"), "--run", "0",
+                 "--out", str(tmp_path / "s.srmb")]) == 0
+    assert reads == ["w_000.srmb", "w_001.srmb", "w_002.srmb"]

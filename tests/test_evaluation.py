@@ -220,6 +220,28 @@ class TestCosmoothing:
             cosmoothing(manifest, "fastsrm", k=8, atlas=atlas, n_iter=2, seed=0)
         assert calls == []
 
+    @pytest.mark.parametrize("algorithm", ["detsrm", "probsrm", "fastsrm"])
+    def test_k_above_training_frames_rejected_before_any_read(
+        self, make_dataset, monkeypatch, algorithm
+    ):
+        # 3 runs of 10 frames: a fit holds at most 30 components, a fold 20
+        manifest, _ = make_dataset(n=3, m=3, t_list=(10, 10, 10), v=60, k=2, sigma=0.5, seed=8)
+        atlas = balanced_partition(60, 50, seed=0)
+
+        def no_load(*args, **kwargs):
+            raise AssertionError("a run was read")
+
+        monkeypatch.setattr(srmkit.dataio, "load_matrix", no_load)
+        calls = [
+            (lambda: srmkit.fit(manifest, algorithm, k=40, atlas=atlas), "total timeframes=30"),
+            (lambda: cosmoothing(manifest, algorithm, k=25, atlas=atlas), "total timeframes=20"),
+        ]
+        if algorithm == "fastsrm":
+            calls.append((lambda: srmkit.fastsrm_fit(manifest, atlas, k=40), "v=50"))
+        for call, match in calls:
+            with pytest.raises(ValueError, match=match):
+                call()
+
     @pytest.mark.parametrize("n_jobs", [1, 2])
     def test_fastsrm_folds_recompute_bit_for_bit(self, make_dataset, n_jobs):
         manifest, _ = make_dataset(

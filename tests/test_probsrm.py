@@ -111,7 +111,9 @@ def test_model_roundtrip_with_prob_params(tmp_path):
     data = [[rng.standard_normal((20, 10))] for _ in range(2)]
     model, _ = probsrm_fit(data, k=3, n_iter=3, seed=4)
     model.save(tmp_path / "m")
-    back = SrmModel.load(tmp_path / "m", keep_on_disk=False)
+    back = SrmModel.load(tmp_path / "m")
+    for i in range(2):
+        assert np.array_equal(back.spatial_component(i), model.spatial_component(i))
     assert np.array_equal(back.sigma_sq, model.sigma_sq)
     assert np.array_equal(back.sigma_s, model.sigma_s)
 

@@ -284,7 +284,7 @@ class TestSrmModel:
         spatial = [random_orthonormal_rows(3, 10, seed=i) for i in range(2)]
         model = SrmModel(spatial, sigma_sq=[0.5, 1.5], sigma_s=np.diag([3.0, 2.0, 1.0]))
         model.save(tmp_path / "model")
-        back = SrmModel.load(tmp_path / "model", keep_on_disk=False)
+        back = SrmModel.load(tmp_path / "model")
         for i in range(2):
             assert np.array_equal(back.spatial_component(i), spatial[i])
         assert np.array_equal(back.sigma_sq, [0.5, 1.5])
@@ -297,15 +297,53 @@ class TestSrmModel:
         assert lazy.is_on_disk(0)
         assert np.array_equal(lazy.spatial_component(0), spatial[0])
 
-    @pytest.mark.parametrize("keep_on_disk", [True, False])
-    def test_load_checks_every_component_header(self, tmp_path, keep_on_disk):
+    def test_load_checks_every_component_header(self, tmp_path):
         spatial = [random_orthonormal_rows(2, 50, seed=i) for i in range(2)]
         SrmModel(spatial).save(tmp_path / "model")
         bad = tmp_path / "model" / "w_001.srmb"
         save_matrix(random_orthonormal_rows(3, 40, seed=9), bad)
         with pytest.raises(ValueError, match="3x40") as info:
-            SrmModel.load(tmp_path / "model", keep_on_disk=keep_on_disk)
+            SrmModel.load(tmp_path / "model")
         assert str(bad) in str(info.value)
+
+    def test_component_file_checked_when_read(self, tmp_path, monkeypatch):
+        spatial = [random_orthonormal_rows(2, 50, seed=i) for i in range(3)]
+        SrmModel(spatial).save(tmp_path / "model")
+        bad = tmp_path / "model" / "w_001.srmb"
+        save_matrix(np.ones((2, 50)), bad)
+        reads = []
+        real_load = srm.load_matrix
+
+        def counting_load(path, *args, **kwargs):
+            reads.append(Path(path).name)
+            return real_load(path, *args, **kwargs)
+
+        monkeypatch.setattr(srm, "load_matrix", counting_load)
+        model = SrmModel.load(tmp_path / "model")  # headers only
+        assert (model.n, model.k, model.v) == (3, 2, 50) and reads == []
+        assert np.array_equal(model.spatial_component(2), spatial[2])
+        with pytest.raises(ValueError, match="orthonormal") as info:
+            model.spatial_component(1)
+        assert str(bad) in str(info.value)
+        assert reads == ["w_002.srmb", "w_001.srmb"]
+
+    @pytest.mark.parametrize("key, value", [
+        ("format", "something-else"),
+        ("version", 7),
+        ("components", ["w_000.srmb", "w_000.srmb"]),
+        ("components", ["w_000.srmb"]),
+        ("sigma_s", "../elsewhere.srmb"),
+    ])
+    def test_load_rejects_unknown_descriptor(self, tmp_path, key, value):
+        SrmModel([random_orthonormal_rows(2, 8, seed=i) for i in range(2)],
+                 sigma_s=np.eye(2)).save(tmp_path / "model")
+        path = tmp_path / "model" / "model.json"
+        desc = json.loads(path.read_text())
+        desc[key] = value
+        path.write_text(json.dumps(desc))
+        with pytest.raises(ValueError, match=key) as info:
+            SrmModel.load(tmp_path / "model")
+        assert str(path) in str(info.value)
 
     def test_interrupted_save_keeps_old_descriptor(self, tmp_path, monkeypatch):
         SrmModel([random_orthonormal_rows(2, 8, seed=5)]).save(tmp_path / "model")
@@ -348,7 +386,7 @@ class TestSrmModel:
         monkeypatch.undo()
         assert len(calls) == 2
         assert {p.name: p.read_bytes() for p in (tmp_path / "model").iterdir()} == before
-        back = SrmModel.load(tmp_path / "model", keep_on_disk=False)
+        back = SrmModel.load(tmp_path / "model")
         for i in range(2):
             assert back.spatial_component(i).tobytes() == old.spatial[i].tobytes()
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
@@ -363,22 +401,20 @@ class TestSrmModel:
         names = sorted(p.name for p in (tmp_path / "model").iterdir())
         assert names == ["model.json", "w_000.srmb"]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["model"]
-        back = SrmModel.load(tmp_path / "model", keep_on_disk=False)
+        back = SrmModel.load(tmp_path / "model")
         assert back.n == 1 and back.sigma_s is None
         assert np.array_equal(back.spatial_component(0), new.spatial[0])
 
-    def test_save_in_place_writes_only_descriptor(self, tmp_path, monkeypatch):
-        SrmModel([random_orthonormal_rows(2, 8, seed=i) for i in range(2)]).save(tmp_path / "m")
-        lazy = SrmModel.load(tmp_path / "m")
-
-        def refuse(*args):
-            raise AssertionError("component rewritten")
-
-        monkeypatch.setattr(shutil, "copyfile", refuse)
-        monkeypatch.setattr(srm, "save_matrix", refuse)
-        (tmp_path / "m" / "model.json").unlink()
-        lazy.save(tmp_path / "m")
-        assert SrmModel.load(tmp_path / "m").n == 2
+    def test_save_in_place_keeps_components(self, tmp_path):
+        spatial = [random_orthonormal_rows(2, 8, seed=i) for i in range(2)]
+        SrmModel(spatial, sigma_sq=[0.5, 2.0], sigma_s=np.eye(2)).save(tmp_path / "m")
+        before = {p.name: p.read_bytes() for p in (tmp_path / "m").iterdir()}
+        SrmModel.load(tmp_path / "m").save(tmp_path / "m")
+        assert {p.name: p.read_bytes() for p in (tmp_path / "m").iterdir()} == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m"]
+        back = SrmModel.load(tmp_path / "m")
+        for i in range(2):
+            assert np.array_equal(back.spatial_component(i), spatial[i])
 
     def test_orthonormality_enforced(self):
         with pytest.raises(ValueError, match="orthonormal"):

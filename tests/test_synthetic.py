@@ -65,6 +65,11 @@ def test_parameter_validation(tmp_path):
         generate(n=1, m=1, t_list=[5], v=8, k=2, sigma_list=-1.0, seed=0, out_dir=tmp_path)
     with pytest.raises(ValueError, match="run lengths"):
         generate(n=1, m=2, t_list=[5], v=8, k=2, sigma_list=0.0, seed=0, out_dir=tmp_path)
+    for name in ("n", "m", "v", "k"):
+        counts = {"n": 1, "m": 1, "v": 8, "k": 2, name: 0}
+        with pytest.raises(ValueError, match=f"{name} must be at least 1"):
+            generate(**counts, t_list=[5], sigma_list=0.0, seed=0, out_dir=tmp_path / "new")
+    assert not (tmp_path / "new").exists()
 
 
 class TestSubspaceError:
