@@ -103,9 +103,12 @@ def project_run(x: np.ndarray, atlas: Atlas) -> np.ndarray:
     if x.ndim != 2 or x.shape[1] != atlas.v:
         raise ValueError(f"run has shape {x.shape}, atlas expects {atlas.v} voxels")
     if atlas.kind == "partition":
-        # (c x v sparse) @ (v x t) keeps the run itself as the only large operand.
-        out = (atlas._op @ x.T).T
-        return np.ascontiguousarray(out)
+        # One sparse product per row reads the row in place; (c x v) @ x.T
+        # would have scipy copy the whole transpose first.
+        out = np.empty((x.shape[0], atlas.c))
+        for r in range(x.shape[0]):
+            out[r] = atlas._op @ x[r]
+        return out
     return (x @ atlas.weights.T) @ atlas._op
 
 

@@ -79,10 +79,8 @@ def save_matrix(mat: np.ndarray, path) -> None:
         np.ascontiguousarray(le).tofile(f)
 
 
-def read_header(path) -> tuple[int, int, np.dtype]:
-    """Return (rows, cols, dtype) from an SRMB file without reading data."""
-    with open(path, "rb") as f:
-        raw = f.read(HEADER_SIZE)
+def _parse_header(raw: bytes, path) -> tuple[int, int, np.dtype]:
+    """(rows, cols, dtype) from the first ``HEADER_SIZE`` bytes of an SRMB file."""
     if len(raw) < HEADER_SIZE:
         raise FormatError(f"{path}: file shorter than header")
     magic, version, code, rows, cols = struct.unpack("<4sIBQQ", raw)
@@ -99,26 +97,37 @@ def read_header(path) -> tuple[int, int, np.dtype]:
     return rows, cols, _DTYPE_BY_CODE[code]
 
 
+def read_header(path) -> tuple[int, int, np.dtype]:
+    """Return (rows, cols, dtype) from an SRMB file without reading data."""
+    with open(path, "rb") as f:
+        return _parse_header(f.read(HEADER_SIZE), path)
+
+
 def load_matrix(path, row_range: tuple[int, int] | None = None) -> np.ndarray:
     """Load an SRMB matrix, optionally restricted to rows [start, stop).
 
     Region reads seek directly to the requested rows so a full file never
-    needs to reside in memory.
+    needs to reside in memory. The header, the size check and the values
+    are read through one open file, since the streamed fits load many small
+    matrices and each open costs about as much as reading a small one.
     """
-    rows, cols, dtype = read_header(path)
-    expected = HEADER_SIZE + rows * cols * dtype.itemsize
-    actual = Path(path).stat().st_size
-    if actual != expected:
-        raise FormatError(f"{path}: expected {expected} bytes, found {actual} (truncated or padded)")
-    if row_range is None:
-        start, stop = 0, rows
-    else:
-        start, stop = row_range
-        if not (0 <= start < stop <= rows):
-            raise ValueError(f"{path}: row range [{start}, {stop}) out of bounds for {rows} rows")
-    count = (stop - start) * cols
-    offset = HEADER_SIZE + start * cols * dtype.itemsize
-    data = np.fromfile(path, dtype=dtype, count=count, offset=offset)
+    with open(path, "rb") as f:
+        rows, cols, dtype = _parse_header(f.read(HEADER_SIZE), path)
+        expected = HEADER_SIZE + rows * cols * dtype.itemsize
+        actual = os.fstat(f.fileno()).st_size
+        if actual != expected:
+            raise FormatError(
+                f"{path}: expected {expected} bytes, found {actual} (truncated or padded)")
+        if row_range is None:
+            start, stop = 0, rows
+        else:
+            start, stop = row_range
+            if not (0 <= start < stop <= rows):
+                raise ValueError(
+                    f"{path}: row range [{start}, {stop}) out of bounds for {rows} rows")
+        count = (stop - start) * cols
+        f.seek(HEADER_SIZE + start * cols * dtype.itemsize)
+        data = np.fromfile(f, dtype=dtype, count=count)
     if data.size != count:
         raise FormatError(f"{path}: short read")
     return data.reshape(stop - start, cols)
@@ -155,11 +164,17 @@ class DatasetManifest:
 
     def load_run(self, subject: int, run: int, rows: tuple[int, int] | None = None) -> np.ndarray:
         """Subject ``subject``'s run ``run``, or only its rows [start, stop)
-        given ``rows``."""
+        given ``rows``, checked against the manifest's shape."""
+        path = self.runs[subject][run]
+        start, stop = (0, self.t_per_run[run]) if rows is None else rows
         try:
-            return load_matrix(self.runs[subject][run], row_range=rows)
+            x = load_matrix(path, row_range=rows)
+            if x.shape != (stop - start, self.v):
+                raise FormatError(f"{path}: read {x.shape[0]}x{x.shape[1]}, manifest expects "
+                                  f"{stop - start}x{self.v}")
         except Exception as exc:
             raise self._load_error(subject, run, exc) from exc
+        return x
 
     def run_blocks(self, subject: int, run: int, block_rows: int):
         """Yield (start, stop, rows [start, stop) of the run) over successive

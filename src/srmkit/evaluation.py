@@ -12,6 +12,8 @@ to a fitted model; the CLI and the bench harness use it too.
 
 from __future__ import annotations
 
+import tempfile
+from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -19,7 +21,7 @@ import numpy as np
 
 from .dataio import DatasetManifest
 from .fastsrm import _check_atlas, fastsrm_fit, reduce_dataset
-from .srm import SrmModel, _check_fit_args, _project_sum, detsrm_fit, probsrm_fit
+from .srm import SrmModel, _check_fit_args, _project_sum, _staged_dir, detsrm_fit, probsrm_fit
 
 DEGENERATE_SS = 1e-24
 ROI_THRESHOLD = 0.05  # reference cut for "informative" voxels
@@ -112,15 +114,19 @@ def fit(
     fastsrm streams the runs from disk and needs ``atlas``; the
     full-resolution fits load the whole dataset. Every fit writes its model
     to ``component_dir`` if given: fastsrm subject by subject as it recovers
-    the components, the others once the dataset is released.
+    the components, the others once the dataset is released. Either way
+    the model is written into a sibling ``<name>.<token>.tmp``, made before
+    any run is read, that then replaces ``component_dir`` whole.
     """
     _check_fit_inputs(manifest, algorithm, k, atlas, n_iter, n_jobs)
     if algorithm == "fastsrm":
         return fastsrm_fit(manifest, atlas, k, n_iter, seed, n_jobs, component_dir)
     solver = detsrm_fit if algorithm == "detsrm" else probsrm_fit
-    model, _ = solver(manifest.load_all(), k, n_iter=n_iter, seed=seed, n_jobs=n_jobs)
-    if component_dir is not None:
-        model.save(component_dir)
+    staged = nullcontext() if component_dir is None else _staged_dir(Path(component_dir))
+    with staged as staging:
+        model, _ = solver(manifest.load_all(), k, n_iter=n_iter, seed=seed, n_jobs=n_jobs)
+        if staging is not None:
+            model._write(staging)
     return model
 
 
@@ -181,8 +187,10 @@ def cosmoothing(
 
     fastsrm projects each run through the atlas once per evaluation (n*m
     projections, not n*m*(m-1)): the first fold, which reads every run
-    anyway, projects the whole dataset, and every fold fits on it without
-    its left-out run.
+    anyway, writes the whole dataset's projections into one ``srmkit-*``
+    directory under :func:`tempfile.gettempdir`, and every fold fits on
+    them without its left-out run. The directory is removed when the
+    evaluation ends or fails.
     """
     if manifest.n_runs < 2:
         raise ValueError("co-smoothing needs at least 2 runs")
@@ -190,21 +198,23 @@ def cosmoothing(
         raise ValueError("co-smoothing needs at least 2 subjects")
     _check_fit_inputs(manifest, algorithm, k, atlas, n_iter, n_jobs, held_out=True)
     folds = []
-    for s in range(manifest.n_runs):
-        try:
-            training = manifest.without_run(s)
-            fit_seed = fold_seed(seed, s)
-            if algorithm == "fastsrm":
-                if s == 0:  # fold 0 reads every run anyway, so a bad run fails fold 0
-                    reduced = reduce_dataset(manifest, atlas, n_jobs=n_jobs)
-                held_in = [runs[:s] + runs[s + 1:] for runs in reduced]
-                model = fastsrm_fit(training, atlas, k, n_iter, fit_seed, n_jobs, reduced=held_in)
-            else:
-                model = fit(training, algorithm, k, atlas, n_iter, fit_seed, n_jobs)
-            folds.extend(_score_left_out_run(manifest, model.spatial, s))
-            del model  # release the components before the next fold's fit
-        except Exception as exc:
-            raise RuntimeError(f"fold with left-out run {s} failed: {exc}") from exc
+    fast = algorithm == "fastsrm"
+    with tempfile.TemporaryDirectory(prefix="srmkit-") if fast else nullcontext() as spill_dir:
+        for s in range(manifest.n_runs):
+            try:
+                training = manifest.without_run(s)
+                fit_seed = fold_seed(seed, s)
+                if fast:
+                    if s == 0:  # fold 0 reads every run anyway, so a bad run fails fold 0
+                        reduced = reduce_dataset(manifest, atlas, spill_dir, n_jobs=n_jobs)
+                    model = fastsrm_fit(training, atlas, k, n_iter, fit_seed, n_jobs,
+                                        reduced=reduced.without_run(s))
+                else:
+                    model = fit(training, algorithm, k, atlas, n_iter, fit_seed, n_jobs)
+                folds.extend(_score_left_out_run(manifest, model.spatial, s))
+                del model  # release the components before the next fold's fit
+            except Exception as exc:
+                raise RuntimeError(f"fold with left-out run {s} failed: {exc}") from exc
     folds.sort(key=lambda f: (f.left_out_subject, f.left_out_run))
     return CosmoothingResult(folds=folds, algorithm=algorithm, k=k)
 

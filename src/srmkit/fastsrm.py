@@ -3,15 +3,18 @@ response in parcel space, then recover full-resolution components by
 orthonormal regression.
 
 Full-resolution runs are streamed from disk in blocks of rows and never
-held whole: the process keeps the reduced data (small by construction), the
-atlas, the k x v accumulators and one row block per worker. Recovered
-components are kept in memory, or, given a model directory, written there
-one subject at a time so that peak memory stays independent of the subject
-count.
+held whole. Each reduced run is written to a spill directory as soon as it
+is projected, and the parcel-space fit reads the reduced runs back one at a
+time. So the process holds one row block per worker, the k x v
+accumulators, the atlas and every subject's k x c parcel-space components,
+while the reduced data stays on disk. Recovered components are kept in
+memory, or, given a model directory, written there one subject at a time.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import tempfile
 from contextlib import nullcontext
 from pathlib import Path
 
@@ -23,6 +26,7 @@ from .srm import (COMPONENT_FILE, SrmModel, _check_fit_args, _map_subjects, _sav
                   _staged_dir, _subject_step, detsrm_fit)
 
 BLOCK_BYTES = 8 << 20  # float64 bytes of run rows read from disk at a time
+REDUCED_FILE = "sub-{:03d}_run-{:03d}.srmb"  # subject i, run s in reduce_dataset's directory
 
 
 def _block_rows(v: int, min_bytes: int = 0) -> int:
@@ -30,6 +34,27 @@ def _block_rows(v: int, min_bytes: int = 0) -> int:
     if larger, of float64 rows of v voxels, and at least one row. The block
     size never depends on ``n_jobs``, so results do not either."""
     return max(1, max(BLOCK_BYTES, min_bytes) // (8 * v))
+
+
+class _RunsView:
+    """[subject][run] view of a manifest's runs that reads a run from disk
+    each time it is indexed or reached by iteration, so that a fit over it
+    holds only the runs it is using."""
+
+    def __init__(self, manifest: DatasetManifest, subject: int | None = None):
+        self._manifest = manifest
+        self._subject = subject
+
+    def __len__(self) -> int:
+        return self._manifest.n_subjects if self._subject is None else self._manifest.n_runs
+
+    def __getitem__(self, j: int):
+        if self._subject is None:
+            return _RunsView(self._manifest, j)
+        return self._manifest.load_run(self._subject, j)
+
+    def __iter__(self):
+        return (self[j] for j in range(len(self)))
 
 
 def _check_atlas(atlas: Atlas, k: int, v: int) -> None:
@@ -41,19 +66,23 @@ def _check_atlas(atlas: Atlas, k: int, v: int) -> None:
 
 
 def reduce_dataset(
-    manifest: DatasetManifest, atlas: Atlas, n_jobs: int = 1
-) -> list[list[np.ndarray]]:
-    """Project every run into parcel space (float64), indexed [subject][run].
+    manifest: DatasetManifest, atlas: Atlas, directory: str | Path, n_jobs: int = 1
+) -> DatasetManifest:
+    """Project every run into parcel space and write each t x c projection
+    (float64) into the existing ``directory`` as soon as it is made.
 
-    Runs are read from disk a block of rows at a time per worker and each
-    block is projected on its own; only the t x c projections are retained.
-    A partition's projection is row-local, so its result is bit-identical to
-    projecting whole runs. A probabilistic atlas's blocks are at least as
+    Returns the manifest over those files: the subjects, run lengths and
+    run indices of ``manifest``, with ``atlas.c`` columns. Runs are read
+    from disk a block of rows at a time per worker and each block is
+    projected on its own, so a worker holds one block and one reduced run.
+    A partition's projection is row-local, so its result is bit-identical
+    to projecting whole runs. A probabilistic atlas's blocks are at least as
     large as its dense c x v weights, since each block's product repacks
     them; where a run spans several blocks, the result agrees with the
     whole-run product to rounding (BLAS may order a row's sum by the number
     of rows it is given).
     """
+    directory = Path(directory)
     dense = atlas.weights.nbytes if atlas.kind == "probabilistic" else 0
     rows = _block_rows(manifest.v, dense)
 
@@ -61,12 +90,16 @@ def reduce_dataset(
         out = np.empty((manifest.t_per_run[s], atlas.c))
         for start, stop, x in manifest.run_blocks(i, s, rows):
             out[start:stop] = project_run(x, atlas)
-        return out
+            del x  # released before the next block is read
+        path = directory / REDUCED_FILE.format(i, s)
+        save_matrix(out, path)
+        return path
 
     def reduce_subject(i):
-        return [reduce_run(i, s) for s in range(manifest.n_runs)]
+        return tuple(reduce_run(i, s) for s in range(manifest.n_runs))
 
-    return _map_subjects(reduce_subject, manifest.n_subjects, n_jobs)
+    runs = _map_subjects(reduce_subject, manifest.n_subjects, n_jobs)
+    return dataclasses.replace(manifest, runs=tuple(runs), v=atlas.c)
 
 
 def recover_components(
@@ -111,19 +144,12 @@ def recover_components(
     return _map_subjects(recover_subject, manifest.n_subjects, n_jobs)
 
 
-def _check_reduced(reduced, manifest: DatasetManifest, atlas: Atlas) -> None:
-    if len(reduced) != manifest.n_subjects:
-        raise ValueError(f"reduced data has {len(reduced)} subjects, "
-                         f"dataset has {manifest.n_subjects}")
-    for i, runs in enumerate(reduced):
-        if len(runs) != manifest.n_runs:
-            raise ValueError(f"subject {i}: reduced data has {len(runs)} runs, "
-                             f"dataset has {manifest.n_runs}")
-        for s, x in enumerate(runs):
-            expected = (manifest.t_per_run[s], atlas.c)
-            if np.shape(x) != expected:
-                raise ValueError(f"subject {i}, run {s}: reduced run has shape "
-                                 f"{np.shape(x)}, expected {expected}")
+def _check_reduced(reduced: DatasetManifest, manifest: DatasetManifest, atlas: Atlas) -> None:
+    found = (reduced.n_subjects, reduced.t_per_run, reduced.v)
+    expected = (manifest.n_subjects, manifest.t_per_run, atlas.c)
+    if found != expected:
+        raise ValueError(f"reduced data has (subjects, timeframes per run, parcels) {found}, "
+                         f"expected {expected}")
 
 
 def fastsrm_fit(
@@ -135,7 +161,7 @@ def fastsrm_fit(
     n_jobs: int = 1,
     component_dir: str | Path | None = None,
     *,
-    reduced=None,
+    reduced: DatasetManifest | None = None,
 ) -> SrmModel:
     """Fit spatial components through the atlas-compressed pipeline.
 
@@ -151,12 +177,15 @@ def fastsrm_fit(
     ``<name>.<token>.tmp`` that then replaces it whole, and the returned model
     reads them there. A failed fit leaves a model already there intact.
 
-    ``reduced`` replaces step 1 with runs already projected through
-    ``atlas``, indexed [subject][run] in the order of ``manifest`` (as
-    :func:`reduce_dataset` returns them); run s of every subject must be
-    t_s x c. Given the projections of the same runs, the result is
-    bit-identical to the fit that projects them itself. Cross-validation
-    uses it to project each run once for all of its folds.
+    Step 1 writes the reduced runs into a new ``srmkit-*`` directory under
+    :func:`tempfile.gettempdir` (``TMPDIR``), made before any run is read and
+    removed once step 2 ends or the fit fails; step 2 reads them back one
+    at a time. ``reduced`` replaces step 1 with the manifest of runs already
+    projected through ``atlas``, as :func:`reduce_dataset` returns it: the
+    subjects and run lengths of ``manifest``, with c columns. Given the
+    projections of the same runs, the result is bit-identical to the fit
+    that projects them itself. Cross-validation uses it to project each run
+    once for all of its folds.
 
     The returned model carries ``trace`` (the reduced-space fit trace) and
     ``reduced_shared`` (the step-2 shared response, one t_s x k array per
@@ -168,12 +197,15 @@ def fastsrm_fit(
     # the staging directory is made, or fails, before any run is read
     staged = nullcontext() if component_dir is None else _staged_dir(Path(component_dir))
     with staged as staging:
-        if reduced is None:
-            reduced = reduce_dataset(manifest, atlas, n_jobs=n_jobs)
-        else:
-            _check_reduced(reduced, manifest, atlas)
-        reduced_model, reduced_shared = detsrm_fit(reduced, k, n_iter=n_iter, seed=seed, n_jobs=1)
-        del reduced
+        spill = tempfile.TemporaryDirectory(prefix="srmkit-") if reduced is None else nullcontext()
+        with spill as spill_dir:
+            if reduced is None:
+                reduced = reduce_dataset(manifest, atlas, spill_dir, n_jobs=n_jobs)
+            else:
+                _check_reduced(reduced, manifest, atlas)
+            reduced_model, reduced_shared = detsrm_fit(
+                _RunsView(reduced), k, n_iter=n_iter, seed=seed, n_jobs=1
+            )
 
         spatial = recover_components(
             manifest, reduced_shared, n_jobs=n_jobs, component_dir=staging

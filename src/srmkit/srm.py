@@ -183,17 +183,20 @@ class SrmModel:
         directory, which then replaces ``directory`` whole, so a failed save
         leaves a model already at ``directory`` intact.
         """
-        directory = Path(directory)
-        with _staged_dir(directory) as staging:
-            for i in range(self.n):
-                dest = staging / COMPONENT_FILE.format(i)
-                if self.is_on_disk(i):
-                    shutil.copyfile(self.spatial[i], dest)
-                else:
-                    save_matrix(np.asarray(self.spatial[i], dtype=np.float64), dest)
-            if self.sigma_s is not None:
-                save_matrix(self.sigma_s, staging / SIGMA_S_FILE)
-            _save_descriptor(staging, self.k, self.v, self.n, self.sigma_sq, self.sigma_s)
+        with _staged_dir(Path(directory)) as staging:
+            self._write(staging)
+
+    def _write(self, directory: Path) -> None:
+        """Write the model's files into the empty, existing ``directory``."""
+        for i in range(self.n):
+            dest = directory / COMPONENT_FILE.format(i)
+            if self.is_on_disk(i):
+                shutil.copyfile(self.spatial[i], dest)
+            else:
+                save_matrix(np.asarray(self.spatial[i], dtype=np.float64), dest)
+        if self.sigma_s is not None:
+            save_matrix(self.sigma_s, directory / SIGMA_S_FILE)
+        _save_descriptor(directory, self.k, self.v, self.n, self.sigma_sq, self.sigma_s)
 
     @classmethod
     def load(cls, directory) -> "SrmModel":
@@ -267,7 +270,9 @@ def check_orthonormal(w: np.ndarray, tol: float = ORTHONORMALITY_TOL) -> None:
 
 
 def _validate_stack(data):
-    """Check the [subject][run] layout and return (n, m, t_per_run, v)."""
+    """Check the [subject][run] layout and return (n, m, t_per_run, v).
+    Each run is released before the next one is drawn, so ``data`` may read
+    its runs from disk as they are indexed."""
     n = len(data)
     if n < 1:
         raise ValueError("need at least one subject")
@@ -279,7 +284,8 @@ def _validate_stack(data):
     v = data[0][0].shape[1]
     t_per_run = [data[0][s].shape[0] for s in range(m)]
     for i, runs in enumerate(data):
-        for s, x in enumerate(runs):
+        for s in range(m):  # not enumerate(), whose reused result tuple would hold the last run
+            x = runs[s]
             if x.ndim != 2:
                 raise ValueError(f"subject {i} run {s}: expected a matrix")
             if x.shape != (t_per_run[s], v):
@@ -288,6 +294,7 @@ def _validate_stack(data):
                 )
             if not np.all(np.isfinite(x)):
                 raise ValueError(f"subject {i} run {s}: non-finite values")
+            del x
     return n, m, t_per_run, v
 
 
@@ -336,26 +343,28 @@ def _subject_step(shared, blocks, v):
     yields (start, stop, X_s[start:stop]) over the rows of the subject's run
     s: an in-memory run is one block, a run streamed from disk is read a
     block at a time. Each block's product S_s[start:stop]^T X_s[start:stop]
-    is added in row order, and a float32 block is upcast on its own. Returns
-    the Procrustes solution and its singular values. The accumulator and the
-    scratch product are per call, so worker threads never share them.
+    is added in row order, and a float32 block is upcast on its own; each
+    block is released before the next one is drawn. Returns the Procrustes
+    solution and its singular values. The accumulator and the scratch
+    product are per call, so worker threads never share them.
     """
     acc = np.zeros((shared[0].shape[1], v), dtype=np.float64)
     scratch = np.empty_like(acc)
     for s, sh in enumerate(shared):
         for start, stop, x in blocks(s):
             acc += np.matmul(sh[start:stop].T, x, out=scratch)
+            del x
     return _procrustes_svd(acc)
 
 
 def _sum_squares(runs) -> float:
-    """sum_s ||X_s||_F^2, accumulated in float64 in run order. Each run's
-    float64 upcast is released before the next one is made."""
+    """sum_s ||X_s||_F^2, accumulated in float64 in run order. Each run and
+    its float64 upcast are released before the next run is drawn."""
     total = 0.0
     for x in runs:
         f = np.asarray(x, dtype=np.float64).ravel()
         total += float(np.dot(f, f))
-        del f
+        del x, f
     return total
 
 
@@ -372,13 +381,19 @@ def _centered_sum_squares(runs) -> float:
     return total
 
 
-def _update_components(data, shared, ssq, n_jobs):
+def _update_components(data, shared, ssq, v, n_jobs):
     """Procrustes step of every subject. Returns the components and, per
     subject, ssq[i] - 2 sum(d_i) with d_i the singular values of S^T X_i;
-    adding ||S||^2 gives ||X_i - S W_i||^2, since W_i has orthonormal rows."""
+    adding ||S||^2 gives ||X_i - S W_i||^2, since W_i has orthonormal rows.
+    Each run of ``data`` is drawn once, as one block."""
     def step(i):
-        runs = data[i]  # each in-memory run is one block
-        w, d = _subject_step(shared, lambda s: [(0, len(runs[s]), runs[s])], runs[0].shape[1])
+        runs = data[i]
+
+        def whole(s):
+            x = runs[s]
+            return [(0, len(x), x)]
+
+        w, d = _subject_step(shared, whole, v)
         return w, ssq[i] - 2.0 * float(np.sum(d))
 
     updated = _map_subjects(step, len(data), n_jobs)
@@ -396,7 +411,10 @@ def detsrm_fit(data, k: int, n_iter: int = 10, seed=0, n_jobs: int = 1):
     ----------
     data : list of list of ndarray
         ``data[i][s]`` is the t_s x v matrix of subject i, run s. All
-        subjects share v and, within a run, t_s.
+        subjects share v and, within a run, t_s. Runs are drawn by index or
+        iteration, one at a time and never held from one draw to the next,
+        so ``data`` may be a [subject][run] view that reads each run from
+        disk when it is indexed.
     k : int
         Number of components; at least 1 and at most min(v, total timeframes).
     n_iter : int
@@ -424,8 +442,8 @@ def detsrm_fit(data, k: int, n_iter: int = 10, seed=0, n_jobs: int = 1):
     ssq = [_sum_squares(runs) for runs in data]
     trace = []
     for _ in range(n_iter):
-        shared = [update_shared([data[i][s] for i in range(n)], spatial) for s in range(m)]
-        spatial, partial = _update_components(data, shared, ssq, n_jobs)
+        shared = [update_shared((data[i][s] for i in range(n)), spatial) for s in range(m)]
+        spatial, partial = _update_components(data, shared, ssq, v, n_jobs)
         trace.append(max(sum(partial) + n * _sum_squares(shared), 0.0))
     model = SrmModel(spatial)
     model.trace = trace
@@ -507,7 +525,7 @@ def probsrm_fit(data, k: int, n_iter: int = 10, seed=0, n_jobs: int = 1):
 
         # S^T X = S^T (X - 1 mu^T) needs column-centered S; mu is only centered to rounding
         centered = [mu - mu.mean(axis=0) for mu in post_means]
-        spatial, partial = _update_components(data, centered, ssq, n_jobs)
+        spatial, partial = _update_components(data, centered, ssq, v, n_jobs)
         post_var = total_t * float(np.trace(post_cov))
         sigma_sq = np.array([max((p + post_var + msq) / (total_t * v), 1e-30) for p in partial])
 

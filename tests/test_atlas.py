@@ -150,3 +150,20 @@ class TestLoadAtlas:
         save_atlas(prob, tmp_path / "b.srmb")
         back = load_atlas(tmp_path / "b.srmb")
         assert np.array_equal(back.weights, prob.weights)
+
+
+def test_partition_projection_reads_rows_in_place():
+    # The projection must not copy its input: a 52 x 20,000 block is 8 MiB,
+    # and the traced peak stays under a tenth of it.
+    import tracemalloc
+
+    x = np.random.default_rng(5).standard_normal((52, 20_000))
+    atlas = balanced_partition(20_000, 200, seed=6)
+    tracemalloc.start()
+    try:
+        out = project_run(x, atlas)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (52, 200)
+    assert peak < 0.1 * x.nbytes, f"peak {peak / x.nbytes:.2f} inputs"

@@ -1,3 +1,5 @@
+import tempfile
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -242,6 +244,29 @@ class TestCosmoothing:
             with pytest.raises(ValueError, match=match):
                 call()
 
+    def test_fastsrm_removes_its_spill(self, make_dataset, monkeypatch, tmp_path):
+        manifest, _ = make_dataset(n=3, m=3, t_list=(20, 20, 20), v=40, k=2, sigma=0.5, seed=28)
+        root = tmp_path / "tmpdir"
+        root.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(root))
+        atlas = balanced_partition(40, 8, seed=4)
+
+        def evaluate():
+            return cosmoothing(manifest, "fastsrm", k=2, atlas=atlas, n_iter=2, seed=0)
+
+        assert len(evaluate().folds) == 9
+        assert list(root.glob("srmkit-*")) == []
+
+        def score_or_fail(manifest, spatial, run):  # the last fold fails, after every fit
+            if run == 2:
+                raise ArithmeticError("scoring failed")
+            return []
+
+        monkeypatch.setattr(srmkit.evaluation, "_score_left_out_run", score_or_fail)
+        with pytest.raises(RuntimeError, match="left-out run 2"):
+            evaluate()
+        assert list(root.glob("srmkit-*")) == []
+
     @pytest.mark.parametrize("n_jobs", [1, 2])
     def test_fastsrm_folds_recompute_bit_for_bit(self, make_dataset, n_jobs):
         manifest, _ = make_dataset(
@@ -289,3 +314,22 @@ class TestCosmoothing:
             cosmoothing(manifest, algorithm, k=2, atlas=atlas, n_iter=2, seed=0)
         assert "subject 1, run 2" in str(info.value)
         assert str(target) in str(info.value)
+
+
+@pytest.mark.parametrize("algorithm", ["detsrm", "probsrm"])
+def test_unusable_component_dir_fails_before_any_load(make_dataset, monkeypatch, tmp_path,
+                                                      algorithm):
+    manifest, _ = make_dataset(n=3, m=2, v=30, k=3, sigma=0.2, seed=44)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    loads = []
+    real_load = srmkit.dataio.DatasetManifest.load_run
+
+    def counting_load(self, *args, **kwargs):
+        loads.append(args)
+        return real_load(self, *args, **kwargs)
+
+    monkeypatch.setattr(srmkit.dataio.DatasetManifest, "load_run", counting_load)
+    with pytest.raises(OSError):
+        srmkit.fit(manifest, algorithm, k=3, n_iter=2, component_dir=blocker / "model")
+    assert loads == []

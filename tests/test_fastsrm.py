@@ -1,3 +1,6 @@
+import dataclasses
+import tempfile
+
 import numpy as np
 import pytest
 
@@ -48,11 +51,11 @@ def test_atlas_dataset_mismatch(make_dataset):
         fastsrm_fit(manifest, atlas, k=4, n_iter=2)
 
 
-def test_given_reduced_runs_fit_is_byte_identical(make_dataset):
+def test_given_reduced_runs_fit_is_byte_identical(make_dataset, tmp_path):
     manifest, _ = make_dataset(n=3, m=3, t_list=(20, 25, 15), v=50, k=3, sigma=0.4, seed=16)
     atlas = balanced_partition(50, 10, seed=8)
     cfg = dict(k=3, n_iter=5, seed=2)
-    reduced = reduce_dataset(manifest, atlas)
+    reduced = reduce_dataset(manifest, atlas, tmp_path)
     given = fastsrm_fit(manifest, atlas, **cfg, reduced=reduced)
     own = fastsrm_fit(manifest, atlas, **cfg)
     for i in range(3):
@@ -60,22 +63,25 @@ def test_given_reduced_runs_fit_is_byte_identical(make_dataset):
     assert given.trace == own.trace
 
 
-def test_given_reduced_runs_are_validated(make_dataset):
+def test_given_reduced_runs_are_validated(make_dataset, tmp_path):
     manifest, _ = make_dataset(n=3, m=2, t_list=(20, 25), v=50, k=3, sigma=0.4, seed=17)
     atlas = balanced_partition(50, 10, seed=9)
     cfg = dict(k=3, n_iter=2, seed=0)
-    reduced = reduce_dataset(manifest, atlas)
-    wrong_t = [list(runs) for runs in reduced]
-    wrong_t[1][1] = wrong_t[1][1][:-1]
-    wrong_c = [[x[:, :-1] for x in runs] for runs in reduced]
+    reduced = reduce_dataset(manifest, atlas, tmp_path)
     for bad, match in (
-        (reduced[:2], "2 subjects"),
-        ([runs[:1] for runs in reduced], "1 runs"),
-        (wrong_t, r"subject 1, run 1: .*\(24, 10\)"),
-        (wrong_c, r"subject 0, run 0: .*\(20, 9\)"),
+        (dataclasses.replace(reduced, subjects=reduced.subjects[:2], runs=reduced.runs[:2]),
+         r"\(2, \(20, 25\), 10\), expected \(3, \(20, 25\), 10\)"),
+        (reduced.without_run(1), r"\(3, \(20,\), 10\), expected \(3, \(20, 25\), 10\)"),
+        (dataclasses.replace(reduced, t_per_run=(20, 24)), r"\(20, 24\)"),
+        (dataclasses.replace(reduced, v=9), r"\(3, \(20, 25\), 9\)"),
     ):
         with pytest.raises(ValueError, match=match):
             fastsrm_fit(manifest, atlas, **cfg, reduced=bad)
+    # a file that disagrees with its manifest fails when the reduced fit reads it
+    target = reduced.runs[1][1]
+    dataio.save_matrix(np.ones((24, 10)), target)
+    with pytest.raises(RuntimeError, match=r"subject 1, run 1: .*24x10, manifest expects 25x10"):
+        fastsrm_fit(manifest, atlas, **cfg, reduced=reduced)
 
 
 def test_config_validation(make_dataset):
@@ -258,7 +264,7 @@ def _small_blocks(monkeypatch, rows, v):
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 @pytest.mark.parametrize("kind", ["partition", "probabilistic"])
-def test_streamed_reduction_matches_whole_runs(make_dataset, monkeypatch, kind, dtype):
+def test_streamed_reduction_matches_whole_runs(make_dataset, monkeypatch, tmp_path, kind, dtype):
     # 7-row blocks over runs of 30 and 25 rows: neither is a multiple of the block.
     # Partition projection is row-local, so blocks give the same bytes. The
     # dense product of a probabilistic atlas goes through BLAS, whose
@@ -279,16 +285,17 @@ def test_streamed_reduction_matches_whole_runs(make_dataset, monkeypatch, kind, 
         return project(x, a)
 
     monkeypatch.setattr(fastsrm, "project_run", counting)
-    streamed = reduce_dataset(manifest, atlas)
+    reduced = reduce_dataset(manifest, atlas, tmp_path)
     assert sorted(set(calls)) == [2, 4, 7]  # 7-row blocks; 30 and 25 rows leave 2 and 4
     for i in range(2):
         for s in range(2):
             whole = project(manifest.load_run(i, s), atlas).astype(np.float64, copy=False)
-            assert streamed[i][s].dtype == np.float64
+            streamed = reduced.load_run(i, s)
+            assert streamed.dtype == np.float64
             if kind == "partition":
-                assert streamed[i][s].tobytes() == whole.tobytes()
+                assert streamed.tobytes() == whole.tobytes()
             else:
-                assert np.max(np.abs(streamed[i][s] - whole)) <= 1e-12 * np.max(np.abs(whole))
+                assert np.max(np.abs(streamed - whole)) <= 1e-12 * np.max(np.abs(whole))
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -322,6 +329,98 @@ def test_float32_recovery_holds_less_than_one_float64_run(make_dataset, monkeypa
     finally:
         tracemalloc.stop()
     assert peak < run_bytes, f"peak {peak / run_bytes:.2f} float64 runs"
+
+
+def test_streamed_subject_step_holds_one_block(make_dataset):
+    # Each block is released before the next is read: over a run of 4
+    # blocks the peak is one block, the k x v accumulator and its scratch.
+    import tracemalloc
+
+    rows, v, k = 50, 2000, 3
+    manifest, _ = make_dataset(n=1, m=1, t_list=(4 * rows,), v=v, k=k, sigma=0.3, seed=39)
+    shared = [np.random.default_rng(40).standard_normal((4 * rows, k))]
+    block, buffers = rows * v * 8, 2 * k * v * 8
+    tracemalloc.start()
+    try:
+        _subject_step(shared, lambda s: manifest.run_blocks(0, s, rows), v)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * block + buffers, f"peak {(peak - buffers) / block:.2f} blocks"
+
+
+def _spill_dirs(root):
+    return sorted(p.name for p in root.glob("srmkit-*"))
+
+
+@pytest.fixture
+def spill_root(tmp_path, monkeypatch):
+    """A fresh directory that tempfile.gettempdir() returns."""
+    root = tmp_path / "tmpdir"
+    root.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(root))
+    return root
+
+
+def test_fit_spills_reduced_runs_and_removes_them(make_dataset, monkeypatch, spill_root):
+    manifest, _ = make_dataset(n=3, m=2, v=40, k=3, sigma=0.2, seed=41)
+    atlas = balanced_partition(40, 8, seed=4)
+    seen = []
+    reduced_fit = fastsrm.detsrm_fit
+
+    def listing_fit(*args, **kwargs):
+        seen.extend(f.name for d in spill_root.glob("srmkit-*") for f in d.iterdir())
+        return reduced_fit(*args, **kwargs)
+
+    monkeypatch.setattr(fastsrm, "detsrm_fit", listing_fit)
+    fastsrm_fit(manifest, atlas, k=3, n_iter=2)
+    assert sorted(seen) == [fastsrm.REDUCED_FILE.format(i, s) for i in range(3) for s in range(2)]
+    assert _spill_dirs(spill_root) == []
+
+
+def test_failed_fit_removes_its_spill(make_dataset, monkeypatch, spill_root):
+    manifest, _ = make_dataset(n=3, m=2, v=40, k=3, sigma=0.2, seed=42)
+    atlas = balanced_partition(40, 8, seed=4)
+    # dies in the reduced fit, with every reduced run on disk
+    spilled = []
+
+    def failing_fit(*args, **kwargs):
+        spilled.extend(_spill_dirs(spill_root))
+        raise FloatingPointError("reduced fit failed")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(fastsrm, "detsrm_fit", failing_fit)
+        with pytest.raises(FloatingPointError):
+            fastsrm_fit(manifest, atlas, k=3, n_iter=2)
+    assert len(spilled) == 1
+    assert _spill_dirs(spill_root) == []
+    # dies mid-reduction: subject 0's runs are written before subject 2's is found truncated
+    target = manifest.runs[2][1]
+    target.write_bytes(target.read_bytes()[:-8])
+    with pytest.raises(RuntimeError, match="subject 2, run 1"):
+        fastsrm_fit(manifest, atlas, k=3, n_iter=2)
+    assert _spill_dirs(spill_root) == []
+
+
+def test_fit_peak_is_flat_in_subject_count(make_dataset, tmp_path):
+    # The reduced data grows by n*T*c*8 bytes (450 KiB from n=4 to n=16);
+    # spilled to disk, it adds less than a tenth of that to the peak.
+    import tracemalloc
+
+    atlas = balanced_partition(400, 40, seed=7)
+    peaks = {}
+    for n in (4, 16):
+        manifest, _ = make_dataset(n=n, m=2, t_list=(60, 60), v=400, k=3, sigma=0.3, seed=43)
+        tracemalloc.start()
+        try:
+            fastsrm_fit(manifest, atlas, k=3, n_iter=3, component_dir=tmp_path / f"model{n}")
+            _, peaks[n] = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    reduced_growth = (16 - 4) * 120 * 40 * 8
+    assert peaks[16] - peaks[4] < 0.1 * reduced_growth, (
+        f"peak grew {(peaks[16] - peaks[4]) / 1024:.0f} KiB, reduced data "
+        f"{reduced_growth / 1024:.0f} KiB")
 
 
 def test_run_truncated_between_passes_names_it(make_dataset, monkeypatch, tmp_path):
