@@ -19,14 +19,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataio import DatasetManifest
-from .fastsrm import _check_atlas, fastsrm_fit, reduce_dataset
-from .srm import SrmModel, _check_fit_args, _project_sum, _staged_dir, detsrm_fit, probsrm_fit
+from .dataio import DatasetManifest, load_matrix, save_matrix
+from .fastsrm import _check_atlas, _fit_reduced, _recover_subject, fastsrm_fit, reduce_dataset
+from .srm import (SrmModel, _check_fit_args, _map_subjects, _project_sum, _staged_dir,
+                  check_orthonormal, detsrm_fit, probsrm_fit)
 
 DEGENERATE_SS = 1e-24
 ROI_THRESHOLD = 0.05  # reference cut for "informative" voxels
 
 ALGORITHMS = ("detsrm", "probsrm", "fastsrm")
+FOLD_COMPONENT_FILE = "run-{:03d}_w_{:03d}.srmb"  # fastsrm co-smoothing spill: fold, subject
 
 
 def r2_score(pred, truth) -> float:
@@ -146,24 +148,88 @@ def _check_fit_inputs(manifest, algorithm, k, atlas, n_iter, n_jobs, held_out=Fa
     _check_fit_args(k, n_iter, n_jobs, v, frames)
 
 
-def _score_left_out_run(manifest, spatial, run, subjects=None):
+def _project_left_out(manifest, subject, run, w) -> np.ndarray:
+    """X W^T of the subject's whole run through its components w."""
+    return _project_sum([(manifest.load_run(subject, run), w)])
+
+
+def _score_run(manifest, run, component, proj, subjects=None):
     """Score reconstruction of each requested left-out subject for one run.
 
-    All subjects' projections onto their own bases are computed once; each
-    leave-one-out shared response is the ordered total minus the held-out
-    subject's projection, so recomputing any single fold reproduces its map
+    ``proj[z]`` is subject z's run projected onto its own components
+    (:func:`_project_left_out`) and ``component(z)`` returns those
+    components, read as each subject is scored. Each leave-one-out shared
+    response is the ordered total of the projections minus the held-out
+    subject's, so recomputing any single fold reproduces its map
     bit-for-bit.
     """
-    n = manifest.n_subjects
-    proj = [_project_sum([(manifest.load_run(z, run), spatial[z])]) for z in range(n)]
+    n = len(proj)
     total = sum(proj)
     folds = []
     for i in subjects if subjects is not None else range(n):
         shared = (total - proj[i]) / (n - 1)
-        pred = shared @ spatial[i]
+        pred = shared @ component(i)
         truth = manifest.load_run(i, run)
         scores, degenerate = r2_map(pred, truth)
+        del pred, truth  # released before the next subject's are made
         folds.append(R2Map(scores, degenerate, left_out_run=run, left_out_subject=i))
+    return folds
+
+
+def _score_model(manifest, model, run, subjects=None):
+    """:func:`_score_run` for a model fitted without ``run``."""
+    proj = [_project_left_out(manifest, z, run, model.spatial_component(z))
+            for z in range(manifest.n_subjects)]
+    return _score_run(manifest, run, model.spatial_component, proj, subjects)
+
+
+def _fold_error(run: int, exc: Exception) -> RuntimeError:
+    return RuntimeError(f"fold with left-out run {run} failed: {exc}")
+
+
+def _fastsrm_folds(manifest, atlas, k, n_iter, seed, n_jobs):
+    """fastsrm's co-smoothing maps, run by run, in a fixed number of passes.
+
+    After the reduce pass and the m parcel-space fits, one recovery pass per
+    subject makes that subject's components of every fold; each is checked,
+    projects the fold's left-out run and is written to the spill before the
+    next fold's is made. Scoring then reads them back one at a time.
+    """
+    n, m = manifest.n_subjects, manifest.n_runs
+    with tempfile.TemporaryDirectory(prefix="srmkit-") as spill:
+        spill = Path(spill)
+        shared = []  # [fold][run], None where the fold leaves its run out
+        for s in range(m):
+            try:
+                if s == 0:  # fold 0 reads every run anyway, so a bad run fails fold 0
+                    reduced = reduce_dataset(manifest, atlas, spill, n_jobs=n_jobs)
+                _, sh = _fit_reduced(reduced.without_run(s), k, n_iter, fold_seed(seed, s))
+            except Exception as exc:
+                raise _fold_error(s, exc) from exc
+            shared.append(sh[:s] + [None] + sh[s:])
+
+        proj = [[None] * n for _ in range(m)]  # [fold][subject] left-out run projections
+
+        def recover(i):
+            done = 0  # every fold reads every run, so a failed read fails fold 0
+            try:
+                for w, _ in _recover_subject(manifest, i, shared):
+                    check_orthonormal(w)
+                    proj[done][i] = _project_left_out(manifest, i, done, w)
+                    save_matrix(w, spill / FOLD_COMPONENT_FILE.format(done, i))
+                    del w  # released before the next fold's components are made
+                    done += 1
+            except Exception as exc:
+                raise _fold_error(done, exc) from exc
+
+        _map_subjects(recover, n, n_jobs)
+        folds = []
+        for s in range(m):
+            paths = [spill / FOLD_COMPONENT_FILE.format(s, i) for i in range(n)]
+            try:
+                folds.extend(_score_run(manifest, s, lambda i: load_matrix(paths[i]), proj[s]))
+            except Exception as exc:
+                raise _fold_error(s, exc) from exc
     return folds
 
 
@@ -185,36 +251,30 @@ def cosmoothing(
     step and is shared by all subjects of a run), so any fold can be
     recomputed in isolation. Folds are enumerated subject-major.
 
-    fastsrm projects each run through the atlas once per evaluation (n*m
-    projections, not n*m*(m-1)): the first fold, which reads every run
-    anyway, writes the whole dataset's projections into one ``srmkit-*``
-    directory under :func:`tempfile.gettempdir`, and every fold fits on
-    them without its left-out run. The directory is removed when the
-    evaluation ends or fails.
+    fastsrm reads each run four times in all, whatever the run count: to
+    project it through the atlas, to recover every fold's components, to
+    project it as a left-out run and as the truth it is scored against.
+    Its reduced runs and fold components (n*m*k*v*8 bytes) wait in one
+    ``srmkit-*`` directory under :func:`tempfile.gettempdir`, removed when
+    the evaluation ends or fails.
     """
     if manifest.n_runs < 2:
         raise ValueError("co-smoothing needs at least 2 runs")
     if manifest.n_subjects < 2:
         raise ValueError("co-smoothing needs at least 2 subjects")
     _check_fit_inputs(manifest, algorithm, k, atlas, n_iter, n_jobs, held_out=True)
-    folds = []
-    fast = algorithm == "fastsrm"
-    with tempfile.TemporaryDirectory(prefix="srmkit-") if fast else nullcontext() as spill_dir:
+    if algorithm == "fastsrm":
+        folds = _fastsrm_folds(manifest, atlas, k, n_iter, seed, n_jobs)
+    else:
+        folds = []
         for s in range(manifest.n_runs):
             try:
                 training = manifest.without_run(s)
-                fit_seed = fold_seed(seed, s)
-                if fast:
-                    if s == 0:  # fold 0 reads every run anyway, so a bad run fails fold 0
-                        reduced = reduce_dataset(manifest, atlas, spill_dir, n_jobs=n_jobs)
-                    model = fastsrm_fit(training, atlas, k, n_iter, fit_seed, n_jobs,
-                                        reduced=reduced.without_run(s))
-                else:
-                    model = fit(training, algorithm, k, atlas, n_iter, fit_seed, n_jobs)
-                folds.extend(_score_left_out_run(manifest, model.spatial, s))
+                model = fit(training, algorithm, k, atlas, n_iter, fold_seed(seed, s), n_jobs)
+                folds.extend(_score_model(manifest, model, s))
                 del model  # release the components before the next fold's fit
             except Exception as exc:
-                raise RuntimeError(f"fold with left-out run {s} failed: {exc}") from exc
+                raise _fold_error(s, exc) from exc
     folds.sort(key=lambda f: (f.left_out_subject, f.left_out_run))
     return CosmoothingResult(folds=folds, algorithm=algorithm, k=k)
 
@@ -234,7 +294,7 @@ def cosmoothing_fold(
     full sweep, so the map matches bit-for-bit."""
     training = manifest.without_run(run)
     model = fit(training, algorithm, k, atlas, n_iter, fold_seed(seed, run), n_jobs)
-    return _score_left_out_run(manifest, model.spatial, run, subjects=[subject])[0]
+    return _score_model(manifest, model, run, subjects=[subject])[0]
 
 
 def roi_mask(maps, threshold: float = ROI_THRESHOLD) -> np.ndarray:

@@ -22,8 +22,8 @@ import numpy as np
 
 from .atlas import Atlas, project_run
 from .dataio import DatasetManifest, save_matrix
-from .srm import (COMPONENT_FILE, SrmModel, _check_fit_args, _map_subjects, _save_descriptor,
-                  _staged_dir, _subject_step, detsrm_fit)
+from .srm import (COMPONENT_FILE, SrmModel, _check_fit_args, _fold_steps, _map_subjects,
+                  _save_descriptor, _staged_dir, detsrm_fit)
 
 BLOCK_BYTES = 8 << 20  # float64 bytes of run rows read from disk at a time
 REDUCED_FILE = "sub-{:03d}_run-{:03d}.srmb"  # subject i, run s in reduce_dataset's directory
@@ -102,6 +102,14 @@ def reduce_dataset(
     return dataclasses.replace(manifest, runs=tuple(runs), v=atlas.c)
 
 
+def _recover_subject(manifest: DatasetManifest, i: int, folds):
+    """Subject i's (components, singular values) for each fold of ``folds``,
+    yielded in fold order, streaming each of the subject's runs from disk once
+    in blocks of rows (see :func:`_fold_steps`, which sets out ``folds``)."""
+    rows = _block_rows(manifest.v)
+    return _fold_steps(folds, lambda s: manifest.run_blocks(i, s, rows), manifest.v)
+
+
 def recover_components(
     manifest: DatasetManifest,
     shared: list[np.ndarray],
@@ -131,10 +139,8 @@ def recover_components(
         component_dir = Path(component_dir)
         component_dir.mkdir(parents=True, exist_ok=True)
 
-    rows = _block_rows(manifest.v)
-
     def recover_subject(i):
-        w, _ = _subject_step(runs, lambda s: manifest.run_blocks(i, s, rows), manifest.v)
+        ((w, _),) = _recover_subject(manifest, i, [runs])
         if component_dir is None:
             return w
         dest = component_dir / COMPONENT_FILE.format(i)
@@ -144,12 +150,11 @@ def recover_components(
     return _map_subjects(recover_subject, manifest.n_subjects, n_jobs)
 
 
-def _check_reduced(reduced: DatasetManifest, manifest: DatasetManifest, atlas: Atlas) -> None:
-    found = (reduced.n_subjects, reduced.t_per_run, reduced.v)
-    expected = (manifest.n_subjects, manifest.t_per_run, atlas.c)
-    if found != expected:
-        raise ValueError(f"reduced data has (subjects, timeframes per run, parcels) {found}, "
-                         f"expected {expected}")
+def _fit_reduced(reduced: DatasetManifest, k: int, n_iter: int, seed):
+    """The parcel-space fit of step 2: :func:`detsrm_fit` over the reduced
+    runs of ``reduced``, read from disk one at a time. Returns (model,
+    shared)."""
+    return detsrm_fit(_RunsView(reduced), k, n_iter=n_iter, seed=seed, n_jobs=1)
 
 
 def fastsrm_fit(
@@ -160,8 +165,6 @@ def fastsrm_fit(
     seed=0,
     n_jobs: int = 1,
     component_dir: str | Path | None = None,
-    *,
-    reduced: DatasetManifest | None = None,
 ) -> SrmModel:
     """Fit spatial components through the atlas-compressed pipeline.
 
@@ -180,12 +183,7 @@ def fastsrm_fit(
     Step 1 writes the reduced runs into a new ``srmkit-*`` directory under
     :func:`tempfile.gettempdir` (``TMPDIR``), made before any run is read and
     removed once step 2 ends or the fit fails; step 2 reads them back one
-    at a time. ``reduced`` replaces step 1 with the manifest of runs already
-    projected through ``atlas``, as :func:`reduce_dataset` returns it: the
-    subjects and run lengths of ``manifest``, with c columns. Given the
-    projections of the same runs, the result is bit-identical to the fit
-    that projects them itself. Cross-validation uses it to project each run
-    once for all of its folds.
+    at a time.
 
     The returned model carries ``trace`` (the reduced-space fit trace) and
     ``reduced_shared`` (the step-2 shared response, one t_s x k array per
@@ -197,15 +195,9 @@ def fastsrm_fit(
     # the staging directory is made, or fails, before any run is read
     staged = nullcontext() if component_dir is None else _staged_dir(Path(component_dir))
     with staged as staging:
-        spill = tempfile.TemporaryDirectory(prefix="srmkit-") if reduced is None else nullcontext()
-        with spill as spill_dir:
-            if reduced is None:
-                reduced = reduce_dataset(manifest, atlas, spill_dir, n_jobs=n_jobs)
-            else:
-                _check_reduced(reduced, manifest, atlas)
-            reduced_model, reduced_shared = detsrm_fit(
-                _RunsView(reduced), k, n_iter=n_iter, seed=seed, n_jobs=1
-            )
+        with tempfile.TemporaryDirectory(prefix="srmkit-") as spill_dir:
+            reduced = reduce_dataset(manifest, atlas, spill_dir, n_jobs=n_jobs)
+            reduced_model, reduced_shared = _fit_reduced(reduced, k, n_iter, seed)
 
         spatial = recover_components(
             manifest, reduced_shared, n_jobs=n_jobs, component_dir=staging

@@ -269,10 +269,13 @@ def check_orthonormal(w: np.ndarray, tol: float = ORTHONORMALITY_TOL) -> None:
 # shared fit plumbing
 
 
-def _validate_stack(data):
-    """Check the [subject][run] layout and return (n, m, t_per_run, v).
-    Each run is released before the next one is drawn, so ``data`` may read
-    its runs from disk as they are indexed."""
+def _validate_stack(data, centered=False):
+    """Check the [subject][run] layout and return (n, m, t_per_run, v, ssq),
+    where ssq[i] is subject i's sum of squares over its runs, taken from each
+    run as it is checked: :func:`_sum_squares`, or with ``centered``
+    :func:`_centered_sum_squares`. Each run is drawn once and released before
+    the next one is drawn, so ``data`` may read its runs from disk as they
+    are indexed."""
     n = len(data)
     if n < 1:
         raise ValueError("need at least one subject")
@@ -281,21 +284,28 @@ def _validate_stack(data):
         raise ValueError("need at least one run")
     if any(len(runs) != m for runs in data):
         raise ValueError("subjects disagree on run count")
-    v = data[0][0].shape[1]
-    t_per_run = [data[0][s].shape[0] for s in range(m)]
+    square_sum = _centered_sum_squares if centered else _sum_squares
+    t_per_run, v, ssq = [], None, []
     for i, runs in enumerate(data):
+        total = 0.0
         for s in range(m):  # not enumerate(), whose reused result tuple would hold the last run
             x = runs[s]
             if x.ndim != 2:
                 raise ValueError(f"subject {i} run {s}: expected a matrix")
+            if i == 0:  # subject 0's runs set the shapes the others must match
+                if s == 0:
+                    v = x.shape[1]
+                t_per_run.append(x.shape[0])
             if x.shape != (t_per_run[s], v):
                 raise ValueError(
                     f"subject {i} run {s}: shape {x.shape}, expected ({t_per_run[s]}, {v})"
                 )
             if not np.all(np.isfinite(x)):
                 raise ValueError(f"subject {i} run {s}: non-finite values")
+            total += square_sum((x,))
             del x
-    return n, m, t_per_run, v
+        ssq.append(total)
+    return n, m, t_per_run, v, ssq
 
 
 def _check_positive(**counts) -> None:
@@ -336,25 +346,45 @@ def _map_subjects(fn, n, n_jobs):
         return list(pool.map(fn, range(n)))
 
 
-def _subject_step(shared, blocks, v):
-    """Orthonormal components of one subject given the shared response.
+def _fold_steps(folds, blocks, v):
+    """Orthonormal components of one subject for each fold of shared responses.
 
-    Accumulates sum_s S_s^T X_s in float64, in run order, where ``blocks(s)``
-    yields (start, stop, X_s[start:stop]) over the rows of the subject's run
-    s: an in-memory run is one block, a run streamed from disk is read a
-    block at a time. Each block's product S_s[start:stop]^T X_s[start:stop]
-    is added in row order, and a float32 block is upcast on its own; each
-    block is released before the next one is drawn. Returns the Procrustes
-    solution and its singular values. The accumulator and the scratch
-    product are per call, so worker threads never share them.
+    ``folds[f][s]`` is fold f's t_s x k shared response for run s, or None
+    where fold f leaves run s out. ``blocks(s)`` yields (start, stop,
+    X_s[start:stop]) over the rows of the subject's run s: an in-memory run
+    is one block, a run streamed from disk is read a block at a time. Each
+    block is drawn once, upcast to float64 once and released before the
+    next; its product S_f[start:stop]^T X_s[start:stop] is added into the
+    k x v accumulator of every fold f that trains on run s, in run and row
+    order. Each fold keeps its own product, so its sum is bit-identical to
+    that of the fold alone.
+
+    Yields, fold by fold, the Procrustes solution of the fold's accumulator
+    and its singular values, releasing the accumulator first. Accumulators
+    and the scratch product are per call, so worker threads never share
+    them.
     """
-    acc = np.zeros((shared[0].shape[1], v), dtype=np.float64)
-    scratch = np.empty_like(acc)
-    for s, sh in enumerate(shared):
+    k = next(sh for sh in folds[0] if sh is not None).shape[1]
+    acc = [np.zeros((k, v), dtype=np.float64) for _ in folds]
+    scratch = np.empty((k, v), dtype=np.float64)
+    for s in range(len(folds[0])):
+        training = [f for f, fold in enumerate(folds) if fold[s] is not None]
         for start, stop, x in blocks(s):
-            acc += np.matmul(sh[start:stop].T, x, out=scratch)
+            x = x.astype(np.float64, copy=False)
+            for f in training:
+                acc[f] += np.matmul(folds[f][s][start:stop].T, x, out=scratch)
             del x
-    return _procrustes_svd(acc)
+    del scratch
+    while acc:  # popped, so no accumulator outlives its Procrustes step
+        yield _procrustes_svd(acc.pop(0))
+
+
+def _subject_step(shared, blocks, v):
+    """Orthonormal components of one subject given the shared response, one
+    t_s x k array per run, and their singular values: :func:`_fold_steps`
+    with one fold that trains on every run."""
+    (step,) = _fold_steps([shared], blocks, v)
+    return step
 
 
 def _sum_squares(runs) -> float:
@@ -436,10 +466,9 @@ def detsrm_fit(data, k: int, n_iter: int = 10, seed=0, n_jobs: int = 1):
         sum_i (||X_i||^2 - 2 sum(d_i)) + n sum_s ||S_s||^2: exact up to
         rounding of about 1e-15 * sum_i ||X_i||^2, and clamped at 0.
     """
-    n, m, t_per_run, v = _validate_stack(data)
+    n, m, t_per_run, v, ssq = _validate_stack(data)
     _check_fit_args(k, n_iter, n_jobs, v, sum(t_per_run))
     spatial = init_spatial(n, k, v, seed)
-    ssq = [_sum_squares(runs) for runs in data]
     trace = []
     for _ in range(n_iter):
         shared = [update_shared((data[i][s] for i in range(n)), spatial) for s in range(m)]
@@ -486,11 +515,10 @@ def probsrm_fit(data, k: int, n_iter: int = 10, seed=0, n_jobs: int = 1):
     ``trace``, the log-likelihood with n_iter + 1 entries: the initial
     parameters and every update thereafter.
     """
-    n, m, t_per_run, v = _validate_stack(data)
+    n, m, t_per_run, v, ssq = _validate_stack(data, centered=True)
     total_t = sum(t_per_run)
     _check_fit_args(k, n_iter, n_jobs, v, total_t)
-
-    ssq = np.array([_centered_sum_squares(runs) for runs in data])
+    ssq = np.array(ssq)
 
     spatial = init_spatial(n, k, v, seed)
     sigma_s = np.eye(k)

@@ -257,14 +257,102 @@ class TestCosmoothing:
         assert len(evaluate().folds) == 9
         assert list(root.glob("srmkit-*")) == []
 
-        def score_or_fail(manifest, spatial, run):  # the last fold fails, after every fit
+        def score_or_fail(manifest, run, component, proj, subjects=None):
+            # the last fold fails, after every fit and the recovery pass
             if run == 2:
                 raise ArithmeticError("scoring failed")
             return []
 
-        monkeypatch.setattr(srmkit.evaluation, "_score_left_out_run", score_or_fail)
+        monkeypatch.setattr(srmkit.evaluation, "_score_run", score_or_fail)
         with pytest.raises(RuntimeError, match="left-out run 2"):
             evaluate()
+        assert list(root.glob("srmkit-*")) == []
+
+    def test_fastsrm_reads_each_run_four_times(self, make_dataset, monkeypatch):
+        # reduce, recover every fold, project as a left-out run, score: 4 * t_s
+        # rows per run whatever the run count (the parent read (m + 2) * t_s)
+        manifest, _ = make_dataset(n=3, m=4, t_list=(20, 25, 15, 20), v=40, k=2, sigma=0.5,
+                                   seed=31)
+        full = {path: manifest.t_per_run[s] for paths in manifest.runs
+                for s, path in enumerate(paths)}
+        rows_read = dict.fromkeys(full, 0)
+        load_run = srmkit.dataio.DatasetManifest.load_run
+
+        def counting_load(self, subject, run, rows=None):
+            path = self.runs[subject][run]
+            if path in rows_read:
+                start, stop = (0, self.t_per_run[run]) if rows is None else rows
+                rows_read[path] += stop - start
+            return load_run(self, subject, run, rows)
+
+        monkeypatch.setattr(srmkit.dataio.DatasetManifest, "load_run", counting_load)
+        monkeypatch.setattr(srmkit.fastsrm, "BLOCK_BYTES", 8 * 40 * 7)  # 7-row blocks
+        atlas = balanced_partition(40, 8, seed=4)
+        result = cosmoothing(manifest, "fastsrm", k=2, atlas=atlas, n_iter=2, seed=0)
+        assert len(result.folds) == 12
+        assert rows_read == {path: 4 * t for path, t in full.items()}
+
+    def test_fastsrm_peak_is_flat_in_subject_count(self, make_dataset):
+        # Every subject adds m fold maps (9 bytes a voxel each) to the result;
+        # beyond those, the peak must grow far less than the subjects' k x v
+        # components of a fold, which stay on disk.
+        import tracemalloc
+
+        m, v, k = 2, 600, 10
+        atlas = balanced_partition(v, 40, seed=7)
+        peaks = {}
+        for n in (4, 12):
+            manifest, _ = make_dataset(n=n, m=m, t_list=(30, 30), v=v, k=k, sigma=0.3, seed=46)
+            tracemalloc.start()
+            try:
+                result = cosmoothing(manifest, "fastsrm", k=k, atlas=atlas, n_iter=3, seed=0)
+                _, peaks[n] = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert len(result.folds) == n * m
+            del result
+        maps_growth = 9 * m * v * (12 - 4)
+        components_growth = 8 * k * v * (12 - 4)
+        ratio = (peaks[12] - peaks[4] - maps_growth) / components_growth
+        assert ratio < 0.25, f"peak grew {ratio:.2f} fold components beyond the maps"
+
+    def test_fastsrm_recovery_failure_removes_its_spill(self, make_dataset, monkeypatch, tmp_path):
+        manifest, _ = make_dataset(n=3, m=3, t_list=(20, 20, 20), v=40, k=2, sigma=0.5, seed=32)
+        root = tmp_path / "tmpdir"
+        root.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(root))
+        atlas = balanced_partition(40, 8, seed=4)
+        save = srmkit.evaluation.save_matrix
+
+        def save_or_fail(mat, path):  # fold 1's components cannot be written
+            if path.name.startswith("run-001_"):
+                raise OSError("disk full")
+            save(mat, path)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(srmkit.evaluation, "save_matrix", save_or_fail)
+            with pytest.raises(RuntimeError, match="left-out run 1 failed: disk full"):
+                cosmoothing(manifest, "fastsrm", k=2, atlas=atlas, n_iter=2, seed=0)
+        assert list(root.glob("srmkit-*")) == []
+
+        # a run truncated after every reduced fit fails the recovery pass; every
+        # fold reads every run there, so the first fold is named
+        target = manifest.runs[1][2]
+        fit_reduced = srmkit.evaluation._fit_reduced
+        fits = []
+
+        def fit_then_truncate(*args, **kwargs):
+            out = fit_reduced(*args, **kwargs)
+            fits.append(1)
+            if len(fits) == 3:
+                target.write_bytes(target.read_bytes()[:-8])
+            return out
+
+        monkeypatch.setattr(srmkit.evaluation, "_fit_reduced", fit_then_truncate)
+        with pytest.raises(RuntimeError, match="left-out run 0 failed") as info:
+            cosmoothing(manifest, "fastsrm", k=2, atlas=atlas, n_iter=2, seed=0)
+        assert "subject 1, run 2" in str(info.value)
+        assert str(target) in str(info.value)
         assert list(root.glob("srmkit-*")) == []
 
     @pytest.mark.parametrize("n_jobs", [1, 2])

@@ -1,4 +1,3 @@
-import dataclasses
 import tempfile
 
 import numpy as np
@@ -51,37 +50,58 @@ def test_atlas_dataset_mismatch(make_dataset):
         fastsrm_fit(manifest, atlas, k=4, n_iter=2)
 
 
-def test_given_reduced_runs_fit_is_byte_identical(make_dataset, tmp_path):
-    manifest, _ = make_dataset(n=3, m=3, t_list=(20, 25, 15), v=50, k=3, sigma=0.4, seed=16)
-    atlas = balanced_partition(50, 10, seed=8)
-    cfg = dict(k=3, n_iter=5, seed=2)
-    reduced = reduce_dataset(manifest, atlas, tmp_path)
-    given = fastsrm_fit(manifest, atlas, **cfg, reduced=reduced)
-    own = fastsrm_fit(manifest, atlas, **cfg)
-    for i in range(3):
-        assert given.spatial_component(i).tobytes() == own.spatial_component(i).tobytes()
-    assert given.trace == own.trace
+def _spill_dirs(root):
+    return sorted(p.name for p in root.glob("srmkit-*"))
 
 
-def test_given_reduced_runs_are_validated(make_dataset, tmp_path):
+@pytest.fixture
+def spill_root(tmp_path, monkeypatch):
+    """A fresh directory that tempfile.gettempdir() returns."""
+    root = tmp_path / "tmpdir"
+    root.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(root))
+    return root
+
+
+def test_reduced_file_disagreeing_with_its_manifest_fails_the_fit(
+    make_dataset, monkeypatch, spill_root
+):
     manifest, _ = make_dataset(n=3, m=2, t_list=(20, 25), v=50, k=3, sigma=0.4, seed=17)
     atlas = balanced_partition(50, 10, seed=9)
-    cfg = dict(k=3, n_iter=2, seed=0)
-    reduced = reduce_dataset(manifest, atlas, tmp_path)
-    for bad, match in (
-        (dataclasses.replace(reduced, subjects=reduced.subjects[:2], runs=reduced.runs[:2]),
-         r"\(2, \(20, 25\), 10\), expected \(3, \(20, 25\), 10\)"),
-        (reduced.without_run(1), r"\(3, \(20,\), 10\), expected \(3, \(20, 25\), 10\)"),
-        (dataclasses.replace(reduced, t_per_run=(20, 24)), r"\(20, 24\)"),
-        (dataclasses.replace(reduced, v=9), r"\(3, \(20, 25\), 9\)"),
-    ):
-        with pytest.raises(ValueError, match=match):
-            fastsrm_fit(manifest, atlas, **cfg, reduced=bad)
-    # a file that disagrees with its manifest fails when the reduced fit reads it
-    target = reduced.runs[1][1]
-    dataio.save_matrix(np.ones((24, 10)), target)
-    with pytest.raises(RuntimeError, match=r"subject 1, run 1: .*24x10, manifest expects 25x10"):
-        fastsrm_fit(manifest, atlas, **cfg, reduced=reduced)
+    reduce = fastsrm.reduce_dataset
+    targets = []
+
+    def reduce_then_shorten(*args, **kwargs):
+        reduced = reduce(*args, **kwargs)
+        targets.append(reduced.runs[1][1])
+        dataio.save_matrix(np.ones((24, 10)), targets[0])
+        return reduced
+
+    monkeypatch.setattr(fastsrm, "reduce_dataset", reduce_then_shorten)
+    match = r"subject 1, run 1: .*24x10, manifest expects 25x10"
+    with pytest.raises(RuntimeError, match=match) as info:
+        fastsrm_fit(manifest, atlas, k=3, n_iter=2, seed=0)
+    assert str(targets[0]) in str(info.value)
+    assert _spill_dirs(spill_root) == []
+
+
+def test_reduced_fit_reads_each_reduced_run_2_n_iter_plus_1_times(make_dataset, monkeypatch):
+    # one read to validate it and take its sum of squares, then two per iteration
+    n, m, n_iter = 3, 2, 4
+    manifest, _ = make_dataset(n=n, m=m, v=40, k=3, sigma=0.2, seed=45)
+    atlas = balanced_partition(40, 8, seed=4)
+    reads = []
+    load_run = dataio.DatasetManifest.load_run
+
+    def counting_load(self, subject, run, rows=None):
+        if self.v == atlas.c:  # the reduced manifest
+            reads.append((subject, run, rows))
+        return load_run(self, subject, run, rows)
+
+    monkeypatch.setattr(dataio.DatasetManifest, "load_run", counting_load)
+    fastsrm_fit(manifest, atlas, k=3, n_iter=n_iter)
+    assert len(reads) == n * m * (2 * n_iter + 1)
+    assert all(rows is None for _, _, rows in reads)  # whole reduced runs
 
 
 def test_config_validation(make_dataset):
@@ -347,19 +367,6 @@ def test_streamed_subject_step_holds_one_block(make_dataset):
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * block + buffers, f"peak {(peak - buffers) / block:.2f} blocks"
-
-
-def _spill_dirs(root):
-    return sorted(p.name for p in root.glob("srmkit-*"))
-
-
-@pytest.fixture
-def spill_root(tmp_path, monkeypatch):
-    """A fresh directory that tempfile.gettempdir() returns."""
-    root = tmp_path / "tmpdir"
-    root.mkdir()
-    monkeypatch.setattr(tempfile, "tempdir", str(root))
-    return root
 
 
 def test_fit_spills_reduced_runs_and_removes_them(make_dataset, monkeypatch, spill_root):
