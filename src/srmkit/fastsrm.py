@@ -25,7 +25,7 @@ from .dataio import DatasetManifest, save_matrix
 from .srm import (COMPONENT_FILE, SrmModel, _check_fit_args, _fold_steps, _map_subjects,
                   _save_descriptor, _staged_dir, detsrm_fit)
 
-BLOCK_BYTES = 8 << 20  # float64 bytes of run rows read from disk at a time
+BLOCK_BYTES = 8 << 20  # float64 bytes of run rows read from disk, or upcast in memory, at a time
 REDUCED_FILE = "sub-{:03d}_run-{:03d}.srmb"  # subject i, run s in reduce_dataset's directory
 
 

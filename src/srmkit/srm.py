@@ -30,10 +30,24 @@ ORTHONORMALITY_TOL = 1e-8
 SIGMA_EIG_FLOOR = 1e-10
 COMPONENT_FILE = "w_{:03d}.srmb"  # subject i's components in a model directory
 SIGMA_S_FILE = "sigma_s.srmb"
+GRAM_FLOOR = 1e-6  # smallest eigenvalue ratio of m m^T that _polar's Gram kernel accepts
 
 
-def _procrustes_svd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal row-space solution U V^T of the SVD of m, plus singular values."""
+def _polar(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Polar factor U V^T of the k x v matrix m (U D V^T its thin SVD), plus
+    its singular values in descending order.
+
+    The kernel works on the k x k Gram matrix m m^T = U D^2 U^T: the factor
+    is (m m^T)^(-1/2) m = U D^-1 U^T m and the singular values are the square
+    roots of its eigenvalues. Its error grows as the squared condition number
+    of m, so an m whose smallest Gram eigenvalue is not above ``GRAM_FLOOR``
+    times its largest (ill-conditioned, rank-deficient or zero) takes the
+    SVD of m instead.
+    """
+    e, u = np.linalg.eigh(m @ m.T)
+    if e[0] > GRAM_FLOOR * e[-1]:
+        d = np.sqrt(e)
+        return ((u / d) @ u.T) @ m, d[::-1]
     u, d, vt = np.linalg.svd(m, full_matrices=False)
     return u @ vt, d
 
@@ -53,7 +67,7 @@ def procrustes_update(m: np.ndarray) -> np.ndarray:
         raise ValueError(f"need k <= v, got {k} x {v}")
     if not np.all(np.isfinite(m)):
         raise ValueError("input contains non-finite values")
-    w, _ = _procrustes_svd(m)
+    w, _ = _polar(m)
     return w
 
 
@@ -61,16 +75,21 @@ def _project_sum(pairs, sigma_sq=None) -> np.ndarray:
     """Sum over subjects of X_i W_i^T from (X_i, W_i) pairs in subject order,
     each term divided by sigma_i^2 when ``sigma_sq`` is given.
 
-    ``pairs`` may be any iterable, so runs and disk-backed components can be
-    loaded one subject at a time: each pair is released before the next one
-    is drawn. The sum runs in subject order with a float64 accumulator, so
-    the result does not depend on scheduling.
+    A run that is not float64 is upcast and projected one row block at a
+    time (:func:`_row_blocks`) into its t x k product. ``pairs`` may be any
+    iterable, so runs and disk-backed components can be loaded one subject
+    at a time: each pair is released before the next one is drawn. The sum
+    runs in subject order with a float64 accumulator, so the result does
+    not depend on scheduling.
     """
     total = 0.0  # becomes a float64 array at the first term
     i = 0  # not enumerate(), whose reused result tuple would hold the last pair
     for x, w in pairs:
-        p = x @ w.T.astype(np.float64, copy=False)
-        del x, w
+        wt = w.T.astype(np.float64, copy=False)
+        p = np.empty((len(x), len(w)))
+        for start, stop, rows in _row_blocks(x):
+            np.matmul(rows.astype(np.float64, copy=False), wt, out=p[start:stop])
+        del x, w, wt, rows
         total += p if sigma_sq is None else p / sigma_sq[i]
         i += 1
     return total
@@ -346,23 +365,35 @@ def _map_subjects(fn, n, n_jobs):
         return list(pool.map(fn, range(n)))
 
 
+def _row_blocks(x):
+    """(start, stop, X[start:stop]) over the row blocks of the in-memory run
+    x: one block if x is float64, otherwise views of as many rows as the
+    fastsrm block rule gives to float64 rows, so that upcasting a block never
+    copies the whole run."""
+    from .fastsrm import _block_rows  # the one block-size rule; fastsrm imports this module
+
+    rows = len(x) if x.dtype == np.float64 else _block_rows(x.shape[1])
+    for start in range(0, len(x), rows):
+        yield start, min(start + rows, len(x)), x[start:start + rows]
+
+
 def _fold_steps(folds, blocks, v):
     """Orthonormal components of one subject for each fold of shared responses.
 
     ``folds[f][s]`` is fold f's t_s x k shared response for run s, or None
     where fold f leaves run s out. ``blocks(s)`` yields (start, stop,
     X_s[start:stop]) over the rows of the subject's run s: an in-memory run
-    is one block, a run streamed from disk is read a block at a time. Each
-    block is drawn once, upcast to float64 once and released before the
-    next; its product S_f[start:stop]^T X_s[start:stop] is added into the
-    k x v accumulator of every fold f that trains on run s, in run and row
-    order. Each fold keeps its own product, so its sum is bit-identical to
+    comes in :func:`_row_blocks`, a run streamed from disk is read a block
+    at a time. Each block is drawn once, upcast to float64 once and released
+    before the next; its product S_f[start:stop]^T X_s[start:stop] is added
+    into the k x v accumulator of every fold f that trains on run s, in run
+    and row order. Each fold keeps its own product, so its sum is bit-identical to
     that of the fold alone.
 
-    Yields, fold by fold, the Procrustes solution of the fold's accumulator
-    and its singular values, releasing the accumulator first. Accumulators
-    and the scratch product are per call, so worker threads never share
-    them.
+    Yields, fold by fold, the polar factor of the fold's accumulator and its
+    singular values (:func:`_polar`), releasing the accumulator first.
+    Accumulators and the scratch product are per call, so worker threads
+    never share them.
     """
     k = next(sh for sh in folds[0] if sh is not None).shape[1]
     acc = [np.zeros((k, v), dtype=np.float64) for _ in folds]
@@ -376,7 +407,7 @@ def _fold_steps(folds, blocks, v):
             del x
     del scratch
     while acc:  # popped, so no accumulator outlives its Procrustes step
-        yield _procrustes_svd(acc.pop(0))
+        yield _polar(acc.pop(0))
 
 
 def _subject_step(shared, blocks, v):
@@ -415,15 +446,10 @@ def _update_components(data, shared, ssq, v, n_jobs):
     """Procrustes step of every subject. Returns the components and, per
     subject, ssq[i] - 2 sum(d_i) with d_i the singular values of S^T X_i;
     adding ||S||^2 gives ||X_i - S W_i||^2, since W_i has orthonormal rows.
-    Each run of ``data`` is drawn once, as one block."""
+    Each run of ``data`` is drawn once and fed in :func:`_row_blocks`."""
     def step(i):
         runs = data[i]
-
-        def whole(s):
-            x = runs[s]
-            return [(0, len(x), x)]
-
-        w, d = _subject_step(shared, whole, v)
+        w, d = _subject_step(shared, lambda s: _row_blocks(runs[s]), v)
         return w, ssq[i] - 2.0 * float(np.sum(d))
 
     updated = _map_subjects(step, len(data), n_jobs)

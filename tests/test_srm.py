@@ -1,5 +1,6 @@
 import json
 import shutil
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -7,12 +8,14 @@ import pytest
 
 from srmkit import (
     SrmModel,
+    balanced_partition,
     detsrm_fit,
+    fit,
     procrustes_update,
     save_matrix,
     update_shared,
 )
-from srmkit import srm
+from srmkit import fastsrm, srm
 
 from conftest import random_orthonormal_rows
 
@@ -76,6 +79,63 @@ class TestProcrustes:
             procrustes_update(np.zeros((5, 3)))
         with pytest.raises(ValueError, match="finite"):
             procrustes_update(np.array([[np.nan, 0.0]]))
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """Shapes of the matrices given to np.linalg.svd while the test runs."""
+    calls = []
+    svd = np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    return calls
+
+
+class TestPolarKernel:
+    @pytest.mark.parametrize("v", [200, 20_000])
+    def test_gram_kernel_matches_svd(self, svd_calls, v):
+        m = np.random.default_rng(14).standard_normal((20, v))
+        w, d = srm._polar(m)
+        assert svd_calls == []  # well-conditioned: the Gram kernel, not the fallback
+        u, d_svd, vt = np.linalg.svd(m, full_matrices=False)
+        assert np.linalg.norm(w - u @ vt) <= 1e-12 * np.linalg.norm(u @ vt)
+        assert np.max(np.abs(d - d_svd) / d_svd) <= 1e-12
+
+    def test_ill_conditioned_input_takes_the_svd(self, svd_calls):
+        # singular values 1 ... 1e-5: the Gram eigenvalue ratio 1e-10 is below the floor
+        k, v = 20, 200
+        u = random_orthonormal_rows(k, k, seed=15)
+        vt = random_orthonormal_rows(k, v, seed=16)
+        m = (u * np.logspace(0, -5, k)) @ vt
+        assert np.logspace(0, -5, k)[-1] ** 2 < srm.GRAM_FLOOR
+        w, d = srm._polar(m)
+        assert svd_calls == [(k, v)]
+        u_svd, d_svd, vt_svd = np.linalg.svd(m, full_matrices=False)
+        assert w.tobytes() == (u_svd @ vt_svd).tobytes()
+        assert d.tobytes() == d_svd.tobytes()
+
+    @pytest.mark.parametrize("rank", [0, 2])
+    def test_rank_deficient_input_gives_orthonormal_rows(self, svd_calls, rank):
+        rng = np.random.default_rng(17)
+        m = rng.standard_normal((5, rank)) @ rng.standard_normal((rank, 40))
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            w, d = srm._polar(m)
+        assert svd_calls == [(5, 40)]
+        assert np.max(np.abs(w @ w.T - np.eye(5))) <= 1e-12
+        assert np.all(np.isfinite(d)) and np.count_nonzero(d > 1e-12) == rank
+
+    @pytest.mark.parametrize("algorithm", ["detsrm", "probsrm", "fastsrm"])
+    def test_planted_fit_never_falls_back(self, make_dataset, svd_calls, algorithm):
+        # a floor set too tight would send every step to the SVD and lose the speed-up
+        manifest, _ = make_dataset(n=3, m=2, t_list=(40, 50), v=60, k=4, sigma=0.3, seed=18)
+        atlas = balanced_partition(60, 12, seed=19) if algorithm == "fastsrm" else None
+        fit(manifest, algorithm, 4, atlas=atlas, n_iter=5, seed=1)
+        assert svd_calls == []
 
 
 class TestUpdateShared:
@@ -277,6 +337,38 @@ class TestDetSrm:
         assert peak <= 1.2 * run_bytes, f"peak {peak / run_bytes:.1f} float64 runs"
         flats = [x.astype(np.float64).ravel() for x in runs]
         assert total == sum(float(np.dot(f, f)) for f in flats)
+
+    @pytest.mark.parametrize("step", ["components", "projection"])
+    def test_float32_run_is_upcast_one_block_at_a_time(self, monkeypatch, step):
+        # An in-memory float32 run reaches the float64 products in row blocks
+        # of the fastsrm block size, never as one whole float64 copy.
+        import tracemalloc
+
+        t, v, k = 200, 2000, 4
+        rng = np.random.default_rng(27)
+        x = rng.standard_normal((t, v)).astype(np.float32)
+        shared = [rng.standard_normal((t, k))]
+        w = random_orthonormal_rows(k, v, seed=28)
+        monkeypatch.setattr(fastsrm, "BLOCK_BYTES", 25 * 8 * v)  # 25-row blocks
+        if step == "components":
+            def run():
+                return srm._update_components([[x]], shared, [0.0], v, 1)[0][0]
+
+            whole = srm._subject_step(shared, lambda s: [(0, t, x.astype(np.float64))], v)[0]
+        else:
+            def run():
+                return srm._project_sum([(x, w)])
+
+            whole = x.astype(np.float64) @ w.T
+        run_bytes = t * v * 8
+        tracemalloc.start()
+        try:
+            out = run()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * run_bytes, f"peak {peak / run_bytes:.2f} float64 runs"
+        assert np.linalg.norm(out - whole) <= 1e-12 * np.linalg.norm(whole)
 
 
 class TestSrmModel:
