@@ -103,7 +103,6 @@ def run_bench(
     algorithm: str,
     k: int,
     atlas=None,
-    atlas_id: str | None = None,
     n_iter: int = 10,
     seed: int = 0,
 ) -> dict:
@@ -129,7 +128,6 @@ def run_bench(
     report = {
         "algorithm": algorithm,
         "k": int(k),
-        "atlas": atlas_id,
         "wall_time_s": float(wall),
         "n": manifest.n_subjects,
         "m": manifest.n_runs,

@@ -119,10 +119,6 @@ def _load_inputs(args, parser, held_out: bool):
     """Manifest and atlas of ``fit`` (``evaluate`` with ``held_out``), with
     every argument the fit cannot use reported as an argument error."""
     manifest = _load_manifest(args, parser)
-    if held_out and manifest.n_runs < 2:
-        parser.error("co-smoothing needs at least 2 runs (one is held out per fold)")
-    if held_out and manifest.n_subjects < 2:
-        parser.error("co-smoothing needs at least 2 subjects (one is held out per fold)")
     atlas = None
     if args.atlas:
         if not Path(args.atlas).is_file():

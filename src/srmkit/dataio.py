@@ -20,6 +20,7 @@ import numpy as np
 MAGIC = b"SRMB"
 VERSION = 1
 HEADER_SIZE = 4 + 4 + 1 + 8 + 8  # magic, version, dtype code, rows, cols
+BLOCK_BYTES = 8 << 20  # float64 bytes of run rows read from disk, or upcast in memory, at a time
 
 _DTYPE_BY_CODE = {0: np.dtype("<f8"), 1: np.dtype("<f4")}
 _CODE_BY_DTYPE = {np.dtype(np.float64): 0, np.dtype(np.float32): 1}
@@ -131,6 +132,22 @@ def load_matrix(path, row_range: tuple[int, int] | None = None) -> np.ndarray:
     if data.size != count:
         raise FormatError(f"{path}: short read")
     return data.reshape(stop - start, cols)
+
+
+def _block_rows(v: int, min_bytes: int = 0) -> int:
+    """Rows per block: ``BLOCK_BYTES`` (read at call time), or ``min_bytes``
+    if larger, of float64 rows of v voxels, and at least one row. The block
+    size never depends on ``n_jobs``, so results do not either."""
+    return max(1, max(BLOCK_BYTES, min_bytes) // (8 * v))
+
+
+def _row_blocks(x):
+    """(start, stop, X[start:stop]) over the row blocks of the in-memory run
+    x: one block if x is float64, otherwise views of :func:`_block_rows`
+    rows, so that upcasting a block never copies the whole run."""
+    rows = len(x) if x.dtype == np.float64 else _block_rows(x.shape[1])
+    for start in range(0, len(x), rows):
+        yield start, min(start + rows, len(x)), x[start:start + rows]
 
 
 @dataclass(frozen=True)

@@ -134,8 +134,13 @@ def fit(
 
 def _check_fit_inputs(manifest, algorithm, k, atlas, n_iter, n_jobs, held_out=False) -> None:
     """Reject what a fit of ``algorithm`` on ``manifest`` cannot use, before
-    any run is read. With ``held_out``, every fold of :func:`cosmoothing`
-    must be able to fit ``k`` components without its left-out run."""
+    any run is read. With ``held_out``, the dataset must have the 2 runs and
+    2 subjects that :func:`cosmoothing` holds out one of, and every fold must
+    be able to fit ``k`` components without its left-out run."""
+    if held_out and manifest.n_runs < 2:
+        raise ValueError("co-smoothing needs at least 2 runs (one is held out per fold)")
+    if held_out and manifest.n_subjects < 2:
+        raise ValueError("co-smoothing needs at least 2 subjects (one is held out per fold)")
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
     v = manifest.v
@@ -258,10 +263,6 @@ def cosmoothing(
     ``srmkit-*`` directory under :func:`tempfile.gettempdir`, removed when
     the evaluation ends or fails.
     """
-    if manifest.n_runs < 2:
-        raise ValueError("co-smoothing needs at least 2 runs")
-    if manifest.n_subjects < 2:
-        raise ValueError("co-smoothing needs at least 2 subjects")
     _check_fit_inputs(manifest, algorithm, k, atlas, n_iter, n_jobs, held_out=True)
     if algorithm == "fastsrm":
         folds = _fastsrm_folds(manifest, atlas, k, n_iter, seed, n_jobs)

@@ -21,19 +21,11 @@ from pathlib import Path
 import numpy as np
 
 from .atlas import Atlas, project_run
-from .dataio import DatasetManifest, save_matrix
+from .dataio import DatasetManifest, _block_rows, save_matrix
 from .srm import (COMPONENT_FILE, SrmModel, _check_fit_args, _fold_steps, _map_subjects,
                   _save_descriptor, _staged_dir, detsrm_fit)
 
-BLOCK_BYTES = 8 << 20  # float64 bytes of run rows read from disk, or upcast in memory, at a time
 REDUCED_FILE = "sub-{:03d}_run-{:03d}.srmb"  # subject i, run s in reduce_dataset's directory
-
-
-def _block_rows(v: int, min_bytes: int = 0) -> int:
-    """Rows per block: ``BLOCK_BYTES`` (read at call time), or ``min_bytes``
-    if larger, of float64 rows of v voxels, and at least one row. The block
-    size never depends on ``n_jobs``, so results do not either."""
-    return max(1, max(BLOCK_BYTES, min_bytes) // (8 * v))
 
 
 class _RunsView:

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataio import load_matrix, read_header, save_json, save_matrix
+from .dataio import _row_blocks, load_matrix, read_header, save_json, save_matrix
 
 ORTHONORMALITY_TOL = 1e-8
 SIGMA_EIG_FLOOR = 1e-10
@@ -290,11 +290,12 @@ def check_orthonormal(w: np.ndarray, tol: float = ORTHONORMALITY_TOL) -> None:
 
 def _validate_stack(data, centered=False):
     """Check the [subject][run] layout and return (n, m, t_per_run, v, ssq),
-    where ssq[i] is subject i's sum of squares over its runs, taken from each
-    run as it is checked: :func:`_sum_squares`, or with ``centered``
-    :func:`_centered_sum_squares`. Each run is drawn once and released before
-    the next one is drawn, so ``data`` may read its runs from disk as they
-    are indexed."""
+    where ssq[i] is subject i's (``centered``) :func:`_sum_squares` over its
+    runs. Each run is drawn once and released before the next one is drawn,
+    so ``data`` may read its runs from disk as they are indexed. A run's sum
+    of squares is not finite exactly when the run holds a NaN or an infinity,
+    or values too large to square in float64, so that one pass also rejects
+    every run a fit cannot use."""
     n = len(data)
     if n < 1:
         raise ValueError("need at least one subject")
@@ -303,7 +304,6 @@ def _validate_stack(data, centered=False):
         raise ValueError("need at least one run")
     if any(len(runs) != m for runs in data):
         raise ValueError("subjects disagree on run count")
-    square_sum = _centered_sum_squares if centered else _sum_squares
     t_per_run, v, ssq = [], None, []
     for i, runs in enumerate(data):
         total = 0.0
@@ -319,10 +319,12 @@ def _validate_stack(data, centered=False):
                 raise ValueError(
                     f"subject {i} run {s}: shape {x.shape}, expected ({t_per_run[s]}, {v})"
                 )
-            if not np.all(np.isfinite(x)):
-                raise ValueError(f"subject {i} run {s}: non-finite values")
-            total += square_sum((x,))
+            with np.errstate(invalid="ignore", over="ignore"):  # reported below
+                run_ssq = _sum_squares((x,), centered)
             del x
+            if not np.isfinite(run_ssq):
+                raise ValueError(f"subject {i} run {s}: non-finite values")
+            total += run_ssq
         ssq.append(total)
     return n, m, t_per_run, v, ssq
 
@@ -363,18 +365,6 @@ def _map_subjects(fn, n, n_jobs):
         return [fn(i) for i in range(n)]
     with ThreadPoolExecutor(max_workers=n_jobs) as pool:
         return list(pool.map(fn, range(n)))
-
-
-def _row_blocks(x):
-    """(start, stop, X[start:stop]) over the row blocks of the in-memory run
-    x: one block if x is float64, otherwise views of as many rows as the
-    fastsrm block rule gives to float64 rows, so that upcasting a block never
-    copies the whole run."""
-    from .fastsrm import _block_rows  # the one block-size rule; fastsrm imports this module
-
-    rows = len(x) if x.dtype == np.float64 else _block_rows(x.shape[1])
-    for start in range(0, len(x), rows):
-        yield start, min(start + rows, len(x)), x[start:start + rows]
 
 
 def _fold_steps(folds, blocks, v):
@@ -418,27 +408,21 @@ def _subject_step(shared, blocks, v):
     return step
 
 
-def _sum_squares(runs) -> float:
-    """sum_s ||X_s||_F^2, accumulated in float64 in run order. Each run and
-    its float64 upcast are released before the next run is drawn."""
+def _sum_squares(runs, centered=False) -> float:
+    """sum_s ||X_s||_F^2, or with ``centered`` sum_s ||X_s - 1 mu_s^T||_F^2
+    with mu_s the column means, accumulated in float64 in run and row order.
+    Each run is upcast (and centered) one :func:`_row_blocks` block at a
+    time, so a float64 run is one block and is copied only to be centered;
+    the run and its blocks are released before the next run is drawn."""
     total = 0.0
     for x in runs:
-        f = np.asarray(x, dtype=np.float64).ravel()
-        total += float(np.dot(f, f))
-        del x, f
-    return total
-
-
-def _centered_sum_squares(runs) -> float:
-    """sum_s ||X_s - 1 mu_s^T||_F^2 with mu_s the column means, accumulated in
-    float64 in run order. Each run is centered in place in an owned float64
-    copy that is released before the next one is made."""
-    total = 0.0
-    for x in runs:
-        c = np.array(x, dtype=np.float64)
-        c -= c.mean(axis=0)
-        total += float(np.dot(c.ravel(), c.ravel()))
-        del c
+        if centered:
+            mu = x.mean(axis=0, dtype=np.float64)
+        for _, _, rows in _row_blocks(x):
+            f = (rows - mu if centered else rows).astype(np.float64, copy=False).ravel()
+            total += float(np.dot(f, f))
+            del rows, f
+        del x
     return total
 
 

@@ -152,17 +152,34 @@ def test_transform_bad_subjects_are_argument_errors(tmp_path, capsys, monkeypatc
     assert not (tmp_path / "s.srmb").exists()
 
 
-def test_evaluate_rejects_single_run(tmp_path, capsys):
-    ds = run_synth(tmp_path, m=1, t="30")
+def _evaluate_without_reading(tmp_path, monkeypatch, ds):
+    """``srmkit evaluate`` on ``ds`` with every run read failing the test;
+    returns the exit code it stopped with."""
+    import srmkit.dataio
+
+    def no_load(*args, **kwargs):
+        raise AssertionError("a run was read")
+
+    monkeypatch.setattr(srmkit.dataio, "load_matrix", no_load)
     with pytest.raises(SystemExit) as exc:
-        main(
-            [
-                "evaluate", "--algo", "detsrm", "--manifest", str(ds / "manifest.json"),
-                "--k", "3", "--out", str(tmp_path / "out"),
-            ]
-        )
-    assert exc.value.code == 2
-    assert "co-smoothing" in capsys.readouterr().err
+        main(["evaluate", "--algo", "detsrm", "--manifest", str(ds / "manifest.json"),
+              "--k", "3", "--out", str(tmp_path / "out")])
+    assert not (tmp_path / "out").exists()
+    return exc.value.code
+
+
+def test_evaluate_rejects_single_run(tmp_path, capsys, monkeypatch):
+    ds = run_synth(tmp_path, m=1, t="30")
+    capsys.readouterr()
+    assert _evaluate_without_reading(tmp_path, monkeypatch, ds) == 2
+    assert "co-smoothing needs at least 2 runs" in capsys.readouterr().err
+
+
+def test_evaluate_rejects_single_subject(tmp_path, capsys, monkeypatch):
+    ds = run_synth(tmp_path, n=1)
+    capsys.readouterr()
+    assert _evaluate_without_reading(tmp_path, monkeypatch, ds) == 2
+    assert "co-smoothing needs at least 2 subjects" in capsys.readouterr().err
 
 
 def test_missing_manifest_is_argument_error(tmp_path, capsys):

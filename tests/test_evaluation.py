@@ -286,7 +286,7 @@ class TestCosmoothing:
             return load_run(self, subject, run, rows)
 
         monkeypatch.setattr(srmkit.dataio.DatasetManifest, "load_run", counting_load)
-        monkeypatch.setattr(srmkit.fastsrm, "BLOCK_BYTES", 8 * 40 * 7)  # 7-row blocks
+        monkeypatch.setattr(srmkit.dataio, "BLOCK_BYTES", 8 * 40 * 7)  # 7-row blocks
         atlas = balanced_partition(40, 8, seed=4)
         result = cosmoothing(manifest, "fastsrm", k=2, atlas=atlas, n_iter=2, seed=0)
         assert len(result.folds) == 12

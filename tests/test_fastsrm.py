@@ -279,7 +279,7 @@ def test_worker_failure_names_subject_and_run(make_dataset, tmp_path):
 
 def _small_blocks(monkeypatch, rows, v):
     """Make fastsrm stream ``rows``-row blocks of v-voxel runs."""
-    monkeypatch.setattr(fastsrm, "BLOCK_BYTES", rows * 8 * v)
+    monkeypatch.setattr(dataio, "BLOCK_BYTES", rows * 8 * v)
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from srmkit import SrmModel, probsrm_fit
-from srmkit.srm import _centered_sum_squares, _posterior_cov
+from srmkit.srm import _posterior_cov, _sum_squares
 
 from conftest import random_orthonormal_rows
 
@@ -150,7 +150,7 @@ def test_centered_sum_squares_holds_one_run(dtype):
     run_bytes = runs[0].size * 8
     tracemalloc.start()
     try:
-        total = _centered_sum_squares(runs)
+        total = _sum_squares(runs, centered=True)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

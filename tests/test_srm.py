@@ -11,11 +11,12 @@ from srmkit import (
     balanced_partition,
     detsrm_fit,
     fit,
+    probsrm_fit,
     procrustes_update,
     save_matrix,
     update_shared,
 )
-from srmkit import fastsrm, srm
+from srmkit import dataio, srm
 
 from conftest import random_orthonormal_rows
 
@@ -266,12 +267,21 @@ class TestDetSrm:
         rng = np.random.default_rng(27)
         with pytest.raises(ValueError, match="k="):
             detsrm_fit([[rng.standard_normal((5, 4))]], k=5, n_iter=1)
-        bad = rng.standard_normal((6, 4))
-        bad[2, 2] = np.nan
-        with pytest.raises(ValueError, match="non-finite"):
-            detsrm_fit([[bad]], k=2, n_iter=1)
         with pytest.raises(ValueError, match="n_iter"):
             detsrm_fit([[rng.standard_normal((6, 4))]], k=2, n_iter=0)
+
+    @pytest.mark.parametrize("solver", [detsrm_fit, probsrm_fit])
+    @pytest.mark.parametrize("value, dtype", [
+        (np.nan, np.float64), (np.inf, np.float64), (-np.inf, np.float64),
+        (np.nan, np.float32), (np.inf, np.float32), (-np.inf, np.float32),
+        (1e200, np.float64),  # finite, but its square overflows float64
+    ])
+    def test_non_finite_run_is_rejected(self, solver, value, dtype):
+        rng = np.random.default_rng(27)
+        data = [[rng.standard_normal((6, 4)).astype(dtype) for _ in range(2)] for _ in range(2)]
+        data[1][1][2, 2] = value
+        with pytest.raises(ValueError, match="subject 1 run 1: non-finite values"):
+            solver(data, k=2, n_iter=1)
 
     def test_n_jobs_bit_identical(self):
         rng = np.random.default_rng(28)
@@ -338,10 +348,12 @@ class TestDetSrm:
         flats = [x.astype(np.float64).ravel() for x in runs]
         assert total == sum(float(np.dot(f, f)) for f in flats)
 
-    @pytest.mark.parametrize("step", ["components", "projection"])
+    @pytest.mark.parametrize(
+        "step", ["components", "projection", "sum_squares", "centered_sum_squares"])
     def test_float32_run_is_upcast_one_block_at_a_time(self, monkeypatch, step):
-        # An in-memory float32 run reaches the float64 products in row blocks
-        # of the fastsrm block size, never as one whole float64 copy.
+        # An in-memory float32 run reaches the float64 products and the
+        # validation's sums of squares in row blocks of the dataio block size,
+        # never as one whole float64 copy.
         import tracemalloc
 
         t, v, k = 200, 2000, 4
@@ -349,17 +361,28 @@ class TestDetSrm:
         x = rng.standard_normal((t, v)).astype(np.float32)
         shared = [rng.standard_normal((t, k))]
         w = random_orthonormal_rows(k, v, seed=28)
-        monkeypatch.setattr(fastsrm, "BLOCK_BYTES", 25 * 8 * v)  # 25-row blocks
+        monkeypatch.setattr(dataio, "BLOCK_BYTES", 25 * 8 * v)  # 25-row blocks
         if step == "components":
             def run():
                 return srm._update_components([[x]], shared, [0.0], v, 1)[0][0]
 
             whole = srm._subject_step(shared, lambda s: [(0, t, x.astype(np.float64))], v)[0]
-        else:
+        elif step == "projection":
             def run():
                 return srm._project_sum([(x, w)])
 
             whole = x.astype(np.float64) @ w.T
+        else:
+            centered = step == "centered_sum_squares"
+
+            def run():
+                return np.array(srm._validate_stack([[x]], centered=centered)[-1])
+
+            f = x.astype(np.float64)
+            if centered:
+                f -= f.mean(axis=0)
+            whole = np.array([np.dot(f.ravel(), f.ravel())])
+            del f
         run_bytes = t * v * 8
         tracemalloc.start()
         try:
