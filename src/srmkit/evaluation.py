@@ -155,7 +155,7 @@ def _check_fit_inputs(manifest, algorithm, k, atlas, n_iter, n_jobs, held_out=Fa
 
 def _project_left_out(manifest, subject, run, w) -> np.ndarray:
     """X W^T of the subject's whole run through its components w."""
-    return _project_sum([(manifest.load_run(subject, run), w)])
+    return _project_sum([manifest.load_run(subject, run)], [w])[0]
 
 
 def _score_run(manifest, run, component, proj, subjects=None):
@@ -292,7 +292,13 @@ def cosmoothing_fold(
     n_jobs: int = 1,
 ) -> R2Map:
     """Recompute a single (run, subject) fold; identical arithmetic to the
-    full sweep, so the map matches bit-for-bit."""
+    full sweep, so the map matches bit-for-bit. Rejects what :func:`cosmoothing`
+    rejects, and a fold the dataset lacks, before any run is read."""
+    _check_fit_inputs(manifest, algorithm, k, atlas, n_iter, n_jobs, held_out=True)
+    for name, value, count in (("run", run, manifest.n_runs),
+                               ("subject", subject, manifest.n_subjects)):
+        if not 0 <= value < count:
+            raise ValueError(f"{name}={value} is outside [0, {count})")
     training = manifest.without_run(run)
     model = fit(training, algorithm, k, atlas, n_iter, fold_seed(seed, run), n_jobs)
     return _score_model(manifest, model, run, subjects=[subject])[0]

@@ -72,7 +72,8 @@ def reduce_dataset(
     large as its dense c x v weights, since each block's product repacks
     them; where a run spans several blocks, the result agrees with the
     whole-run product to rounding (BLAS may order a row's sum by the number
-    of rows it is given).
+    of rows it is given). A run that reduces to non-finite values is rejected
+    before it is written, naming its subject, run and file.
     """
     directory = Path(directory)
     dense = atlas.weights.nbytes if atlas.kind == "probabilistic" else 0
@@ -83,6 +84,9 @@ def reduce_dataset(
         for start, stop, x in manifest.run_blocks(i, s, rows):
             out[start:stop] = project_run(x, atlas)
             del x  # released before the next block is read
+        if not np.all(np.isfinite(out)):  # as a run holding a NaN or an infinity does
+            exc = ValueError(f"{manifest.runs[i][s]}: non-finite values")
+            raise manifest._load_error(i, s, exc)
         path = directory / REDUCED_FILE.format(i, s)
         save_matrix(out, path)
         return path

@@ -71,61 +71,49 @@ def procrustes_update(m: np.ndarray) -> np.ndarray:
     return w
 
 
-def _project_sum(pairs, sigma_sq=None) -> np.ndarray:
-    """Sum over subjects of X_i W_i^T from (X_i, W_i) pairs in subject order,
-    each term divided by sigma_i^2 when ``sigma_sq`` is given.
-
-    A run that is not float64 is upcast and projected one row block at a
-    time (:func:`_row_blocks`) into its t x k product. ``pairs`` may be any
-    iterable, so runs and disk-backed components can be loaded one subject
-    at a time: each pair is released before the next one is drawn. The sum
-    runs in subject order with a float64 accumulator, so the result does
-    not depend on scheduling.
+def _project_sum(runs, spatial, sigma_sq=None) -> tuple[np.ndarray, int]:
+    """(sum over subjects of X_i W_i^T, subject count): the one place where
+    runs meet their components, each term divided by sigma_i^2 when
+    ``sigma_sq`` is given. ``runs`` and ``spatial`` are equal-length
+    iterables, drawn one pair at a time and checked as each pair arrives. A
+    run that is not float64 is upcast and projected one :func:`_row_blocks`
+    block at a time, and each pair is released before the next is drawn, so
+    generators that load each pair on demand keep one run in memory. The sum
+    runs in subject order in float64, so it does not depend on scheduling.
     """
-    total = 0.0  # becomes a float64 array at the first term
-    i = 0  # not enumerate(), whose reused result tuple would hold the last pair
-    for x, w in pairs:
+    total, n = 0.0, 0  # total becomes a float64 array at the first term
+    components = iter(spatial)  # not zip(), which would hold the last run
+    for x in runs:
+        w = next(components, None)
+        if w is None:
+            raise ValueError("runs and component matrices differ in count")
+        if n == 0:  # the first pair sets the shapes the others must match
+            t, k = x.shape[0], w.shape[0]
+        if x.shape[0] != t or w.shape != (k, x.shape[1]):
+            raise ValueError(f"shape mismatch: run {x.shape} vs components {w.shape}, "
+                             f"expected {t} timeframes and {k} components")
         wt = w.T.astype(np.float64, copy=False)
-        p = np.empty((len(x), len(w)))
+        p = np.empty((t, k))
         for start, stop, rows in _row_blocks(x):
             np.matmul(rows.astype(np.float64, copy=False), wt, out=p[start:stop])
-        del x, w, wt, rows
-        total += p if sigma_sq is None else p / sigma_sq[i]
-        i += 1
-    return total
+            del rows
+        del x, w, wt  # released before the next pair is drawn
+        total += p if sigma_sq is None else p / sigma_sq[n]
+        n += 1
+    if next(components, None) is not None:
+        raise ValueError("runs and component matrices differ in count")
+    if n == 0:
+        raise ValueError("need at least one subject")
+    return total, n
 
 
 def update_shared(runs, spatial) -> np.ndarray:
-    """Average of X_i W_i^T across subjects, for one run.
-
-    This is the closed-form least-squares update of the shared response and
-    doubles as the transform of new data through fitted components.
-    ``runs`` and ``spatial`` are equal-length iterables, consumed one (run,
-    components) pair at a time and checked as each pair arrives, so
-    generators that load each pair on demand keep one run in memory.
-    """
-    shapes = []  # (t, k) of every pair so far
-
-    def checked_pairs():
-        components = iter(spatial)  # not zip(), which would hold the last run
-        for x in runs:
-            w = next(components, None)
-            if w is None:
-                raise ValueError("runs and component matrices differ in count")
-            t, k = shapes[0] if shapes else (x.shape[0], w.shape[0])
-            if x.shape[0] != t or w.shape != (k, x.shape[1]):
-                raise ValueError(f"shape mismatch: run {x.shape} vs components {w.shape}, "
-                                 f"expected {t} timeframes and {k} components")
-            shapes.append((t, k))
-            yield x, w
-            del x, w  # released before the next run is drawn
-        if next(components, None) is not None:
-            raise ValueError("runs and component matrices differ in count")
-
-    total = _project_sum(checked_pairs())
-    if not shapes:
-        raise ValueError("need at least one subject")
-    return total / len(shapes)
+    """Average of X_i W_i^T across subjects, for one run: the closed-form
+    least-squares update of the shared response, and the transform of new
+    data through fitted components. ``runs`` and ``spatial`` are drawn as
+    :func:`_project_sum` draws them, so generators keep one run in memory."""
+    total, n = _project_sum(runs, spatial)
+    return total / n
 
 
 def _save_descriptor(directory: Path, k: int, v: int, n: int, sigma_sq=None, sigma_s=None) -> None:
@@ -292,10 +280,11 @@ def _validate_stack(data, centered=False):
     """Check the [subject][run] layout and return (n, m, t_per_run, v, ssq),
     where ssq[i] is subject i's (``centered``) :func:`_sum_squares` over its
     runs. Each run is drawn once and released before the next one is drawn,
-    so ``data`` may read its runs from disk as they are indexed. A run's sum
-    of squares is not finite exactly when the run holds a NaN or an infinity,
-    or values too large to square in float64, so that one pass also rejects
-    every run a fit cannot use."""
+    so ``data`` may read its runs from disk as they are indexed. An empty run
+    is rejected before its sum of squares is taken. A run's sum of squares
+    is not finite exactly when the run holds a NaN or an infinity, or values
+    too large to square in float64, so that one pass also rejects every run
+    a fit cannot use."""
     n = len(data)
     if n < 1:
         raise ValueError("need at least one subject")
@@ -311,6 +300,8 @@ def _validate_stack(data, centered=False):
             x = runs[s]
             if x.ndim != 2:
                 raise ValueError(f"subject {i} run {s}: expected a matrix")
+            if 0 in x.shape:
+                raise ValueError(f"subject {i} run {s}: empty run of shape {x.shape}")
             if i == 0:  # subject 0's runs set the shapes the others must match
                 if s == 0:
                     v = x.shape[1]
@@ -400,14 +391,6 @@ def _fold_steps(folds, blocks, v):
         yield _polar(acc.pop(0))
 
 
-def _subject_step(shared, blocks, v):
-    """Orthonormal components of one subject given the shared response, one
-    t_s x k array per run, and their singular values: :func:`_fold_steps`
-    with one fold that trains on every run."""
-    (step,) = _fold_steps([shared], blocks, v)
-    return step
-
-
 def _sum_squares(runs, centered=False) -> float:
     """sum_s ||X_s||_F^2, or with ``centered`` sum_s ||X_s - 1 mu_s^T||_F^2
     with mu_s the column means, accumulated in float64 in run and row order.
@@ -433,7 +416,7 @@ def _update_components(data, shared, ssq, v, n_jobs):
     Each run of ``data`` is drawn once and fed in :func:`_row_blocks`."""
     def step(i):
         runs = data[i]
-        w, d = _subject_step(shared, lambda s: _row_blocks(runs[s]), v)
+        ((w, d),) = _fold_steps([shared], lambda s: _row_blocks(runs[s]), v)
         return w, ssq[i] - 2.0 * float(np.sum(d))
 
     updated = _map_subjects(step, len(data), n_jobs)
@@ -509,7 +492,10 @@ def probsrm_fit(data, k: int, n_iter: int = 10, seed=0, n_jobs: int = 1):
     The shared response S[tau] ~ N(0, Sigma) is integrated out; each subject
     has its own isotropic noise variance sigma_i^2 and orthonormal W_i. Time-
     courses are centered (no intercept) within the t x k products X W^T and
-    S^T X, so the input is neither copied nor modified.
+    S^T X, so the input is neither copied nor modified. ``data`` is laid out
+    as for :func:`detsrm_fit`: runs are drawn by index or iteration, one at a
+    time and never held from one draw to the next, so ``data`` may be a
+    [subject][run] view that reads each run from disk when it is indexed.
 
     The E-step computes the exact posterior of S given all subjects; the
     M-step solves the expected complete-data problem in closed form (a
@@ -542,7 +528,7 @@ def probsrm_fit(data, k: int, n_iter: int = 10, seed=0, n_jobs: int = 1):
         means = []
         quad = float(np.sum(ssq / sigma_sq))
         for s in range(m):
-            q = _project_sum(zip([data[i][s] for i in range(n)], spatial), sigma_sq)
+            q, _ = _project_sum((data[i][s] for i in range(n)), spatial, sigma_sq)
             q -= q.mean(axis=0)
             mu = q @ cov
             quad -= float(np.sum(mu * q))

@@ -198,6 +198,27 @@ class TestCosmoothing:
         assert np.array_equal(alone.scores, target.scores)
         assert np.array_equal(alone.degenerate, target.degenerate)
 
+    @pytest.mark.parametrize("n, m, k, run, subject, match", [
+        (1, 2, 2, 0, 0, "at least 2 subjects"),
+        (3, 1, 2, 0, 0, "at least 2 runs"),
+        (3, 3, 25, 0, 0, "total timeframes=20"),
+        (3, 3, 2, 3, 0, r"run=3 is outside \[0, 3\)"),
+        (3, 3, 2, -1, 0, r"run=-1 is outside \[0, 3\)"),
+        (3, 3, 2, 0, 3, r"subject=3 is outside \[0, 3\)"),
+        (3, 3, 2, 0, -1, r"subject=-1 is outside \[0, 3\)"),
+    ])
+    def test_single_fold_rejects_what_the_sweep_rejects_before_any_read(
+        self, make_dataset, monkeypatch, n, m, k, run, subject, match
+    ):
+        manifest, _ = make_dataset(n=n, m=m, t_list=(10,) * m, v=30, k=2, sigma=0.5, seed=8)
+
+        def no_load(*args, **kwargs):
+            raise AssertionError("a run was read")
+
+        monkeypatch.setattr(srmkit.dataio, "load_matrix", no_load)
+        with pytest.raises(ValueError, match=match):
+            cosmoothing_fold(manifest, "detsrm", k=k, run=run, subject=subject)
+
     def test_fastsrm_projects_each_run_once(self, make_dataset, monkeypatch):
         manifest, _ = make_dataset(n=3, m=3, t_list=(20, 20, 20), v=40, k=2, sigma=0.5, seed=28)
         calls = {"n": 0}

@@ -1,3 +1,5 @@
+import re
+import struct
 import tempfile
 
 import numpy as np
@@ -6,6 +8,7 @@ import pytest
 from srmkit import (
     Atlas,
     balanced_partition,
+    cosmoothing,
     detsrm_fit,
     fastsrm_fit,
     fit,
@@ -17,7 +20,7 @@ from srmkit import (
 )
 from srmkit import dataio, fastsrm
 from srmkit.dataio import FormatError
-from srmkit.srm import SrmModel, _subject_step
+from srmkit.srm import SrmModel, _fold_steps
 
 from conftest import random_orthonormal_rows
 
@@ -148,6 +151,22 @@ def test_recover_components_validates_shared(make_dataset):
         recover_components(manifest, [np.ones((19, 3)), good[1]])
     with pytest.raises(ValueError, match="run 1: .*non-finite"):
         recover_components(manifest, [good[0], np.full((25, 3), np.nan)])
+
+
+def test_non_finite_run_is_named_by_subject_run_and_file(make_dataset):
+    manifest, _ = make_dataset(n=3, m=2, t_list=(20, 25), v=40, k=3, sigma=0.2, seed=43)
+    path = manifest.runs[1][1]
+    x = dataio.load_matrix(path)
+    x[3, 5] = np.inf
+    with open(path, "wb") as f:  # by hand, since save_matrix refuses non-finite values
+        f.write(struct.pack("<4sIBQQ", dataio.MAGIC, dataio.VERSION, 0, *x.shape))
+        x.astype("<f8").tofile(f)
+    atlas = balanced_partition(40, 8, seed=4)
+    named = rf"subject 1, run 1: {re.escape(str(path))}: non-finite values"
+    with pytest.raises(RuntimeError, match=named):
+        fastsrm_fit(manifest, atlas, k=3, n_iter=2)
+    with pytest.raises(RuntimeError, match="left-out run 0 failed: .*" + named):
+        cosmoothing(manifest, "fastsrm", k=3, atlas=atlas, n_iter=2)
 
 
 def test_n_jobs_bit_identical(make_dataset, tmp_path):
@@ -327,7 +346,7 @@ def test_streamed_recovery_matches_in_memory_step(make_dataset, monkeypatch, dty
     _small_blocks(monkeypatch, 7, 60)
     streamed = recover_components(manifest, shared)
     for i, runs in enumerate(manifest.load_all()):
-        whole, _ = _subject_step(shared, lambda s: [(0, len(runs[s]), runs[s])], 60)
+        ((whole, _),) = _fold_steps([shared], lambda s: [(0, len(runs[s]), runs[s])], 60)
         assert np.linalg.norm(streamed[i] - whole) <= 1e-12 * np.linalg.norm(whole)
 
 
@@ -362,7 +381,7 @@ def test_streamed_subject_step_holds_one_block(make_dataset):
     block, buffers = rows * v * 8, 2 * k * v * 8
     tracemalloc.start()
     try:
-        _subject_step(shared, lambda s: manifest.run_blocks(0, s, rows), v)
+        next(_fold_steps([shared], lambda s: manifest.run_blocks(0, s, rows), v))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -283,6 +283,53 @@ class TestDetSrm:
         with pytest.raises(ValueError, match="subject 1 run 1: non-finite values"):
             solver(data, k=2, n_iter=1)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("solver", [detsrm_fit, probsrm_fit])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("empty", ["timeframes", "voxels"])
+    def test_empty_run_is_rejected(self, solver, dtype, empty):
+        # Every subject's run 1 has no timeframes, or every run no voxels:
+        # the shapes agree, so only the empty-run check can name the run.
+        x = np.random.default_rng(27).standard_normal((6, 4)).astype(dtype)
+        if empty == "timeframes":
+            data, where = [[x, np.zeros((0, 4), dtype)] for _ in range(2)], "subject 0 run 1"
+        else:
+            data, where = [[np.zeros((6, 0), dtype)] * 2 for _ in range(2)], "subject 0 run 0"
+        with pytest.raises(ValueError, match=f"{where}: empty run"):
+            solver(data, k=2, n_iter=1)
+
+    @pytest.mark.parametrize("solver", [detsrm_fit, probsrm_fit])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_fit_holds_one_run_at_a_time(self, solver, dtype):
+        # Over a [subject][run] view that makes each run when it is indexed,
+        # every pass releases a run before it draws the next.
+        import weakref
+
+        n, m, t, v = 4, 2, 12, 10
+        live = {"now": 0, "peak": 0}
+
+        def released():
+            live["now"] -= 1
+
+        class LazyRuns:
+            def __init__(self, i):
+                self.i = i
+
+            def __len__(self):
+                return m
+
+            def __getitem__(self, s):
+                if s >= m:
+                    raise IndexError(s)
+                x = np.random.default_rng([self.i, s]).standard_normal((t, v)).astype(dtype)
+                live["now"] += 1
+                live["peak"] = max(live["peak"], live["now"])
+                weakref.finalize(x, released)
+                return x
+
+        solver([LazyRuns(i) for i in range(n)], k=3, n_iter=2, seed=0)
+        assert live["peak"] == 1, f"{live['peak']} runs alive at once"
+
     def test_n_jobs_bit_identical(self):
         rng = np.random.default_rng(28)
         data = [[rng.standard_normal((18, 14)) for _ in range(2)] for _ in range(4)]
@@ -366,10 +413,10 @@ class TestDetSrm:
             def run():
                 return srm._update_components([[x]], shared, [0.0], v, 1)[0][0]
 
-            whole = srm._subject_step(shared, lambda s: [(0, t, x.astype(np.float64))], v)[0]
+            whole = next(srm._fold_steps([shared], lambda s: [(0, t, x.astype(np.float64))], v))[0]
         elif step == "projection":
             def run():
-                return srm._project_sum([(x, w)])
+                return srm._project_sum([x], [w])[0]
 
             whole = x.astype(np.float64) @ w.T
         else:
