@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataio import DatasetManifest, load_matrix, save_matrix
+from .dataio import DatasetManifest, _block_rows, load_matrix, save_matrix
 from .fastsrm import _check_atlas, _fit_reduced, _recover_subject, fastsrm_fit, reduce_dataset
 from .srm import (SrmModel, _check_fit_args, _map_subjects, _project_sum, _staged_dir,
                   check_orthonormal, detsrm_fit, probsrm_fit)
@@ -65,11 +65,49 @@ def r2_map(pred: np.ndarray, truth: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     ss_tot = np.sum(np.square(scratch, out=scratch), axis=0)
     np.subtract(pred, truth, out=scratch, dtype=np.float64)
     ss_res = np.sum(np.square(scratch, out=scratch), axis=0)
+    return _scores(ss_res, ss_tot)
+
+
+def _scores(ss_res, ss_tot) -> tuple[np.ndarray, np.ndarray]:
+    """(scores, degenerate) from the per-column residual and centered sums
+    of squares: a column whose centered sum falls below ``DEGENERATE_SS``
+    is degenerate and scores 0."""
     degenerate = ss_tot < DEGENERATE_SS
-    scores = np.zeros(truth.shape[1])
+    scores = np.zeros(len(ss_tot))
     live = ~degenerate
     scores[live] = 1.0 - ss_res[live] / ss_tot[live]
     return scores, degenerate
+
+
+def _score_blocks(shared, w, truth) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`r2_map` of the prediction ``shared @ w`` against ``truth``,
+    without ever forming the t x v prediction.
+
+    The truth is walked in :func:`_block_rows` blocks of at least 2 rows,
+    with a 1-row tail merged into the block before it (a 1-row product goes
+    through GEMV and rounds differently), and every block shares one
+    float64 buffer. Both sums add the block's rows one at a time in order,
+    which is what numpy's axis-0 sum does for v >= 2. So the scores match
+    :func:`r2_map`'s bit for bit wherever BLAS rounds each row of a block's
+    product as it rounds that row of the whole product; OpenBLAS may not
+    when v is not a multiple of 8, and then they differ by rounding.
+    """
+    t, v = truth.shape
+    rows = _block_rows(v, 2 * 8 * v)
+    bounds = [0, *range(rows, t - 1, rows), t]
+    mu = truth.mean(axis=0, dtype=np.float64)
+    buf = np.empty((min(t, rows + 1), v))
+    ss_tot, ss_res = np.zeros(v), np.zeros(v)
+    for a, b in zip(bounds, bounds[1:]):
+        block = buf[:b - a]
+        np.square(np.subtract(truth[a:b], mu, out=block, dtype=np.float64), out=block)
+        for row in block:
+            ss_tot += row
+        np.matmul(shared[a:b], w, out=block)
+        np.square(np.subtract(block, truth[a:b], out=block, dtype=np.float64), out=block)
+        for row in block:
+            ss_res += row
+    return _scores(ss_res, ss_tot)
 
 
 @dataclass
@@ -173,10 +211,10 @@ def _score_run(manifest, run, component, proj, subjects=None):
     folds = []
     for i in subjects if subjects is not None else range(n):
         shared = (total - proj[i]) / (n - 1)
-        pred = shared @ component(i)
+        w = component(i)
         truth = manifest.load_run(i, run)
-        scores, degenerate = r2_map(pred, truth)
-        del pred, truth  # released before the next subject's are made
+        scores, degenerate = _score_blocks(shared, w, truth)
+        del w, truth  # released before the next subject's are read
         folds.append(R2Map(scores, degenerate, left_out_run=run, left_out_subject=i))
     return folds
 

@@ -87,6 +87,8 @@ def _project_sum(runs, spatial, sigma_sq=None) -> tuple[np.ndarray, int]:
         w = next(components, None)
         if w is None:
             raise ValueError("runs and component matrices differ in count")
+        if 0 in x.shape:
+            raise ValueError(f"subject {n}: empty run of shape {x.shape}")
         if n == 0:  # the first pair sets the shapes the others must match
             t, k = x.shape[0], w.shape[0]
         if x.shape[0] != t or w.shape != (k, x.shape[1]):

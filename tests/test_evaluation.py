@@ -16,6 +16,7 @@ from srmkit import (
     r2_score,
     roi_mask,
 )
+from srmkit.evaluation import _score_blocks, _score_run
 
 
 class TestR2Score:
@@ -87,6 +88,67 @@ class TestR2Score:
         assert degenerate.tolist() == [False, True]
         assert scores[1] == 0.0
         assert np.all(scores <= 1.0)
+
+
+class TestScoreBlocks:
+    """The co-smoothing kernel: r2_map of ``shared @ w``, scored by row block."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("t, rows", [
+        (56, 7),    # several whole blocks
+        (60, 7),    # a ragged tail of 4 rows
+        (53, 13),   # a 1-row tail, merged into the block before it
+        (14, 13),   # t <= rows + 1: one block
+        (40, None), # the default blocks: one block at this width
+    ])
+    def test_matches_r2_map_bit_for_bit(self, monkeypatch, dtype, t, rows):
+        v = 24
+        if rows is not None:
+            monkeypatch.setattr(srmkit.dataio, "BLOCK_BYTES", rows * 8 * v)
+        # Integer factors make every product exact, so the test sees the
+        # kernel's own sums however BLAS splits a block's product.
+        rng = np.random.default_rng(t)
+        shared = rng.integers(-4, 5, (t, 3)).astype(np.float64)
+        w = rng.integers(-4, 5, (3, v)).astype(np.float64)
+        truth = (shared @ w + rng.standard_normal((t, v)) * 3.0).astype(dtype)
+        truth[:, 5] = 2.5  # a degenerate column
+        scores, degenerate = _score_blocks(shared, w, truth)
+        want_scores, want_degenerate = r2_map(shared @ w, truth)
+        assert np.array_equal(scores, want_scores)
+        assert np.array_equal(degenerate, want_degenerate)
+        assert degenerate.tolist() == [c == 5 for c in range(v)]
+
+    def test_real_factors_agree_to_rounding(self, monkeypatch):
+        # BLAS may round a row block's product apart from the same rows of
+        # the whole product (OpenBLAS does at widths not a multiple of 8).
+        monkeypatch.setattr(srmkit.dataio, "BLOCK_BYTES", 13 * 8 * 301)
+        rng = np.random.default_rng(9)
+        shared, w = rng.standard_normal((60, 5)), rng.standard_normal((5, 301))
+        truth = shared @ w + rng.standard_normal((60, 301))
+        scores, _ = _score_blocks(shared, w, truth)
+        assert np.allclose(scores, r2_map(shared @ w, truth)[0], rtol=0, atol=1e-12)
+
+    def test_score_run_never_builds_the_prediction(self, monkeypatch):
+        import tracemalloc
+
+        t, v, k = 200, 2000, 20
+        monkeypatch.setattr(srmkit.dataio, "BLOCK_BYTES", 52 * 8 * v)  # 52-row blocks
+        rng = np.random.default_rng(10)
+        truth = rng.standard_normal((t, v)).astype(np.float32)
+        w = rng.standard_normal((k, v))
+        proj = [rng.standard_normal((t, k)) for _ in range(3)]
+
+        class Manifest:  # loads a fresh copy of the truth, as a run read from disk is
+            def load_run(self, subject, run):
+                return truth.copy()
+
+        tracemalloc.start()
+        try:
+            _score_run(Manifest(), 0, lambda i: w.copy(), proj, subjects=[1])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= truth.nbytes + w.nbytes + 0.5 * t * v * 8
 
 
 class TestRoiMask:

@@ -163,6 +163,18 @@ class TestUpdateShared:
         with pytest.raises(ValueError):
             update_shared([x, np.zeros((4, 8))], [w, w])
 
+    @pytest.mark.parametrize("x, w", [
+        (np.zeros((3, 0), np.float32), np.zeros((2, 0))),
+        (np.zeros((0, 4)), np.zeros((2, 4))),
+        (np.zeros((0, 4), np.float32), np.zeros((2, 4))),
+    ])
+    @pytest.mark.parametrize("lead", [0, 1])
+    def test_empty_run_is_rejected(self, x, w, lead):
+        # alone, and behind a valid subject whose shapes it need not match
+        runs, spatial = [np.ones((3, 4))] * lead + [x], [np.eye(2, 4)] * lead + [w]
+        with pytest.raises(ValueError, match=f"subject {lead}: empty run of shape"):
+            update_shared(runs, spatial)
+
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_generators_match_lists_bit_for_bit(self, dtype):
         rng = np.random.default_rng(11)
