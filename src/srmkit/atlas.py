@@ -15,25 +15,32 @@ from scipy import sparse
 from .dataio import load_matrix, save_matrix
 
 GRAM_RCOND = 1e-10  # relative singular-value cutoff for the parcel Gram pseudo-inverse
+SPARSE_DENSITY = 1 / 64  # largest share of nonzero probabilistic weights held as a CSR matrix
 
 
 class Atlas:
     """Immutable compression operator over voxels.
 
     Use :meth:`partition` or :meth:`probabilistic` to construct. The
-    projection operator (per-parcel averaging matrix, or the cached Gram
-    pseudo-inverse) is precomputed once here so that projecting a run is a
-    single pass over its values: this projection is the dominant cost of
-    the compressed pipeline, so nothing per-call is recomputed.
+    projection is precomputed once here so that projecting a run is a single
+    pass over its values: this projection is the dominant cost of the
+    compressed pipeline, so nothing per-call is recomputed. It is a c x v
+    operator ``_op`` followed by an optional c x c ``_mix``. A partition's
+    ``_op`` is its sparse per-parcel averaging matrix, with no ``_mix``. A
+    probabilistic atlas's ``_op`` is its ``weights``, a ``scipy.sparse`` CSR
+    matrix when at most ``SPARSE_DENSITY`` of them are nonzero (as when each
+    voxel lies in a few parcels) and a dense array otherwise, and its
+    ``_mix`` is the cached pseudo-inverse of the parcel Gram matrix.
     """
 
-    def __init__(self, kind, c, v, labels=None, weights=None, _op=None):
+    def __init__(self, kind, c, v, labels=None, weights=None, _op=None, _mix=None):
         self.kind = kind
         self.c = int(c)
         self.v = int(v)
         self.labels = labels
         self.weights = weights
         self._op = _op
+        self._mix = _mix
 
     @classmethod
     def partition(cls, labels) -> "Atlas":
@@ -65,7 +72,8 @@ class Atlas:
 
     @classmethod
     def probabilistic(cls, weights) -> "Atlas":
-        """Atlas from a c x v weight matrix with no all-zero row."""
+        """Atlas from a c x v weight matrix with no all-zero row, kept as a
+        CSR matrix if at most ``SPARSE_DENSITY`` of its entries are nonzero."""
         a = np.asarray(weights, dtype=np.float64)
         if a.ndim != 2:
             raise ValueError("probabilistic atlas must be a 2-D matrix")
@@ -74,10 +82,13 @@ class Atlas:
             raise ValueError(f"parcel count c={c} exceeds voxel count v={v}")
         if not np.all(np.isfinite(a)):
             raise ValueError("atlas weights contain non-finite values")
-        row_norms = np.linalg.norm(a, axis=1)
-        if np.any(row_norms == 0):
+        if np.count_nonzero(a) <= SPARSE_DENSITY * a.size:
+            a = sparse.csr_matrix(a)
+            gram = (a @ a.T).toarray()
+        else:
+            gram = a @ a.T
+        if np.any(np.diag(gram) == 0):  # a row's sum of squares
             raise ValueError("probabilistic atlas has an all-zero row")
-        gram = a @ a.T
         u, d, vt = np.linalg.svd(gram)
         rank = int(np.sum(d > GRAM_RCOND * d[0]))
         if rank < c:
@@ -89,27 +100,31 @@ class Atlas:
             )
         inv_d = np.where(d > GRAM_RCOND * d[0], 1.0 / np.where(d > 0, d, 1.0), 0.0)
         gram_pinv = (vt.T * inv_d) @ u.T
-        return cls("probabilistic", c, v, weights=a, _op=gram_pinv)
+        return cls("probabilistic", c, v, weights=a, _op=a, _mix=gram_pinv)
 
 
 def project_run(x: np.ndarray, atlas: Atlas) -> np.ndarray:
     """Compress a t x v run to t x c parcel space.
 
-    Partition atlases use direct per-parcel averaging (one pass, no c x c
-    solve). Probabilistic atlases compute x A^T (A A^T)^+ with the cached
-    pseudo-inverse.
+    A sparse operator (a partition's averaging matrix, or sparse
+    probabilistic weights) is applied one row at a time, reading each row in
+    place; dense weights take one product over the whole run, which upcasts
+    a float32 run whole. A probabilistic atlas then applies the cached Gram
+    pseudo-inverse, so that it computes x A^T (A A^T)^+; a partition needs
+    no c x c solve.
     """
     x = np.asarray(x)
     if x.ndim != 2 or x.shape[1] != atlas.v:
         raise ValueError(f"run has shape {x.shape}, atlas expects {atlas.v} voxels")
-    if atlas.kind == "partition":
+    if sparse.issparse(atlas._op):
         # One sparse product per row reads the row in place; (c x v) @ x.T
         # would have scipy copy the whole transpose first.
         out = np.empty((x.shape[0], atlas.c))
         for r in range(x.shape[0]):
             out[r] = atlas._op @ x[r]
-        return out
-    return (x @ atlas.weights.T) @ atlas._op
+    else:
+        out = x @ atlas._op.T
+    return out if atlas._mix is None else out @ atlas._mix
 
 
 def load_atlas(path) -> Atlas:
@@ -132,8 +147,11 @@ def load_atlas(path) -> Atlas:
 
 
 def save_atlas(atlas: Atlas, path) -> None:
-    """Store an atlas as an SRMB file readable by :func:`load_atlas`."""
+    """Store an atlas as an SRMB file readable by :func:`load_atlas`, which
+    reads a probabilistic atlas back as the same representation."""
     if atlas.kind == "partition":
         save_matrix(atlas.labels.astype(np.float64)[None, :], path)
+    elif sparse.issparse(atlas.weights):
+        save_matrix(atlas.weights.toarray(), path)
     else:
         save_matrix(atlas.weights, path)

@@ -67,16 +67,19 @@ def reduce_dataset(
     run indices of ``manifest``, with ``atlas.c`` columns. Runs are read
     from disk a block of rows at a time per worker and each block is
     projected on its own, so a worker holds one block and one reduced run.
-    A partition's projection is row-local, so its result is bit-identical
-    to projecting whole runs. A probabilistic atlas's blocks are at least as
-    large as its dense c x v weights, since each block's product repacks
-    them; where a run spans several blocks, the result agrees with the
-    whole-run product to rounding (BLAS may order a row's sum by the number
-    of rows it is given). A run that reduces to non-finite values is rejected
-    before it is written, naming its subject, run and file.
+    Blocks are :func:`_block_rows` rows, which a sparse operator (a
+    partition, or sparse probabilistic weights) reads in place a row at a
+    time; dense probabilistic weights are repacked by each block's product,
+    so their blocks are at least as large as the c x v weights. A
+    partition's projection is row-local, so its result is bit-identical to
+    projecting whole runs. A probabilistic atlas's, where a run spans
+    several blocks, agrees with the whole-run product to rounding (BLAS may
+    order a row's sum by the number of rows it is given). A run that
+    reduces to non-finite values is rejected before it is written, naming
+    its subject, run and file.
     """
     directory = Path(directory)
-    dense = atlas.weights.nbytes if atlas.kind == "probabilistic" else 0
+    dense = atlas.weights.nbytes if isinstance(atlas.weights, np.ndarray) else 0
     rows = _block_rows(manifest.v, dense)
 
     def reduce_run(i, s):

@@ -22,3 +22,16 @@ def random_orthonormal_rows(k, v, seed=0):
     rng = np.random.default_rng(seed)
     q, r = np.linalg.qr(rng.standard_normal((v, k)))
     return (q * np.sign(np.diag(r))).T
+
+
+def sparse_weights(c, v, seed=0, second=0.0):
+    """c x v probabilistic atlas weights: voxel j has a weight in parcel
+    j mod c, and the first ``second`` share of the voxels a smaller one in
+    another parcel."""
+    rng = np.random.default_rng(seed)
+    a = np.zeros((c, v))
+    cols = np.arange(v)
+    a[cols % c, cols] = rng.uniform(0.5, 1.0, size=v)
+    two = cols[: int(second * v)]
+    a[(two + rng.integers(1, c, size=two.size)) % c, two] = rng.uniform(0.1, 0.5, size=two.size)
+    return a

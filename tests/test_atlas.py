@@ -1,12 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 from srmkit import Atlas, load_atlas, project_run, save_atlas, save_matrix
+from srmkit import atlas as atlas_module
 from srmkit.synthetic import balanced_partition
 
-from conftest import random_orthonormal_rows
+from conftest import random_orthonormal_rows, sparse_weights
 
 
 def indicator_average(x, labels, c):
@@ -88,6 +92,66 @@ class TestProbabilistic:
         with pytest.raises(ValueError, match="all-zero"):
             Atlas.probabilistic(a)
 
+    def test_sparse_weights_keep_every_check(self):
+        # 1/70 of a 70 x 700 atlas is nonzero, so it is held as CSR.
+        a = sparse_weights(70, 700, seed=11)
+        assert sparse.issparse(Atlas.probabilistic(a).weights)
+        bad = a.copy()
+        bad[1, 3] = np.inf
+        with pytest.raises(ValueError, match="non-finite"):
+            Atlas.probabilistic(bad)
+        bad = a.copy()
+        bad[5] = 0.0
+        with pytest.raises(ValueError, match="all-zero"):
+            Atlas.probabilistic(bad)
+        bad = a.copy()
+        bad[6] = bad[7] = 0.0
+        bad[6, :2] = bad[7, :2] = 1.0  # two equal rows: the Gram loses rank
+        with pytest.warns(RuntimeWarning, match="rank deficient"):
+            atlas = Atlas.probabilistic(bad)
+        assert sparse.issparse(atlas.weights)
+        out = project_run(np.random.default_rng(10).standard_normal((4, 700)), atlas)
+        assert np.all(np.isfinite(out))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_sparse_and_dense_projections_agree(self, monkeypatch, dtype):
+        # 100 x 3,000 at one or two weights per voxel: 1% to 2% density.
+        rng = np.random.default_rng(12)
+        for seed, second in [(13, 0.0), (14, 0.5), (15, 1.0), (16, 1.0)]:
+            a = sparse_weights(100, 3_000, seed, second)
+            monkeypatch.setattr(atlas_module, "SPARSE_DENSITY", 1.0)
+            held = Atlas.probabilistic(a)
+            monkeypatch.setattr(atlas_module, "SPARSE_DENSITY", 0.0)
+            dense = Atlas.probabilistic(a)
+            assert sparse.issparse(held.weights) and isinstance(dense.weights, np.ndarray)
+            x = rng.standard_normal((9, 3_000)).astype(dtype)
+            want = project_run(x, dense)
+            assert np.max(np.abs(project_run(x, held) - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_density_rule_keeps_sparse_weights_as_csr(self):
+        # 1% density (one weight per voxel at c=100): the atlas holds no
+        # dense c x v array.
+        a = sparse_weights(100, 10_000, seed=17)
+        tracemalloc.start()
+        try:
+            atlas = Atlas.probabilistic(a)
+            resident, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sparse.issparse(atlas.weights)
+        assert resident < 0.1 * a.nbytes, f"resident {resident / a.nbytes:.2f} weights"
+
+    def test_dense_weights_keep_the_whole_run_product(self):
+        # 100% density: the weights stay dense and the projection is the
+        # unchanged x A^T (A A^T)^+, byte for byte.
+        a = np.random.default_rng(18).uniform(0.1, 1.0, size=(20, 500))
+        atlas = Atlas.probabilistic(a)
+        assert isinstance(atlas.weights, np.ndarray)
+        u, d, vt = np.linalg.svd(a @ a.T)
+        gram_pinv = (vt.T * (1.0 / d)) @ u.T
+        x = np.random.default_rng(19).standard_normal((7, 500))
+        assert project_run(x, atlas).tobytes() == ((x @ a.T) @ gram_pinv).tobytes()
+
     def test_dimension_mismatch(self):
         atlas = Atlas.partition([0, 1, 0, 1])
         with pytest.raises(ValueError, match="voxels"):
@@ -151,14 +215,37 @@ class TestLoadAtlas:
         back = load_atlas(tmp_path / "b.srmb")
         assert np.array_equal(back.weights, prob.weights)
 
+    def test_sparse_save_load_roundtrip(self, tmp_path):
+        prob = Atlas.probabilistic(sparse_weights(70, 700, seed=20))
+        assert sparse.issparse(prob.weights)
+        save_atlas(prob, tmp_path / "s.srmb")
+        back = load_atlas(tmp_path / "s.srmb")
+        assert sparse.issparse(back.weights)
+        assert back.weights.toarray().tobytes() == prob.weights.toarray().tobytes()
+
 
 def test_partition_projection_reads_rows_in_place():
     # The projection must not copy its input: a 52 x 20,000 block is 8 MiB,
     # and the traced peak stays under a tenth of it.
-    import tracemalloc
-
     x = np.random.default_rng(5).standard_normal((52, 20_000))
     atlas = balanced_partition(20_000, 200, seed=6)
+    tracemalloc.start()
+    try:
+        out = project_run(x, atlas)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (52, 200)
+    assert peak < 0.1 * x.nbytes, f"peak {peak / x.nbytes:.2f} inputs"
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_sparse_projection_reads_rows_in_place(dtype):
+    # Sparse probabilistic weights take the partition's row loop: neither
+    # the block nor the weights are copied whole.
+    x = np.random.default_rng(7).standard_normal((52, 20_000)).astype(dtype)
+    atlas = Atlas.probabilistic(sparse_weights(200, 20_000, seed=8, second=1.0))
+    assert sparse.issparse(atlas.weights)
     tracemalloc.start()
     try:
         out = project_run(x, atlas)

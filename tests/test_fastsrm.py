@@ -4,6 +4,7 @@ import tempfile
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from srmkit import (
     Atlas,
@@ -22,7 +23,7 @@ from srmkit import dataio, fastsrm
 from srmkit.dataio import FormatError
 from srmkit.srm import SrmModel, _fold_steps
 
-from conftest import random_orthonormal_rows
+from conftest import random_orthonormal_rows, sparse_weights
 
 
 def test_identity_compression_matches_full_fit(make_dataset, tmp_path):
@@ -302,20 +303,25 @@ def _small_blocks(monkeypatch, rows, v):
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-@pytest.mark.parametrize("kind", ["partition", "probabilistic"])
+@pytest.mark.parametrize("kind", ["partition", "probabilistic", "sparse"])
 def test_streamed_reduction_matches_whole_runs(make_dataset, monkeypatch, tmp_path, kind, dtype):
     # 7-row blocks over runs of 30 and 25 rows: neither is a multiple of the block.
     # Partition projection is row-local, so blocks give the same bytes. The
-    # dense product of a probabilistic atlas goes through BLAS, whose
-    # summation order for a row can depend on how many rows it is given (edge
-    # tiles, threads), so blocks agree with whole runs to rounding only.
-    manifest, _ = make_dataset(n=2, m=2, t_list=(30, 25), v=60, k=3, sigma=0.3, seed=31,
+    # products of a probabilistic atlas go through BLAS, whose summation
+    # order for a row can depend on how many rows it is given (edge tiles,
+    # threads), so blocks agree with whole runs to rounding only. Sparse
+    # weights need at least 64 parcels, so that case has 2,000 voxels.
+    v = 2_000 if kind == "sparse" else 60
+    manifest, _ = make_dataset(n=2, m=2, t_list=(30, 25), v=v, k=3, sigma=0.3, seed=31,
                                dtype=dtype)
     if kind == "partition":
         atlas = balanced_partition(60, 6, seed=3)
-    else:
+    elif kind == "probabilistic":
         atlas = Atlas.probabilistic(np.random.default_rng(32).uniform(0.0, 1.0, size=(6, 60)))
-    _small_blocks(monkeypatch, 7, 60)
+    else:  # one weight per voxel, and a second on half of them: 1.5% of 100 x 2,000
+        atlas = Atlas.probabilistic(sparse_weights(100, v, seed=32, second=0.5))
+        assert sparse.issparse(atlas.weights)
+    _small_blocks(monkeypatch, 7, v)
     calls = []
     project = fastsrm.project_run
 
