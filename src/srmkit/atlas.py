@@ -12,7 +12,7 @@ import warnings
 import numpy as np
 from scipy import sparse
 
-from .dataio import load_matrix, save_matrix
+from .dataio import FormatError, _block_rows, load_matrix, read_header, save_matrix
 
 GRAM_RCOND = 1e-10  # relative singular-value cutoff for the parcel Gram pseudo-inverse
 SPARSE_DENSITY = 1 / 64  # largest share of nonzero probabilistic weights held as a CSR matrix
@@ -72,20 +72,28 @@ class Atlas:
 
     @classmethod
     def probabilistic(cls, weights) -> "Atlas":
-        """Atlas from a c x v weight matrix with no all-zero row, kept as a
-        CSR matrix if at most ``SPARSE_DENSITY`` of its entries are nonzero."""
-        a = np.asarray(weights, dtype=np.float64)
+        """Atlas from a c x v weight matrix with no all-zero row, dense or
+        ``scipy.sparse``. It is kept as a CSR matrix if at most
+        ``SPARSE_DENSITY`` of its entries are nonzero, and as a dense array
+        otherwise, whichever form it comes in."""
+        a = weights if sparse.issparse(weights) else np.asarray(weights, dtype=np.float64)
         if a.ndim != 2:
             raise ValueError("probabilistic atlas must be a 2-D matrix")
         c, v = a.shape
         if c > v:
             raise ValueError(f"parcel count c={c} exceeds voxel count v={v}")
-        if not np.all(np.isfinite(a)):
+        if sparse.issparse(a):
+            a = sparse.csr_matrix(a, dtype=np.float64)  # no copy of a CSR float64 input
+            values, nonzero = a.data, a.count_nonzero()
+        else:
+            values, nonzero = a, np.count_nonzero(a)
+        if not np.all(np.isfinite(values)):
             raise ValueError("atlas weights contain non-finite values")
-        if np.count_nonzero(a) <= SPARSE_DENSITY * a.size:
+        if nonzero <= SPARSE_DENSITY * c * v:
             a = sparse.csr_matrix(a)
             gram = (a @ a.T).toarray()
         else:
+            a = a.toarray() if sparse.issparse(a) else a
             gram = a @ a.T
         if np.any(np.diag(gram) == 0):  # a row's sum of squares
             raise ValueError("probabilistic atlas has an all-zero row")
@@ -128,22 +136,60 @@ def project_run(x: np.ndarray, atlas: Atlas) -> np.ndarray:
 
 
 def load_atlas(path) -> Atlas:
-    """Load an atlas from an SRMB file.
+    """Load an atlas from an SRMB file; every error it raises names the file.
 
     A 1 x v matrix is a partition and must hold integer parcel labels (read
     as weights, it would be a single parcel, which no fit can use); a c x v
-    matrix with c > 1 is probabilistic.
+    matrix with c > 1 is probabilistic, and is read in :func:`_block_rows`
+    row blocks (see :func:`_read_weights`). A file with c >= v cannot
+    compress and is rejected from its header, before any weight is read.
     """
-    mat = load_matrix(path)
-    if mat.shape[0] == 1:
-        if not np.array_equal(mat, np.round(mat)):
-            raise ValueError(f"{path}: partition labels must be integer-valued")
-        atlas = Atlas.partition(mat[0].astype(np.int64))
-    else:
-        atlas = Atlas.probabilistic(mat)
-    if atlas.c >= atlas.v:
-        raise ValueError(f"{path}: atlas must compress (c={atlas.c} >= v={atlas.v})")
-    return atlas
+    c, v, _ = read_header(path)
+    if c >= v:
+        raise ValueError(f"{path}: atlas must compress (c={c} >= v={v})")
+    try:
+        if c > 1:
+            return Atlas.probabilistic(_read_weights(path, c, v))
+        labels = load_matrix(path)[0]
+        if not np.array_equal(labels, np.round(labels)):
+            raise ValueError("partition labels must be integer-valued")
+        atlas = Atlas.partition(labels.astype(np.int64))
+        if atlas.c >= atlas.v:
+            raise ValueError(f"atlas must compress (c={atlas.c} >= v={atlas.v})")
+        return atlas
+    except FormatError:
+        raise  # names the file already
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _read_weights(path, c, v):
+    """The c x v weights of an SRMB file, read in :func:`_block_rows` row
+    blocks and kept in the form :meth:`Atlas.probabilistic` keeps: a CSR
+    matrix, built block by block, while no more than ``SPARSE_DENSITY`` of
+    the c*v weights have turned out nonzero, and from the block that passes
+    that a dense array, into which the blocks read so far are written. So
+    reading holds the weights and one block; a dense file read in one block
+    is kept as read.
+    """
+    rows = _block_rows(v)
+    parts, nonzero, dense = [], 0, None
+    for a in range(0, c, rows):
+        block = load_matrix(path, (a, min(a + rows, c))).astype(np.float64, copy=False)
+        nonzero += np.count_nonzero(block)
+        if dense is None and nonzero > SPARSE_DENSITY * c * v:
+            if len(block) == c:
+                return block
+            dense = np.zeros((c, v))
+            for j, part in enumerate(parts):
+                part.toarray(out=dense[j * rows:(j + 1) * rows])
+            parts.clear()
+        if dense is None:
+            parts.append(sparse.csr_matrix(block))
+        else:
+            dense[a:a + len(block)] = block
+        del block  # released before the next block is read
+    return sparse.vstack(parts, format="csr") if dense is None else dense
 
 
 def save_atlas(atlas: Atlas, path) -> None:

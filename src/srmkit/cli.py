@@ -123,7 +123,10 @@ def _load_inputs(args, parser, held_out: bool):
     if args.atlas:
         if not Path(args.atlas).is_file():
             parser.error(f"atlas not found: {args.atlas}")
-        atlas = load_atlas(args.atlas)
+        try:
+            atlas = load_atlas(args.atlas)
+        except (OSError, ValueError) as exc:
+            parser.error(f"invalid atlas: {exc}")
     elif args.algo == "fastsrm":
         parser.error("fastsrm requires --atlas")
     try:

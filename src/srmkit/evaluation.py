@@ -15,13 +15,14 @@ from __future__ import annotations
 import tempfile
 from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from .dataio import DatasetManifest, _block_rows, load_matrix, save_matrix
 from .fastsrm import _check_atlas, _fit_reduced, _recover_subject, fastsrm_fit, reduce_dataset
-from .srm import (SrmModel, _check_fit_args, _map_subjects, _project_sum, _staged_dir,
+from .srm import (SrmModel, _check_fit_args, _map_subjects, _project_blocks, _staged_dir,
                   check_orthonormal, detsrm_fit, probsrm_fit)
 
 DEGENERATE_SS = 1e-24
@@ -29,6 +30,7 @@ ROI_THRESHOLD = 0.05  # reference cut for "informative" voxels
 
 ALGORITHMS = ("detsrm", "probsrm", "fastsrm")
 FOLD_COMPONENT_FILE = "run-{:03d}_w_{:03d}.srmb"  # fastsrm co-smoothing spill: fold, subject
+FOLD_MEAN_FILE = "run-{:03d}_mean_{:03d}.srmb"  # the column mean of that fold's left-out run
 
 
 def r2_score(pred, truth) -> float:
@@ -79,34 +81,38 @@ def _scores(ss_res, ss_tot) -> tuple[np.ndarray, np.ndarray]:
     return scores, degenerate
 
 
-def _score_blocks(shared, w, truth) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`r2_map` of the prediction ``shared @ w`` against ``truth``,
-    without ever forming the t x v prediction.
+def _score_blocks(shared, w, read, mu) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`r2_map` of the prediction ``shared @ w`` against a t x v truth
+    with column means ``mu``, never forming the t x v prediction nor holding
+    more than one row block of the truth.
 
-    The truth is walked in :func:`_block_rows` blocks of at least 2 rows,
-    with a 1-row tail merged into the block before it (a 1-row product goes
-    through GEMV and rounds differently), and every block shares one
-    float64 buffer. Both sums add the block's rows one at a time in order,
-    which is what numpy's axis-0 sum does for v >= 2. So the scores match
-    :func:`r2_map`'s bit for bit wherever BLAS rounds each row of a block's
-    product as it rounds that row of the whole product; OpenBLAS may not
-    when v is not a multiple of 8, and then they differ by rounding.
+    ``read((a, b))`` returns the truth's rows [a, b). They are read in
+    :func:`_block_rows` blocks of at least 2 rows, each once, with a 1-row
+    tail merged into the block before it (a 1-row product goes through GEMV
+    and rounds differently), and every block shares one float64 buffer.
+    Both sums add the block's rows one at a time in order, which is what
+    numpy's axis-0 sum does for v >= 2. So with ``mu`` the truth's
+    ``mean(axis=0, dtype=np.float64)``, the scores match :func:`r2_map`'s
+    bit for bit wherever BLAS rounds each row of a block's product as it
+    rounds that row of the whole product; OpenBLAS may not when v is not a
+    multiple of 8, and then they differ by rounding.
     """
-    t, v = truth.shape
+    t, v = len(shared), len(mu)
     rows = _block_rows(v, 2 * 8 * v)
     bounds = [0, *range(rows, t - 1, rows), t]
-    mu = truth.mean(axis=0, dtype=np.float64)
     buf = np.empty((min(t, rows + 1), v))
     ss_tot, ss_res = np.zeros(v), np.zeros(v)
     for a, b in zip(bounds, bounds[1:]):
+        truth = read((a, b))
         block = buf[:b - a]
-        np.square(np.subtract(truth[a:b], mu, out=block, dtype=np.float64), out=block)
+        np.square(np.subtract(truth, mu, out=block, dtype=np.float64), out=block)
         for row in block:
             ss_tot += row
         np.matmul(shared[a:b], w, out=block)
-        np.square(np.subtract(block, truth[a:b], out=block, dtype=np.float64), out=block)
+        np.square(np.subtract(block, truth, out=block, dtype=np.float64), out=block)
         for row in block:
             ss_res += row
+        del truth  # released before the next block is read
     return _scores(ss_res, ss_tot)
 
 
@@ -191,39 +197,52 @@ def _check_fit_inputs(manifest, algorithm, k, atlas, n_iter, n_jobs, held_out=Fa
     _check_fit_args(k, n_iter, n_jobs, v, frames)
 
 
-def _project_left_out(manifest, subject, run, w) -> np.ndarray:
-    """X W^T of the subject's whole run through its components w."""
-    return _project_sum([manifest.load_run(subject, run)], [w])[0]
+def _project_left_out(manifest, subject, run, w) -> tuple[np.ndarray, np.ndarray]:
+    """(X W^T, column mean of X) of the subject's run X through its
+    components w, in one pass over the run's :func:`_block_rows` row blocks,
+    each read from disk once and handed to :func:`_project_blocks`.
+
+    A float32 block of these rows is the block :func:`_project_sum` takes
+    of the whole run, so the projection is its whole-run one to the byte; a
+    float64 run, which :func:`_project_sum` takes whole in one product,
+    agrees to rounding. The mean is ``X.mean(axis=0, dtype=np.float64)``
+    bit for bit.
+    """
+    t, v = manifest.t_per_run[run], manifest.v
+    total = np.zeros(v)
+    proj = _project_blocks(manifest.run_blocks(subject, run, _block_rows(v)), w, t, total)
+    return proj, total / t
 
 
-def _score_run(manifest, run, component, proj, subjects=None):
+def _score_run(manifest, run, held_out, proj, subjects=None):
     """Score reconstruction of each requested left-out subject for one run.
 
-    ``proj[z]`` is subject z's run projected onto its own components
-    (:func:`_project_left_out`) and ``component(z)`` returns those
-    components, read as each subject is scored. Each leave-one-out shared
-    response is the ordered total of the projections minus the held-out
-    subject's, so recomputing any single fold reproduces its map
-    bit-for-bit.
+    ``proj[z]`` is subject z's run projected onto its own components and
+    ``held_out(z)`` returns those components and the run's column mean (both
+    from :func:`_project_left_out`), read as each subject is scored. Each
+    leave-one-out shared response is the ordered total of the projections
+    minus the held-out subject's, so recomputing any single fold reproduces
+    its map bit-for-bit. The truth is read from disk one row block at a
+    time (:func:`_score_blocks`).
     """
     n = len(proj)
     total = sum(proj)
     folds = []
     for i in subjects if subjects is not None else range(n):
         shared = (total - proj[i]) / (n - 1)
-        w = component(i)
-        truth = manifest.load_run(i, run)
-        scores, degenerate = _score_blocks(shared, w, truth)
-        del w, truth  # released before the next subject's are read
+        w, mu = held_out(i)
+        scores, degenerate = _score_blocks(shared, w, partial(manifest.load_run, i, run), mu)
+        del w, mu  # released before the next subject's are read
         folds.append(R2Map(scores, degenerate, left_out_run=run, left_out_subject=i))
     return folds
 
 
 def _score_model(manifest, model, run, subjects=None):
     """:func:`_score_run` for a model fitted without ``run``."""
-    proj = [_project_left_out(manifest, z, run, model.spatial_component(z))
-            for z in range(manifest.n_subjects)]
-    return _score_run(manifest, run, model.spatial_component, proj, subjects)
+    proj, means = zip(*(_project_left_out(manifest, z, run, model.spatial_component(z))
+                        for z in range(manifest.n_subjects)))
+    return _score_run(manifest, run, lambda i: (model.spatial_component(i), means[i]), proj,
+                      subjects)
 
 
 def _fold_error(run: int, exc: Exception) -> RuntimeError:
@@ -258,19 +277,24 @@ def _fastsrm_folds(manifest, atlas, k, n_iter, seed, n_jobs):
             try:
                 for w, _ in _recover_subject(manifest, i, shared):
                     check_orthonormal(w)
-                    proj[done][i] = _project_left_out(manifest, i, done, w)
+                    proj[done][i], mu = _project_left_out(manifest, i, done, w)
                     save_matrix(w, spill / FOLD_COMPONENT_FILE.format(done, i))
-                    del w  # released before the next fold's components are made
+                    save_matrix(mu[None], spill / FOLD_MEAN_FILE.format(done, i))
+                    del w, mu  # released before the next fold's components are made
                     done += 1
             except Exception as exc:
                 raise _fold_error(done, exc) from exc
 
         _map_subjects(recover, n, n_jobs)
+
+        def held_out(s, i):
+            return (load_matrix(spill / FOLD_COMPONENT_FILE.format(s, i)),
+                    load_matrix(spill / FOLD_MEAN_FILE.format(s, i))[0])
+
         folds = []
         for s in range(m):
-            paths = [spill / FOLD_COMPONENT_FILE.format(s, i) for i in range(n)]
             try:
-                folds.extend(_score_run(manifest, s, lambda i: load_matrix(paths[i]), proj[s]))
+                folds.extend(_score_run(manifest, s, partial(held_out, s), proj[s]))
             except Exception as exc:
                 raise _fold_error(s, exc) from exc
     return folds
@@ -294,12 +318,14 @@ def cosmoothing(
     step and is shared by all subjects of a run), so any fold can be
     recomputed in isolation. Folds are enumerated subject-major.
 
-    fastsrm reads each run four times in all, whatever the run count: to
-    project it through the atlas, to recover every fold's components, to
-    project it as a left-out run and as the truth it is scored against.
-    Its reduced runs and fold components (n*m*k*v*8 bytes) wait in one
-    ``srmkit-*`` directory under :func:`tempfile.gettempdir`, removed when
-    the evaluation ends or fails.
+    The left-out projections and the scoring read each run in row blocks,
+    never whole. fastsrm reads each run four times in all, whatever the run
+    count: to project it through the atlas, to recover every fold's
+    components, to project it as a left-out run (which also takes its
+    column mean) and as the truth it is scored against. Its reduced runs,
+    and its fold components with the column means of their left-out runs
+    (n*m*(k+1)*v*8 bytes), wait in one ``srmkit-*`` directory under
+    :func:`tempfile.gettempdir`, removed when the evaluation ends or fails.
     """
     _check_fit_inputs(manifest, algorithm, k, atlas, n_iter, n_jobs, held_out=True)
     if algorithm == "fastsrm":

@@ -1,3 +1,4 @@
+import struct
 import tracemalloc
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
+import srmkit.dataio
 from srmkit import Atlas, load_atlas, project_run, save_atlas, save_matrix
 from srmkit import atlas as atlas_module
 from srmkit.synthetic import balanced_partition
@@ -222,6 +224,81 @@ class TestLoadAtlas:
         back = load_atlas(tmp_path / "s.srmb")
         assert sparse.issparse(back.weights)
         assert back.weights.toarray().tobytes() == prob.weights.toarray().tobytes()
+
+    @pytest.mark.parametrize("fill, match", [(np.nan, "non-finite"), (0.0, "all-zero row")])
+    def test_invalid_weights_name_the_file(self, tmp_path, fill, match):
+        a = np.abs(np.random.default_rng(3).standard_normal((4, 20))) + 0.1
+        a[2] = fill
+        p = tmp_path / "atlas.srmb"
+        write_unchecked(a, p)
+        with pytest.raises(ValueError, match=match) as info:
+            load_atlas(p)
+        assert str(info.value).startswith(f"{p}: ")
+
+    def test_no_compression_rejected_from_the_header(self, tmp_path, monkeypatch):
+        p = tmp_path / "atlas.srmb"
+        save_matrix(np.ones((5, 5)), p)
+        monkeypatch.setattr(atlas_module, "load_matrix", None)  # no weight may be read
+        with pytest.raises(ValueError, match=r"compress \(c=5 >= v=5\)") as info:
+            load_atlas(p)
+        assert str(info.value).startswith(f"{p}: ")
+
+    @pytest.mark.parametrize("rows", [3, 7, 200])
+    def test_sparse_file_is_read_by_row_block(self, tmp_path, monkeypatch, rows):
+        # 100 x 8,000 weights, 1 or 2 per voxel (1.5%): the dense file is
+        # 6.4 MB and the CSR matrix 0.15 MB, so the load must never hold the file.
+        c, v = 100, 8_000
+        a = sparse_weights(c, v, seed=21, second=0.5)
+        save_matrix(a, tmp_path / "s.srmb")
+        monkeypatch.setattr(srmkit.dataio, "BLOCK_BYTES", rows * 8 * v)
+        tracemalloc.start()
+        try:
+            atlas = load_atlas(tmp_path / "s.srmb")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sparse.issparse(atlas.weights)
+        assert atlas.weights.toarray().tobytes() == a.tobytes()
+        if rows < c:
+            assert peak < 0.25 * c * v * 8, f"peak {peak / (c * v * 8):.2f} of the dense file"
+
+    @pytest.mark.parametrize("rows, sparse_rows", [(8, 0), (8, 20), (100, 0)])
+    def test_dense_file_holds_the_weights_and_one_block(self, tmp_path, monkeypatch, rows,
+                                                        sparse_rows):
+        # Above SPARSE_DENSITY the weights end up dense, as the whole-file
+        # read kept them, and loading holds no more than them and one block;
+        # with sparse_rows, the first rows are sparse enough to start a CSR
+        # matrix that the dense rows then overturn.
+        c, v = 40, 4_000
+        a = np.random.default_rng(22).uniform(0.1, 1.0, (c, v))
+        a[:sparse_rows] = sparse_weights(c, v, seed=23)[:sparse_rows]
+        save_matrix(a, tmp_path / "d.srmb")
+        monkeypatch.setattr(srmkit.dataio, "BLOCK_BYTES", rows * 8 * v)
+        tracemalloc.start()
+        try:
+            atlas = load_atlas(tmp_path / "d.srmb")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert isinstance(atlas.weights, np.ndarray)
+        assert atlas.weights.tobytes() == a.tobytes()
+        # 32 KiB for Python objects and the CSR rows held when the switch comes
+        assert peak <= a.nbytes + min(rows, c) * 8 * v + 2**15
+
+    def test_streamed_load_matches_the_whole_matrix(self, tmp_path, monkeypatch):
+        a = sparse_weights(100, 1_000, seed=24, second=0.5)
+        save_matrix(a.astype(np.float32), tmp_path / "s.srmb")
+        monkeypatch.setattr(srmkit.dataio, "BLOCK_BYTES", 9 * 8 * 1_000)  # a ragged tail of 1
+        back = load_atlas(tmp_path / "s.srmb")
+        want = Atlas.probabilistic(a.astype(np.float32))
+        assert back.weights.toarray().tobytes() == want.weights.toarray().tobytes()
+        assert back._mix.tobytes() == want._mix.tobytes()
+
+
+def write_unchecked(a, path):
+    """An SRMB float64 file of ``a``, written without save_matrix's finiteness check."""
+    header = struct.pack("<4sIBQQ", b"SRMB", 1, 0, *a.shape)
+    path.write_bytes(header + a.astype("<f8").tobytes())
 
 
 def test_partition_projection_reads_rows_in_place():

@@ -129,6 +129,39 @@ def test_unusable_atlas_is_argument_error(tmp_path, capsys, command, k, v, match
     assert not out.exists()
 
 
+def _atlas_file(path, defect):
+    """A 6 x 40 probabilistic atlas file with one defect."""
+    weights = np.random.default_rng(3).uniform(0.1, 1.0, (6, 40))
+    if defect == "all-zero row":
+        weights[4] = 0.0
+    save_matrix(weights, path)
+    if defect == "shorter than header":
+        path.write_bytes(path.read_bytes()[:10])
+    elif defect == "truncated":
+        path.write_bytes(path.read_bytes()[:-8])
+
+
+@pytest.mark.parametrize("command", ["fit", "evaluate"])
+@pytest.mark.parametrize("defect, match", [
+    ("shorter than header", "shorter than header"),
+    ("truncated", "truncated"),
+    ("all-zero row", "all-zero row"),
+])
+def test_invalid_atlas_file_is_argument_error(tmp_path, capsys, command, defect, match):
+    ds = run_synth(tmp_path)
+    atlas = tmp_path / "atlas.srmb"
+    _atlas_file(atlas, defect)
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--algo", "fastsrm", "--manifest", str(ds / "manifest.json"),
+              "--k", "3", "--atlas", str(atlas), "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"invalid atlas: {atlas}: " in err
+    assert match in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("subjects", ["7", "-1", "0,3", "a"])
 def test_transform_bad_subjects_are_argument_errors(tmp_path, capsys, monkeypatch, subjects):
     import srmkit.dataio

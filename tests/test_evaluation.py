@@ -16,7 +16,10 @@ from srmkit import (
     r2_score,
     roi_mask,
 )
-from srmkit.evaluation import _score_blocks, _score_run
+from srmkit.evaluation import _project_left_out, _score_blocks, _score_run, fold_seed
+from srmkit.srm import _project_sum
+
+from conftest import random_orthonormal_rows
 
 
 class TestR2Score:
@@ -90,6 +93,15 @@ class TestR2Score:
         assert np.all(scores <= 1.0)
 
 
+def rows_of(truth):
+    """The row reader that _score_blocks takes, over an in-memory truth."""
+    return lambda rows: truth[slice(*rows)]
+
+
+def column_mean(x):
+    return x.mean(axis=0, dtype=np.float64)
+
+
 class TestScoreBlocks:
     """The co-smoothing kernel: r2_map of ``shared @ w``, scored by row block."""
 
@@ -112,7 +124,7 @@ class TestScoreBlocks:
         w = rng.integers(-4, 5, (3, v)).astype(np.float64)
         truth = (shared @ w + rng.standard_normal((t, v)) * 3.0).astype(dtype)
         truth[:, 5] = 2.5  # a degenerate column
-        scores, degenerate = _score_blocks(shared, w, truth)
+        scores, degenerate = _score_blocks(shared, w, rows_of(truth), column_mean(truth))
         want_scores, want_degenerate = r2_map(shared @ w, truth)
         assert np.array_equal(scores, want_scores)
         assert np.array_equal(degenerate, want_degenerate)
@@ -125,7 +137,7 @@ class TestScoreBlocks:
         rng = np.random.default_rng(9)
         shared, w = rng.standard_normal((60, 5)), rng.standard_normal((5, 301))
         truth = shared @ w + rng.standard_normal((60, 301))
-        scores, _ = _score_blocks(shared, w, truth)
+        scores, _ = _score_blocks(shared, w, rows_of(truth), column_mean(truth))
         assert np.allclose(scores, r2_map(shared @ w, truth)[0], rtol=0, atol=1e-12)
 
     def test_score_run_never_builds_the_prediction(self, monkeypatch):
@@ -137,18 +149,63 @@ class TestScoreBlocks:
         truth = rng.standard_normal((t, v)).astype(np.float32)
         w = rng.standard_normal((k, v))
         proj = [rng.standard_normal((t, k)) for _ in range(3)]
+        mu = column_mean(truth)
+        read = []
 
-        class Manifest:  # loads a fresh copy of the truth, as a run read from disk is
-            def load_run(self, subject, run):
-                return truth.copy()
+        class Manifest:  # serves fresh copies of row ranges, as a run read from disk does
+            def load_run(self, subject, run, rows=None):
+                read.append(rows)
+                return truth[slice(*rows)].copy()
 
         tracemalloc.start()
         try:
-            _score_run(Manifest(), 0, lambda i: w.copy(), proj, subjects=[1])
+            _score_run(Manifest(), 0, lambda i: (w.copy(), mu), proj, subjects=[1])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= truth.nbytes + w.nbytes + 0.5 * t * v * 8
+        assert read == [(0, 52), (52, 104), (104, 156), (156, 200)]  # each row once
+        assert peak <= w.nbytes + 0.5 * t * v * 8
+
+
+class TestProjectLeftOut:
+    """The left-out run's projection and column mean, in one pass by row block."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("v, rows", [
+        (48, 7),      # 7-row blocks, ragged tails of 5 rows on both runs
+        (301, 7),     # a width that is not a multiple of 8
+        (301, None),  # the default blocks: one block at this width
+    ])
+    def test_matches_the_whole_run(self, make_dataset, monkeypatch, dtype, v, rows):
+        manifest, _ = make_dataset(n=2, m=2, t_list=(40, 33), v=v, k=3, sigma=0.5, seed=50,
+                                   dtype=dtype)
+        if rows is not None:
+            monkeypatch.setattr(srmkit.dataio, "BLOCK_BYTES", rows * 8 * v)
+        w = random_orthonormal_rows(3, v, seed=51)
+        for run in (0, 1):
+            x = manifest.load_run(1, run)
+            proj, mu = _project_left_out(manifest, 1, run, w)
+            want = _project_sum([x], [w])[0]
+            if dtype == np.float32:  # _project_sum takes the same blocks
+                assert proj.tobytes() == want.tobytes()
+            else:  # _project_sum takes a float64 run in one product
+                assert np.allclose(proj, want, rtol=0, atol=1e-12)
+            assert mu.tobytes() == x.mean(axis=0, dtype=np.float64).tobytes()
+
+    def test_reads_each_row_once(self, make_dataset, monkeypatch):
+        manifest, _ = make_dataset(n=2, m=2, t_list=(40, 33), v=48, k=3, sigma=0.5, seed=53,
+                                   dtype=np.float32)
+        monkeypatch.setattr(srmkit.dataio, "BLOCK_BYTES", 7 * 8 * 48)
+        read = []
+        load_run = srmkit.dataio.DatasetManifest.load_run
+
+        def logged(self, subject, run, rows=None):
+            read.append(rows)
+            return load_run(self, subject, run, rows)
+
+        monkeypatch.setattr(srmkit.dataio.DatasetManifest, "load_run", logged)
+        _project_left_out(manifest, 0, 1, random_orthonormal_rows(3, 48, seed=54))
+        assert read == [(0, 7), (7, 14), (14, 21), (21, 28), (28, 33)]
 
 
 class TestRoiMask:
@@ -251,6 +308,26 @@ class TestCosmoothing:
         assert noise_folds
         for fold in noise_folds:
             assert fold.scores.mean() <= 0.05
+
+    @pytest.mark.parametrize("algorithm", ["detsrm", "probsrm"])
+    def test_float64_maps_agree_with_whole_run_scoring(self, make_dataset, monkeypatch,
+                                                       algorithm):
+        # The left-out runs are projected and scored by row block, so float64
+        # maps agree with scoring the whole-run prediction to rounding only.
+        v = 301
+        manifest, _ = make_dataset(n=3, m=2, t_list=(30, 26), v=v, k=3, sigma=0.5, seed=52)
+        monkeypatch.setattr(srmkit.dataio, "BLOCK_BYTES", 7 * 8 * v)
+        result = cosmoothing(manifest, algorithm, k=3, n_iter=3, seed=5)
+        assert len(result.folds) == 6
+        for fold in result.folds:
+            s, i = fold.left_out_run, fold.left_out_subject
+            model = srmkit.fit(manifest.without_run(s), algorithm, 3, n_iter=3,
+                               seed=fold_seed(5, s))
+            others = [z for z in range(3) if z != i]
+            shared = srmkit.update_shared([manifest.load_run(z, s) for z in others],
+                                          [model.spatial_component(z) for z in others])
+            want, _ = r2_map(shared @ model.spatial_component(i), manifest.load_run(i, s))
+            assert np.allclose(fold.scores, want, rtol=0, atol=1e-12)
 
     def test_single_fold_recomputes_bit_for_bit(self, make_dataset, tmp_path):
         manifest, _ = make_dataset(n=3, m=3, t_list=(20, 25, 20), v=50, k=3, sigma=0.6, seed=24)
