@@ -12,7 +12,8 @@ import warnings
 import numpy as np
 from scipy import sparse
 
-from .dataio import FormatError, _block_rows, load_matrix, read_header, save_matrix
+from .dataio import (FormatError, _block_rows, _save_blocks, load_matrix, read_header,
+                     save_matrix)
 
 GRAM_RCOND = 1e-10  # relative singular-value cutoff for the parcel Gram pseudo-inverse
 SPARSE_DENSITY = 1 / 64  # largest share of nonzero probabilistic weights held as a CSR matrix
@@ -194,10 +195,14 @@ def _read_weights(path, c, v):
 
 def save_atlas(atlas: Atlas, path) -> None:
     """Store an atlas as an SRMB file readable by :func:`load_atlas`, which
-    reads a probabilistic atlas back as the same representation."""
+    reads a probabilistic atlas back as the same representation. A CSR
+    atlas is written as its dense c x v file, one :func:`_block_rows` row
+    block at a time, so saving it holds one dense block."""
     if atlas.kind == "partition":
         save_matrix(atlas.labels.astype(np.float64)[None, :], path)
     elif sparse.issparse(atlas.weights):
-        save_matrix(atlas.weights.toarray(), path)
+        rows = _block_rows(atlas.v)
+        blocks = (atlas.weights[a:a + rows].toarray() for a in range(0, atlas.c, rows))
+        _save_blocks(path, atlas.weights.shape, np.float64, blocks)
     else:
         save_matrix(atlas.weights, path)

@@ -70,14 +70,23 @@ def save_matrix(mat: np.ndarray, path) -> None:
         raise ValueError(f"matrix must be at least 1x1, got {mat.shape}")
     if mat.dtype not in _CODE_BY_DTYPE:
         raise ValueError(f"unsupported dtype {mat.dtype}; use float32 or float64")
-    if not np.all(np.isfinite(mat)):
-        raise ValueError("matrix contains non-finite values")
-    code = _CODE_BY_DTYPE[mat.dtype]
-    header = struct.pack("<4sIBQQ", MAGIC, VERSION, code, mat.shape[0], mat.shape[1])
-    le = mat.astype(_DTYPE_BY_CODE[code], copy=False)
+    _save_blocks(path, mat.shape, mat.dtype, (mat,))
+
+
+def _save_blocks(path, shape, dtype, blocks) -> None:
+    """Write the float32/float64 matrix of ``shape`` whose row blocks
+    ``blocks`` yields, in order, as :func:`save_matrix` writes it whole.
+    Each block is rejected if non-finite before it is written; the file is
+    written through ``<name>.tmp``, so a rejected block leaves any previous
+    file at ``path`` intact."""
+    code = _CODE_BY_DTYPE[np.dtype(dtype)]
     with _atomic_open(path, "wb") as f:
-        f.write(header)
-        np.ascontiguousarray(le).tofile(f)
+        f.write(struct.pack("<4sIBQQ", MAGIC, VERSION, code, shape[0], shape[1]))
+        for block in blocks:
+            if not np.all(np.isfinite(block)):
+                raise ValueError("matrix contains non-finite values")
+            np.ascontiguousarray(block.astype(_DTYPE_BY_CODE[code], copy=False)).tofile(f)
+            del block  # released before the next block is drawn
 
 
 def _parse_header(raw: bytes, path) -> tuple[int, int, np.dtype]:

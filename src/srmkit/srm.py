@@ -31,6 +31,7 @@ SIGMA_EIG_FLOOR = 1e-10
 COMPONENT_FILE = "w_{:03d}.srmb"  # subject i's components in a model directory
 SIGMA_S_FILE = "sigma_s.srmb"
 GRAM_FLOOR = 1e-6  # smallest eigenvalue ratio of m m^T that _polar's Gram kernel accepts
+TILE_COLS = 8192  # columns of a row block that _fold_steps multiplies at a time
 
 
 def _polar(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -390,30 +391,51 @@ def _fold_steps(folds, blocks, v):
     where fold f leaves run s out. ``blocks(s)`` yields (start, stop,
     X_s[start:stop]) over the rows of the subject's run s: an in-memory run
     comes in :func:`_row_blocks`, a run streamed from disk is read a block
-    at a time. Each block is drawn once, upcast to float64 once and released
-    before the next; its product S_f[start:stop]^T X_s[start:stop] is added
-    into the k x v accumulator of every fold f that trains on run s, in run
-    and row order. Each fold keeps its own product, so its sum is bit-identical to
-    that of the fold alone.
+    at a time. Each block is drawn once and released before the next, and
+    is walked in column tiles [a, b) of ``TILE_COLS`` columns (read at call
+    time; one tile when v fits in one). A tile that is not float64 is upcast
+    into one float64 buffer reused by every later tile, so a float32 block is
+    never copied whole. For every fold f that trains on run s, the tile's
+    product S_f[start:stop]^T X_s[start:stop, a:b] is written into one k x
+    tile scratch and added into columns [a, b) of the fold's k x v
+    accumulator, in run and row order. Each fold keeps its own product, so
+    its sum is bit-identical to that of the fold alone.
 
     Yields, fold by fold, the polar factor of the fold's accumulator and its
     singular values (:func:`_polar`), releasing the accumulator first.
-    Accumulators and the scratch product are per call, so worker threads
-    never share them.
+    Accumulators, the scratch and the upcast buffer are per call, so worker
+    threads never share them.
     """
     k = next(sh for sh in folds[0] if sh is not None).shape[1]
     acc = [np.zeros((k, v), dtype=np.float64) for _ in folds]
-    scratch = np.empty((k, v), dtype=np.float64)
-    for s in range(len(folds[0])):
-        training = [f for f, fold in enumerate(folds) if fold[s] is not None]
-        for start, stop, x in blocks(s):
-            x = x.astype(np.float64, copy=False)
-            for f in training:
-                acc[f] += np.matmul(folds[f][s][start:stop].T, x, out=scratch)
-            del x
-    del scratch
+    _accumulate(folds, blocks, acc)
     while acc:  # popped, so no accumulator outlives its Procrustes step
         yield _polar(acc.pop(0))
+
+
+def _accumulate(folds, blocks, acc) -> None:
+    """The accumulation of :func:`_fold_steps`, into the k x v arrays
+    ``acc``. Its scratch, upcast buffer and views are locals, so none of
+    them outlives the call: a view left alive would hold its buffer through
+    the Procrustes steps."""
+    k, v = acc[0].shape
+    tile = min(TILE_COLS, v)
+    scratch, buf = np.empty(k * tile), None
+    for s in range(len(folds[0])):
+        training = [(fold[s], total) for fold, total in zip(folds, acc) if fold[s] is not None]
+        for start, stop, x in blocks(s):
+            for a in range(0, v, tile):
+                xt = x[:, a:a + tile]  # a view, which holds the whole block
+                if xt.dtype != np.float64:
+                    if buf is None or buf.size < xt.size:
+                        buf = np.empty(len(x) * tile)
+                    up = buf[:xt.size].reshape(xt.shape)
+                    up[...] = xt
+                    xt = up
+                out = scratch[:k * xt.shape[1]].reshape(k, xt.shape[1])
+                for sh, total in training:
+                    total[:, a:a + tile] += np.matmul(sh[start:stop].T, xt, out=out)
+            del x, xt  # released before the next block is drawn
 
 
 def _sum_squares(runs, centered=False) -> float:

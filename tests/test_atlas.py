@@ -225,6 +225,35 @@ class TestLoadAtlas:
         assert sparse.issparse(back.weights)
         assert back.weights.toarray().tobytes() == prob.weights.toarray().tobytes()
 
+    @pytest.mark.parametrize("rows", [3, 7])
+    def test_sparse_save_is_written_by_row_block(self, tmp_path, monkeypatch, rows):
+        # 100 x 8,000 weights, 1 or 2 per voxel (1.5%, so held as CSR): the
+        # dense file is 6.4 MB, and saving it must never hold it whole.
+        c, v = 100, 8_000
+        prob = Atlas.probabilistic(sparse_weights(c, v, seed=25, second=0.5))
+        assert sparse.issparse(prob.weights)
+        monkeypatch.setattr(srmkit.dataio, "BLOCK_BYTES", rows * 8 * v)
+        tracemalloc.start()
+        try:
+            save_atlas(prob, tmp_path / "s.srmb")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * c * v * 8, f"peak {peak / (c * v * 8):.2f} of the dense file"
+
+    def test_sparse_save_matches_the_dense_file(self, tmp_path, monkeypatch):
+        # 7-row blocks over 100 rows leave a ragged tail of 2
+        a = sparse_weights(100, 1_000, seed=26, second=0.5)
+        prob = Atlas.probabilistic(a)
+        assert sparse.issparse(prob.weights)
+        monkeypatch.setattr(srmkit.dataio, "BLOCK_BYTES", 7 * 8 * 1_000)
+        save_atlas(prob, tmp_path / "s.srmb")
+        save_matrix(a, tmp_path / "d.srmb")
+        assert (tmp_path / "s.srmb").read_bytes() == (tmp_path / "d.srmb").read_bytes()
+        back = load_atlas(tmp_path / "s.srmb")
+        assert sparse.issparse(back.weights)
+        assert back.weights.toarray().tobytes() == a.tobytes()
+
     @pytest.mark.parametrize("fill, match", [(np.nan, "non-finite"), (0.0, "all-zero row")])
     def test_invalid_weights_name_the_file(self, tmp_path, fill, match):
         a = np.abs(np.random.default_rng(3).standard_normal((4, 20))) + 0.1

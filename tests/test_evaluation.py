@@ -531,6 +531,31 @@ class TestCosmoothing:
             assert np.array_equal(alone.scores, fold.scores)
             assert np.array_equal(alone.degenerate, fold.degenerate)
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_column_tiles_keep_folds_and_jobs_bit_for_bit(self, make_dataset, monkeypatch,
+                                                          dtype):
+        # 16-column tiles over v=50 (three whole tiles and a ragged one):
+        # a single fold recomputes the sweep's maps, and one or two workers
+        # write the same components and maps, for every algorithm.
+        monkeypatch.setattr(srmkit.srm, "TILE_COLS", 16)
+        manifest, _ = make_dataset(n=3, m=3, t_list=(20, 25, 20), v=50, k=3, sigma=0.6,
+                                   seed=33, dtype=dtype)
+        atlas = Atlas.probabilistic(np.random.default_rng(34).uniform(0.0, 1.0, size=(10, 50)))
+        for algorithm in ("detsrm", "probsrm", "fastsrm"):
+            cfg = dict(k=3, atlas=atlas if algorithm == "fastsrm" else None, n_iter=3, seed=7)
+            fits = [srmkit.fit(manifest, algorithm, n_jobs=j, **cfg) for j in (1, 2)]
+            for i in range(3):
+                one, two = (f.spatial_component(i) for f in fits)
+                assert one.tobytes() == two.tobytes()
+            sweeps = [cosmoothing(manifest, algorithm, n_jobs=j, **cfg) for j in (1, 2)]
+            for fold, other in zip(*(r.folds for r in sweeps)):
+                assert fold.scores.tobytes() == other.scores.tobytes()
+            for fold in sweeps[0].folds:
+                alone = cosmoothing_fold(manifest, algorithm, run=fold.left_out_run,
+                                         subject=fold.left_out_subject, **cfg)
+                assert alone.scores.tobytes() == fold.scores.tobytes()
+                assert np.array_equal(alone.degenerate, fold.degenerate)
+
     def test_fold_enumeration_and_mean_maps(self, make_dataset):
         manifest, _ = make_dataset(n=2, m=2, v=30, k=2, sigma=0.5, seed=25)
         result = cosmoothing(manifest, "detsrm", k=2, n_iter=3, seed=1)
@@ -581,3 +606,48 @@ def test_unusable_component_dir_fails_before_any_load(make_dataset, monkeypatch,
     with pytest.raises(OSError):
         srmkit.fit(manifest, algorithm, k=3, n_iter=2, component_dir=blocker / "model")
     assert loads == []
+
+
+BLAS_NAMES = ("openblas", "mkl", "blis")
+
+ONE_BLAS_SCRIPT = """
+import json, sys
+from pathlib import Path
+import numpy as np
+import srmkit
+
+manifest, _ = srmkit.generate(3, 2, [20, 20], 400, 3, 0.5, seed=0, out_dir=Path(sys.argv[1]))
+srmkit.fastsrm_fit(manifest, srmkit.balanced_partition(400, 20, seed=0), k=3, n_iter=2)
+dense = srmkit.Atlas.probabilistic(np.random.default_rng(1).uniform(0.1, 1.0, (20, 400)))
+cols = np.arange(400)
+one_each = np.zeros((100, 400))
+one_each[cols % 100, cols] = 1.0
+sparse_atlas = srmkit.Atlas.probabilistic(one_each)
+for atlas in (dense, sparse_atlas):
+    srmkit.cosmoothing(manifest, "fastsrm", k=3, atlas=atlas, n_iter=2)
+srmkit.cosmoothing(manifest, "probsrm", k=3, n_iter=2)
+maps = Path("/proc/self/maps").read_text().splitlines()
+print(json.dumps(sorted({line.split()[-1] for line in maps if len(line.split()) == 6})))
+"""
+
+
+def test_one_blas_library_is_loaded(tmp_path):
+    # Every kernel goes through numpy's BLAS. A second BLAS (scipy.linalg's
+    # own OpenBLAS, say) brings a second thread pool, which slowed a whole
+    # co-smoothing by about a third on two cores where it was tried.
+    import json
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    if not Path("/proc/self/maps").exists():
+        pytest.skip("needs /proc/self/maps")
+    src = str(Path(srmkit.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get(
+        "PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", ONE_BLAS_SCRIPT, str(tmp_path / "ds")],
+                         capture_output=True, text=True, check=True, env=env)
+    names = {Path(p).name for p in json.loads(out.stdout.splitlines()[-1])}
+    blas = sorted(n for n in names if any(b in n.lower() for b in BLAS_NAMES))
+    assert len(blas) <= 1, f"BLAS libraries loaded: {blas}"

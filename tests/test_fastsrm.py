@@ -19,7 +19,7 @@ from srmkit import (
     subspace_error,
     update_shared,
 )
-from srmkit import dataio, fastsrm
+from srmkit import dataio, fastsrm, srm
 from srmkit.dataio import FormatError
 from srmkit.srm import SrmModel, _fold_steps
 
@@ -376,15 +376,17 @@ def test_float32_recovery_holds_less_than_one_float64_run(make_dataset, monkeypa
     assert peak < run_bytes, f"peak {peak / run_bytes:.2f} float64 runs"
 
 
-def test_streamed_subject_step_holds_one_block(make_dataset):
+def test_streamed_subject_step_holds_one_block(make_dataset, monkeypatch):
     # Each block is released before the next is read: over a run of 4
-    # blocks the peak is one block, the k x v accumulator and its scratch.
+    # blocks the peak is one block, the k x v accumulator and a k x tile
+    # scratch (256-column tiles, so v spans 8 of them).
     import tracemalloc
 
-    rows, v, k = 50, 2000, 3
+    rows, v, k, tile = 50, 2000, 3, 256
+    monkeypatch.setattr(srm, "TILE_COLS", tile)
     manifest, _ = make_dataset(n=1, m=1, t_list=(4 * rows,), v=v, k=k, sigma=0.3, seed=39)
     shared = [np.random.default_rng(40).standard_normal((4 * rows, k))]
-    block, buffers = rows * v * 8, 2 * k * v * 8
+    block, buffers = rows * v * 8, k * v * 8 + k * tile * 8
     tracemalloc.start()
     try:
         next(_fold_steps([shared], lambda s: manifest.run_blocks(0, s, rows), v))

@@ -453,6 +453,89 @@ class TestDetSrm:
         assert np.linalg.norm(out - whole) <= 1e-12 * np.linalg.norm(whole)
 
 
+def block_rows(runs, rows):
+    """blocks(s) for _fold_steps: (start, stop, rows) over ``rows``-row blocks of runs[s]."""
+    return lambda s: ((a, min(a + rows, len(runs[s])), runs[s][a:a + rows])
+                      for a in range(0, len(runs[s]), rows))
+
+
+class TestFoldSteps:
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("tile", [7, 64, None])  # None: one tile at least v wide
+    @pytest.mark.parametrize("n_folds", [1, 3])
+    def test_tiles_match_the_whole_block_accumulation(self, monkeypatch, dtype, tile, n_folds):
+        # v = 3 tiles + 5 columns, so the last tile is ragged; 7-row blocks
+        # over runs of 30, 25 and 20 rows. With 3 folds, fold f leaves run f out.
+        v = 3 * (tile or 64) + 5
+        monkeypatch.setattr(srm, "TILE_COLS", tile or v)
+        rng = np.random.default_rng(60)
+        runs = [rng.standard_normal((t, v)).astype(dtype) for t in (30, 25, 20)]
+        folds = [[None if n_folds > 1 and s == f else rng.standard_normal((len(x), 4))
+                  for s, x in enumerate(runs)] for f in range(n_folds)]
+        want = [np.zeros((4, v)) for _ in folds]
+        for s in range(len(runs)):
+            for start, stop, x in block_rows(runs, 7)(s):
+                for f, fold in enumerate(folds):
+                    if fold[s] is not None:
+                        want[f] += fold[s][start:stop].T @ x.astype(np.float64)
+        monkeypatch.setattr(srm, "_polar", lambda m: (m, None))  # yields the accumulators
+        got = [acc for acc, _ in srm._fold_steps(folds, block_rows(runs, 7), v)]
+        assert len(got) == n_folds
+        for g, w in zip(got, want):
+            assert np.max(np.abs(g - w)) <= 1e-12 * np.max(np.abs(w))
+
+    def test_float32_block_is_upcast_one_tile_at_a_time(self, monkeypatch):
+        # One 200 x 1,536 float32 block in 512-column tiles: the pass holds
+        # the k x v accumulator, a k x tile scratch and a 200 x tile float64
+        # buffer, never a k x v scratch or the block's whole float64 copy.
+        # Adding into a tile this narrow, numpy's ufunc may take its two
+        # buffers of getbufsize() float64 values.
+        import tracemalloc
+
+        t, k, tile = 200, 20, 512
+        v = 3 * tile
+        monkeypatch.setattr(srm, "TILE_COLS", tile)
+        rng = np.random.default_rng(61)
+        x = rng.standard_normal((t, v)).astype(np.float32)
+        shared = [rng.standard_normal((t, k))]
+        ufunc_buffers = 2 * np.getbufsize() * 8
+        bound = k * v * 8 + k * tile * 8 + t * tile * 8 + ufunc_buffers + 2**14
+        tracemalloc.start()
+        try:
+            next(srm._fold_steps([shared], lambda s: [(0, t, x)], v))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, f"peak {peak} bytes, bound {bound}"
+
+
+    def test_no_buffer_outlives_the_accumulation(self, monkeypatch):
+        # One tile as wide as v makes the scratch k x v: were it (or a view
+        # of it) alive in the Procrustes step, the step would hold three k x v
+        # matrices, the scratch, the accumulator and the polar factor, not two.
+        import tracemalloc
+
+        t, k, v = 40, 20, 1_000
+        monkeypatch.setattr(srm, "TILE_COLS", v)
+        rng = np.random.default_rng(62)
+        x = rng.standard_normal((t, v))
+        shared = [rng.standard_normal((t, k))]
+        polar, peaks = srm._polar, []
+
+        def traced_polar(m):
+            tracemalloc.reset_peak()
+            out = polar(m)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            return out
+
+        monkeypatch.setattr(srm, "_polar", traced_polar)
+        tracemalloc.start()
+        try:
+            next(srm._fold_steps([shared], lambda s: [(0, t, x)], v))
+        finally:
+            tracemalloc.stop()
+        assert peaks[0] < 2.5 * k * v * 8, f"{peaks[0] / (k * v * 8):.2f} k x v matrices"
+
 class TestSrmModel:
     def test_save_load_roundtrip(self, tmp_path):
         spatial = [random_orthonormal_rows(3, 10, seed=i) for i in range(2)]
