@@ -63,8 +63,6 @@ class Atlas:
         if np.any(counts == 0):
             missing = np.flatnonzero(counts == 0)
             raise ValueError(f"empty parcels: {missing.tolist()}")
-        if c > v:
-            raise ValueError(f"parcel count c={c} exceeds voxel count v={v}")
         # c x v sparse averaging operator; X @ op.T gives per-parcel means.
         op = sparse.csr_matrix(
             (1.0 / counts[labels], (labels, np.arange(v))), shape=(c, v), dtype=np.float64

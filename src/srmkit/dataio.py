@@ -143,11 +143,11 @@ def load_matrix(path, row_range: tuple[int, int] | None = None) -> np.ndarray:
     return data.reshape(stop - start, cols)
 
 
-def _block_rows(v: int, min_bytes: int = 0) -> int:
-    """Rows per block: ``BLOCK_BYTES`` (read at call time), or ``min_bytes``
-    if larger, of float64 rows of v voxels, and at least one row. The block
-    size never depends on ``n_jobs``, so results do not either."""
-    return max(1, max(BLOCK_BYTES, min_bytes) // (8 * v))
+def _block_rows(v: int) -> int:
+    """Rows per block: ``BLOCK_BYTES`` (read at call time) of float64 rows of
+    v voxels, and at least one row. The block size never depends on
+    ``n_jobs``, so results do not either."""
+    return max(1, BLOCK_BYTES // (8 * v))
 
 
 def _row_blocks(x):
@@ -202,10 +202,11 @@ class DatasetManifest:
             raise self._load_error(subject, run, exc) from exc
         return x
 
-    def run_blocks(self, subject: int, run: int, block_rows: int):
+    def run_blocks(self, subject: int, run: int, block_rows: int | None = None):
         """Yield (start, stop, rows [start, stop) of the run) over successive
-        blocks of ``block_rows`` rows (the last may be shorter), so that no
-        more than one block of the run is in memory at a time.
+        blocks of ``block_rows`` rows, :func:`_block_rows` by default (the
+        last may be shorter), so that no more than one block of the run is in
+        memory at a time. Every pass that streams a run draws its blocks here.
 
         The file's shape is checked against the manifest before the first
         block; every block is read through :meth:`load_run`, which checks the
@@ -220,8 +221,9 @@ class DatasetManifest:
                 raise FormatError(f"{path}: shape {rows}x{cols}, manifest expects {t}x{self.v}")
         except Exception as exc:
             raise self._load_error(subject, run, exc) from exc
-        for start in range(0, t, block_rows):
-            stop = min(start + block_rows, t)
+        step = _block_rows(self.v) if block_rows is None else block_rows
+        for start in range(0, t, step):
+            stop = min(start + step, t)
             yield start, stop, self.load_run(subject, run, rows=(start, stop))
 
     def load_all(self) -> list[list[np.ndarray]]:

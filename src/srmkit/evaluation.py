@@ -20,10 +20,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataio import DatasetManifest, _block_rows, load_matrix, save_matrix
-from .fastsrm import _check_atlas, _fit_reduced, _recover_subject, fastsrm_fit, reduce_dataset
-from .srm import (SrmModel, _check_fit_args, _map_subjects, _project_blocks, _staged_dir,
-                  check_orthonormal, detsrm_fit, probsrm_fit)
+from .dataio import DatasetManifest, load_matrix, save_matrix
+from .fastsrm import _check_atlas, _fit_reduced, fastsrm_fit, reduce_dataset
+from .srm import (SrmModel, _check_fit_args, _fold_steps, _map_subjects, _project_blocks,
+                  _staged_dir, check_orthonormal, detsrm_fit, probsrm_fit)
 
 DEGENERATE_SS = 1e-24
 ROI_THRESHOLD = 0.05  # reference cut for "informative" voxels
@@ -81,29 +81,25 @@ def _scores(ss_res, ss_tot) -> tuple[np.ndarray, np.ndarray]:
     return scores, degenerate
 
 
-def _score_blocks(shared, w, read, mu) -> tuple[np.ndarray, np.ndarray]:
+def _score_blocks(shared, w, blocks, mu) -> tuple[np.ndarray, np.ndarray]:
     """:func:`r2_map` of the prediction ``shared @ w`` against a t x v truth
     with column means ``mu``, never forming the t x v prediction nor holding
     more than one row block of the truth.
 
-    ``read((a, b))`` returns the truth's rows [a, b). They are read in
-    :func:`_block_rows` blocks of at least 2 rows, each once, with a 1-row
-    tail merged into the block before it (a 1-row product goes through GEMV
-    and rounds differently), and every block shares one float64 buffer.
-    Both sums add the block's rows one at a time in order, which is what
-    numpy's axis-0 sum does for v >= 2. So with ``mu`` the truth's
-    ``mean(axis=0, dtype=np.float64)``, the scores match :func:`r2_map`'s
-    bit for bit wherever BLAS rounds each row of a block's product as it
-    rounds that row of the whole product; OpenBLAS may not when v is not a
-    multiple of 8, and then they differ by rounding.
+    ``blocks`` yields the truth's (start, stop, rows [start, stop)) in
+    order, as :meth:`DatasetManifest.run_blocks` does, each drawn once and
+    released before the next; all share one float64 buffer sized by the
+    first, the largest. Both sums add the block's rows one at a time in
+    order, which is what numpy's axis-0 sum does for v >= 2. So with ``mu``
+    the truth's ``mean(axis=0, dtype=np.float64)``, the scores match
+    :func:`r2_map`'s bit for bit wherever BLAS rounds each row of a block's
+    product as it rounds that row of the whole product. OpenBLAS may not
+    when v is not a multiple of 8, or for a 1-row block (a GEMV); then they
+    differ by rounding.
     """
-    t, v = len(shared), len(mu)
-    rows = _block_rows(v, 2 * 8 * v)
-    bounds = [0, *range(rows, t - 1, rows), t]
-    buf = np.empty((min(t, rows + 1), v))
-    ss_tot, ss_res = np.zeros(v), np.zeros(v)
-    for a, b in zip(bounds, bounds[1:]):
-        truth = read((a, b))
+    ss_tot, ss_res, buf = np.zeros(len(mu)), np.zeros(len(mu)), None
+    for a, b, truth in blocks:
+        buf = np.empty(truth.shape) if buf is None else buf
         block = buf[:b - a]
         np.square(np.subtract(truth, mu, out=block, dtype=np.float64), out=block)
         for row in block:
@@ -112,7 +108,7 @@ def _score_blocks(shared, w, read, mu) -> tuple[np.ndarray, np.ndarray]:
         np.square(np.subtract(block, truth, out=block, dtype=np.float64), out=block)
         for row in block:
             ss_res += row
-        del truth  # released before the next block is read
+        del truth  # released before the next block is drawn
     return _scores(ss_res, ss_tot)
 
 
@@ -199,8 +195,8 @@ def _check_fit_inputs(manifest, algorithm, k, atlas, n_iter, n_jobs, held_out=Fa
 
 def _project_left_out(manifest, subject, run, w) -> tuple[np.ndarray, np.ndarray]:
     """(X W^T, column mean of X) of the subject's run X through its
-    components w, in one pass over the run's :func:`_block_rows` row blocks,
-    each read from disk once and handed to :func:`_project_blocks`.
+    components w, in one pass over the run's :meth:`DatasetManifest.run_blocks`
+    row blocks, each read from disk once and handed to :func:`_project_blocks`.
 
     A float32 block of these rows is the block :func:`_project_sum` takes
     of the whole run, so the projection is its whole-run one to the byte; a
@@ -208,9 +204,9 @@ def _project_left_out(manifest, subject, run, w) -> tuple[np.ndarray, np.ndarray
     agrees to rounding. The mean is ``X.mean(axis=0, dtype=np.float64)``
     bit for bit.
     """
-    t, v = manifest.t_per_run[run], manifest.v
-    total = np.zeros(v)
-    proj = _project_blocks(manifest.run_blocks(subject, run, _block_rows(v)), w, t, total)
+    t = manifest.t_per_run[run]
+    total = np.zeros(manifest.v)
+    proj = _project_blocks(manifest.run_blocks(subject, run), w, t, total)
     return proj, total / t
 
 
@@ -231,7 +227,7 @@ def _score_run(manifest, run, held_out, proj, subjects=None):
     for i in subjects if subjects is not None else range(n):
         shared = (total - proj[i]) / (n - 1)
         w, mu = held_out(i)
-        scores, degenerate = _score_blocks(shared, w, partial(manifest.load_run, i, run), mu)
+        scores, degenerate = _score_blocks(shared, w, manifest.run_blocks(i, run), mu)
         del w, mu  # released before the next subject's are read
         folds.append(R2Map(scores, degenerate, left_out_run=run, left_out_subject=i))
     return folds
@@ -275,7 +271,7 @@ def _fastsrm_folds(manifest, atlas, k, n_iter, seed, n_jobs):
         def recover(i):
             done = 0  # every fold reads every run, so a failed read fails fold 0
             try:
-                for w, _ in _recover_subject(manifest, i, shared):
+                for w, _ in _fold_steps(shared, partial(manifest.run_blocks, i), manifest.v):
                     check_orthonormal(w)
                     proj[done][i], mu = _project_left_out(manifest, i, done, w)
                     save_matrix(w, spill / FOLD_COMPONENT_FILE.format(done, i))

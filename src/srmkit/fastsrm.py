@@ -16,6 +16,7 @@ from __future__ import annotations
 import dataclasses
 import tempfile
 from contextlib import nullcontext
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -79,8 +80,8 @@ def reduce_dataset(
     its subject, run and file.
     """
     directory = Path(directory)
-    dense = atlas.weights.nbytes if isinstance(atlas.weights, np.ndarray) else 0
-    rows = _block_rows(manifest.v, dense)
+    dense = isinstance(atlas.weights, np.ndarray)
+    rows = max(_block_rows(manifest.v), atlas.c if dense else 1)
 
     def reduce_run(i, s):
         out = np.empty((manifest.t_per_run[s], atlas.c))
@@ -99,14 +100,6 @@ def reduce_dataset(
 
     runs = _map_subjects(reduce_subject, manifest.n_subjects, n_jobs)
     return dataclasses.replace(manifest, runs=tuple(runs), v=atlas.c)
-
-
-def _recover_subject(manifest: DatasetManifest, i: int, folds):
-    """Subject i's (components, singular values) for each fold of ``folds``,
-    yielded in fold order, streaming each of the subject's runs from disk once
-    in blocks of rows (see :func:`_fold_steps`, which sets out ``folds``)."""
-    rows = _block_rows(manifest.v)
-    return _fold_steps(folds, lambda s: manifest.run_blocks(i, s, rows), manifest.v)
 
 
 def recover_components(
@@ -139,7 +132,7 @@ def recover_components(
         component_dir.mkdir(parents=True, exist_ok=True)
 
     def recover_subject(i):
-        ((w, _),) = _recover_subject(manifest, i, [runs])
+        ((w, _),) = _fold_steps([runs], partial(manifest.run_blocks, i), manifest.v)
         if component_dir is None:
             return w
         dest = component_dir / COMPONENT_FILE.format(i)

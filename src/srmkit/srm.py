@@ -263,7 +263,10 @@ class SrmModel:
 def _staged_dir(directory: Path):
     """Yield a new sibling ``<name>.<token>.tmp`` of ``directory``, made before
     the block runs. It then replaces ``directory`` whole, or is removed if the
-    block raises, leaving ``directory`` as it was."""
+    block raises, leaving ``directory`` as it was. A file or a symbolic link
+    at ``directory`` could not be replaced so, and is rejected first."""
+    if directory.is_symlink() or directory.exists() and not directory.is_dir():
+        raise NotADirectoryError(f"{directory} exists and is not a directory")
     staging = directory.with_name(f"{directory.name}.{uuid.uuid4().hex[:12]}.tmp")
     staging.mkdir(parents=True)
     try:
@@ -512,6 +515,7 @@ def detsrm_fit(data, k: int, n_iter: int = 10, seed=0, n_jobs: int = 1):
     trace = []
     for _ in range(n_iter):
         shared = [update_shared((data[i][s] for i in range(n)), spatial) for s in range(m)]
+        spatial = None  # the component step never reads the old set, so it is freed first
         spatial, partial = _update_components(data, shared, ssq, v, n_jobs)
         trace.append(max(sum(partial) + n * _sum_squares(shared), 0.0))
     model = SrmModel(spatial)
@@ -596,6 +600,7 @@ def probsrm_fit(data, k: int, n_iter: int = 10, seed=0, n_jobs: int = 1):
 
         # S^T X = S^T (X - 1 mu^T) needs column-centered S; mu is only centered to rounding
         centered = [mu - mu.mean(axis=0) for mu in post_means]
+        spatial = None  # as in detsrm_fit, the old set is freed before the component step
         spatial, partial = _update_components(data, centered, ssq, v, n_jobs)
         post_var = total_t * float(np.trace(post_cov))
         sigma_sq = np.array([max((p + post_var + msq) / (total_t * v), 1e-30) for p in partial])

@@ -1,3 +1,6 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -35,3 +38,28 @@ def sparse_weights(c, v, seed=0, second=0.0):
     two = cols[: int(second * v)]
     a[(two + rng.integers(1, c, size=two.size)) % c, two] = rng.uniform(0.1, 0.5, size=two.size)
     return a
+
+
+def not_a_directory(root, kind):
+    """``root/model``, where a model directory cannot go: a regular file, or
+    a symbolic link to a directory holding one file."""
+    path = root / "model"
+    if kind == "file":
+        path.write_text("not a model")
+    else:
+        (root / "elsewhere").mkdir()
+        (root / "elsewhere" / "keep.txt").write_text("kept")
+        path.symlink_to(root / "elsewhere", target_is_directory=True)
+    return path
+
+
+def tree(root):
+    """Every entry under ``root``, symbolic links not followed: a file's
+    bytes, a link's target, or None for a directory."""
+    entries = {}
+    for top, dirs, files in os.walk(root):
+        for name in dirs + files:
+            p = Path(top) / name
+            entries[str(p.relative_to(root))] = (
+                os.readlink(p) if p.is_symlink() else None if p.is_dir() else p.read_bytes())
+    return entries

@@ -59,6 +59,15 @@ class TestPartition:
         with pytest.raises(ValueError):
             Atlas.partition([0, 1, 5])  # parcels 2..4 empty anyway
 
+    @pytest.mark.parametrize("labels, match", [
+        ([[0, 1], [1, 0]], "1-D"),
+        ([0.0, 1.5, 1.0], "integer-valued"),
+        ([0, -1, 1], "non-negative"),
+    ])
+    def test_invalid_labels_rejected(self, labels, match):
+        with pytest.raises(ValueError, match=match):
+            Atlas.partition(labels)
+
     def test_singleton_parcels_allowed_in_memory(self):
         atlas = Atlas.partition(np.arange(6))
         x = np.random.default_rng(2).standard_normal((3, 6))
@@ -87,6 +96,14 @@ class TestProbabilistic:
             atlas = Atlas.probabilistic(a)
         out = project_run(np.random.default_rng(10).standard_normal((4, 20)), atlas)
         assert np.all(np.isfinite(out))
+
+    @pytest.mark.parametrize("weights, match", [
+        (np.ones(5), "2-D"),
+        (np.ones((6, 5)), "c=6 exceeds voxel count v=5"),
+    ])
+    def test_invalid_shape_rejected(self, weights, match):
+        with pytest.raises(ValueError, match=match):
+            Atlas.probabilistic(weights)
 
     def test_zero_row_rejected(self):
         a = np.zeros((2, 8))

@@ -5,8 +5,11 @@ import jsonschema
 import numpy as np
 import pytest
 
+import srmkit.dataio
 from srmkit import balanced_partition, load_matrix, save_atlas, save_matrix
 from srmkit.cli import main
+
+from conftest import not_a_directory, tree
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "src" / "srmkit" / "schemas"
 
@@ -160,6 +163,29 @@ def test_invalid_atlas_file_is_argument_error(tmp_path, capsys, command, defect,
     assert f"invalid atlas: {atlas}: " in err
     assert match in err
     assert not out.exists()
+
+
+def test_missing_inputs_are_argument_errors(tmp_path, capsys):
+    ds = run_synth(tmp_path)
+    manifest = str(ds / "manifest.json")
+    fit_out = tmp_path / "fit"
+    assert main(["fit", "--algo", "detsrm", "--manifest", manifest, "--k", "3",
+                 "--n-iter", "2", "--out", str(fit_out)]) == 0
+    capsys.readouterr()
+    for argv, match in [
+        (["fit", "--algo", "fastsrm", "--manifest", manifest, "--k", "3",
+          "--atlas", str(tmp_path / "none.srmb"), "--out", str(tmp_path / "f")],
+         "atlas not found"),
+        (["transform", "--model", str(tmp_path / "none"), "--manifest", manifest, "--run", "0",
+          "--out", str(tmp_path / "s.srmb")], "model directory not found"),
+        (["transform", "--model", str(fit_out / "model"), "--manifest", manifest, "--run", "2",
+          "--out", str(tmp_path / "s.srmb")], "run 2 out of range"),
+    ]:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert match in capsys.readouterr().err
+    assert not (tmp_path / "f").exists() and not (tmp_path / "s.srmb").exists()
 
 
 @pytest.mark.parametrize("subjects", ["7", "-1", "0,3", "a"])
@@ -577,3 +603,30 @@ def test_transform_reads_each_component_once(tmp_path, monkeypatch):
                  "--manifest", str(ds / "manifest.json"), "--run", "0",
                  "--out", str(tmp_path / "s.srmb")]) == 0
     assert reads == ["w_000.srmb", "w_001.srmb", "w_002.srmb"]
+
+
+@pytest.mark.parametrize("kind", ["file", "symlink"])
+@pytest.mark.parametrize("algo", ["detsrm", "fastsrm"])
+def test_fit_onto_a_model_path_that_is_not_a_directory_reads_nothing(
+    tmp_path, capsys, monkeypatch, algo, kind
+):
+    ds = run_synth(tmp_path)
+    save_atlas(balanced_partition(40, 8, seed=0), tmp_path / "atlas.srmb")
+    out = tmp_path / "fit"
+    out.mkdir()
+    model = not_a_directory(out, kind)
+    before = tree(tmp_path)
+    loads = []
+    real_load = srmkit.dataio.load_matrix
+
+    def counting_load(*args, **kwargs):
+        loads.append(args)
+        return real_load(*args, **kwargs)
+
+    monkeypatch.setattr(srmkit.dataio, "load_matrix", counting_load)
+    code = main(["fit", "--algo", algo, "--manifest", str(ds / "manifest.json"), "--k", "3",
+                 "--atlas", str(tmp_path / "atlas.srmb"), "--out", str(out)])
+    assert code == 1
+    assert str(model) in capsys.readouterr().err
+    assert loads == []
+    assert tree(tmp_path) == before

@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -90,6 +91,16 @@ class TestBinaryFormat:
         p.write_bytes(bytes(raw))
         with pytest.raises(FormatError, match="dtype"):
             load_matrix(p)
+
+    @pytest.mark.parametrize("rows, cols, match", [
+        (0, 3, "invalid shape 0x3"),
+        (2**40, 2**30, "overflow"),
+    ])
+    def test_impossible_header_shape(self, tmp_path, rows, cols, match):
+        p = tmp_path / "m.srmb"
+        p.write_bytes(struct.pack("<4sIBQQ", b"SRMB", 1, 0, rows, cols))
+        with pytest.raises(FormatError, match=match):
+            read_header(p)
 
     def test_truncated_file(self, tmp_path):
         p = tmp_path / "m.srmb"
@@ -185,6 +196,11 @@ class TestManifest:
         with pytest.raises(ValueError, match="run count"):
             load_manifest(p)
 
+    def test_subject_without_runs(self, tmp_path):
+        p = self._write_runs(tmp_path, {"a": [(5, 4)], "b": []})
+        with pytest.raises(ValueError, match="subject b has no runs"):
+            load_manifest(p)
+
     def test_without_run(self, tmp_path):
         p = self._write_runs(tmp_path, {"a": [(5, 4), (6, 4), (7, 4)]})
         man = load_manifest(p)
@@ -205,6 +221,14 @@ class TestManifest:
             assert x.shape == (stop - start, 4)
             assert np.array_equal(x, whole[start:stop])
         assert [(a, b) for a, b, _ in man.run_blocks(0, 0, 99)] == [(0, 5)]
+
+    def test_run_blocks_default_to_the_block_rule(self, tmp_path, monkeypatch):
+        import srmkit.dataio
+
+        p = self._write_runs(tmp_path, {"a": [(7, 4)], "b": [(7, 4)]})
+        man = load_manifest(p)
+        monkeypatch.setattr(srmkit.dataio, "BLOCK_BYTES", 3 * 8 * 4)  # 3 float64 rows
+        assert [(a, b) for a, b, _ in man.run_blocks(1, 0)] == [(0, 3), (3, 6), (6, 7)]
 
     def test_run_blocks_check_shape_against_manifest(self, tmp_path):
         p = self._write_runs(tmp_path, {"a": [(5, 4)], "b": [(5, 4)]})

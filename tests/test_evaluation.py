@@ -15,6 +15,7 @@ from srmkit import (
     r2_map,
     r2_score,
     roi_mask,
+    save_matrix,
 )
 from srmkit.evaluation import _project_left_out, _score_blocks, _score_run, fold_seed
 from srmkit.srm import _project_sum
@@ -46,6 +47,8 @@ class TestR2Score:
             r2_score([1.0, 2.0], [1.0, 2.0, 3.0])
         with pytest.raises(ValueError, match="samples"):
             r2_score([1.0], [1.0])
+        with pytest.raises(ValueError, match="shape mismatch"):
+            r2_map(np.zeros((4, 3)), np.zeros((4, 2)))
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**31 - 1), t=st.integers(3, 40))
@@ -94,8 +97,11 @@ class TestR2Score:
 
 
 def rows_of(truth):
-    """The row reader that _score_blocks takes, over an in-memory truth."""
-    return lambda rows: truth[slice(*rows)]
+    """The (start, stop, rows) blocks of an in-memory truth, cut as
+    DatasetManifest.run_blocks cuts a run, which _score_blocks takes."""
+    rows = srmkit.dataio._block_rows(truth.shape[1])
+    return ((a, min(a + rows, len(truth)), truth[a:a + rows])
+            for a in range(0, len(truth), rows))
 
 
 def column_mean(x):
@@ -109,8 +115,8 @@ class TestScoreBlocks:
     @pytest.mark.parametrize("t, rows", [
         (56, 7),    # several whole blocks
         (60, 7),    # a ragged tail of 4 rows
-        (53, 13),   # a 1-row tail, merged into the block before it
-        (14, 13),   # t <= rows + 1: one block
+        (53, 13),   # a 1-row tail, a block of its own
+        (14, 13),   # one whole block and a 1-row tail
         (40, None), # the default blocks: one block at this width
     ])
     def test_matches_r2_map_bit_for_bit(self, monkeypatch, dtype, t, rows):
@@ -132,13 +138,15 @@ class TestScoreBlocks:
 
     def test_real_factors_agree_to_rounding(self, monkeypatch):
         # BLAS may round a row block's product apart from the same rows of
-        # the whole product (OpenBLAS does at widths not a multiple of 8).
+        # the whole product (OpenBLAS does at widths not a multiple of 8),
+        # and a 1-row block's product goes through GEMV.
         monkeypatch.setattr(srmkit.dataio, "BLOCK_BYTES", 13 * 8 * 301)
-        rng = np.random.default_rng(9)
-        shared, w = rng.standard_normal((60, 5)), rng.standard_normal((5, 301))
-        truth = shared @ w + rng.standard_normal((60, 301))
-        scores, _ = _score_blocks(shared, w, rows_of(truth), column_mean(truth))
-        assert np.allclose(scores, r2_map(shared @ w, truth)[0], rtol=0, atol=1e-12)
+        for t in (60, 53):  # a ragged tail of 8 rows, and a 1-row tail
+            rng = np.random.default_rng(9)
+            shared, w = rng.standard_normal((t, 5)), rng.standard_normal((5, 301))
+            truth = shared @ w + rng.standard_normal((t, 301))
+            scores, _ = _score_blocks(shared, w, rows_of(truth), column_mean(truth))
+            assert np.allclose(scores, r2_map(shared @ w, truth)[0], rtol=0, atol=1e-12)
 
     def test_score_run_never_builds_the_prediction(self, monkeypatch):
         import tracemalloc
@@ -152,10 +160,11 @@ class TestScoreBlocks:
         mu = column_mean(truth)
         read = []
 
-        class Manifest:  # serves fresh copies of row ranges, as a run read from disk does
-            def load_run(self, subject, run, rows=None):
-                read.append(rows)
-                return truth[slice(*rows)].copy()
+        class Manifest:  # serves fresh copies of row blocks, as a run read from disk does
+            def run_blocks(self, subject, run):
+                for a, b, rows in rows_of(truth):
+                    read.append((a, b))
+                    yield a, b, rows.copy()
 
         tracemalloc.start()
         try:
@@ -165,6 +174,18 @@ class TestScoreBlocks:
             tracemalloc.stop()
         assert read == [(0, 52), (52, 104), (104, 156), (156, 200)]  # each row once
         assert peak <= w.nbytes + 0.5 * t * v * 8
+
+
+    def test_score_run_checks_the_truth_against_the_manifest(self, make_dataset):
+        # The truth is drawn through run_blocks, so a file longer than the
+        # manifest says fails before a block is scored, naming the run.
+        manifest, _ = make_dataset(n=2, m=2, t_list=(10, 12), v=16, k=2, sigma=0.5, seed=55)
+        target = manifest.runs[1][0]
+        save_matrix(np.ones((11, 16)), target)
+        w = random_orthonormal_rows(2, 16, seed=56)
+        proj = [np.ones((10, 2)), np.ones((10, 2))]
+        with pytest.raises(RuntimeError, match="subject 1, run 0: .*11x16, manifest expects"):
+            _score_run(manifest, 0, lambda i: (w, np.zeros(16)), proj, subjects=[1])
 
 
 class TestProjectLeftOut:
@@ -227,6 +248,8 @@ class TestRoiMask:
     def test_empty_collection_rejected(self):
         with pytest.raises(ValueError):
             roi_mask([])
+        with pytest.raises(ValueError, match="voxel count"):
+            roi_mask([np.zeros(3), np.zeros(4)])
 
     def test_mean_within_empty_mask_is_nan(self):
         assert np.isnan(mean_within(np.zeros(3, dtype=bool), np.ones(3)))
@@ -451,6 +474,28 @@ class TestCosmoothing:
         result = cosmoothing(manifest, "fastsrm", k=2, atlas=atlas, n_iter=2, seed=0)
         assert len(result.folds) == 12
         assert rows_read == {path: 4 * t for path, t in full.items()}
+
+    @pytest.mark.parametrize("algorithm, draws", [
+        ("fastsrm", 4),  # reduce, recover every fold, project as a left-out run, score
+        ("detsrm", 2),   # project as a left-out run, score; the fits load runs whole
+    ])
+    def test_streamed_passes_draw_runs_through_run_blocks(self, make_dataset, monkeypatch,
+                                                          algorithm, draws):
+        manifest, _ = make_dataset(n=3, m=3, t_list=(20, 25, 15), v=40, k=2, sigma=0.5,
+                                   seed=31)
+        drawn = {path: 0 for paths in manifest.runs for path in paths}
+        run_blocks = srmkit.dataio.DatasetManifest.run_blocks
+
+        def counting(self, subject, run, block_rows=None):
+            if self.runs[subject][run] in drawn:
+                drawn[self.runs[subject][run]] += 1
+            return run_blocks(self, subject, run, block_rows)
+
+        monkeypatch.setattr(srmkit.dataio.DatasetManifest, "run_blocks", counting)
+        atlas = balanced_partition(40, 8, seed=4) if algorithm == "fastsrm" else None
+        result = cosmoothing(manifest, algorithm, k=2, atlas=atlas, n_iter=2, seed=0)
+        assert len(result.folds) == 9
+        assert set(drawn.values()) == {draws}
 
     def test_fastsrm_peak_is_flat_in_subject_count(self, make_dataset):
         # Every subject adds m fold maps (9 bytes a voxel each) to the result;

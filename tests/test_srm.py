@@ -1,4 +1,5 @@
 import json
+import re
 import shutil
 import warnings
 from pathlib import Path
@@ -10,6 +11,7 @@ from srmkit import (
     SrmModel,
     balanced_partition,
     detsrm_fit,
+    fastsrm_fit,
     fit,
     probsrm_fit,
     procrustes_update,
@@ -18,7 +20,7 @@ from srmkit import (
 )
 from srmkit import dataio, srm
 
-from conftest import random_orthonormal_rows
+from conftest import not_a_directory, random_orthonormal_rows, tree
 
 
 def rotation_grid_2x2(step=0.001):
@@ -80,6 +82,8 @@ class TestProcrustes:
             procrustes_update(np.zeros((5, 3)))
         with pytest.raises(ValueError, match="finite"):
             procrustes_update(np.array([[np.nan, 0.0]]))
+        with pytest.raises(ValueError, match="2-D"):
+            procrustes_update(np.zeros(3))
 
 
 @pytest.fixture
@@ -283,6 +287,26 @@ class TestDetSrm:
             detsrm_fit([[rng.standard_normal((6, 4))]], k=2, n_iter=0)
 
     @pytest.mark.parametrize("solver", [detsrm_fit, probsrm_fit])
+    @pytest.mark.parametrize("layout, match", [
+        ("no subjects", "at least one subject"),
+        ("no runs", "at least one run"),
+        ("unequal run counts", "disagree on run count"),
+        ("a vector run", "subject 1 run 0: expected a matrix"),
+        ("a wider run", r"subject 1 run 1: shape \(6, 5\), expected \(6, 4\)"),
+    ])
+    def test_layout_errors(self, solver, layout, match):
+        x = np.random.default_rng(27).standard_normal((6, 4))
+        data = {
+            "no subjects": [],
+            "no runs": [[], []],
+            "unequal run counts": [[x, x], [x]],
+            "a vector run": [[x, x], [x[0], x]],
+            "a wider run": [[x, x], [x, np.ones((6, 5))]],
+        }[layout]
+        with pytest.raises(ValueError, match=match):
+            solver(data, k=2, n_iter=1)
+
+    @pytest.mark.parametrize("solver", [detsrm_fit, probsrm_fit])
     @pytest.mark.parametrize("value, dtype", [
         (np.nan, np.float64), (np.inf, np.float64), (-np.inf, np.float64),
         (np.nan, np.float32), (np.inf, np.float32), (-np.inf, np.float32),
@@ -341,6 +365,25 @@ class TestDetSrm:
 
         solver([LazyRuns(i) for i in range(n)], k=3, n_iter=2, seed=0)
         assert live["peak"] == 1, f"{live['peak']} runs alive at once"
+
+    @pytest.mark.parametrize("solver", [detsrm_fit, probsrm_fit])
+    def test_component_step_holds_one_set_of_components(self, solver):
+        # The component step never reads the previous components, so a fit
+        # frees them before it makes the new set: two whole sets of n k x v
+        # components alive at once would read above 2.
+        import tracemalloc
+
+        n, m, t, v, k = 8, 2, 40, 3000, 10
+        rng = np.random.default_rng(32)
+        data = [[rng.standard_normal((t, v)) for _ in range(m)] for _ in range(n)]
+        tracemalloc.start()
+        try:
+            solver(data, k=k, n_iter=3, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        sets = peak / (n * k * v * 8)
+        assert sets < 1.6, f"peak {sets:.2f} sets of components"
 
     def test_n_jobs_bit_identical(self):
         rng = np.random.default_rng(28)
@@ -677,11 +720,48 @@ class TestSrmModel:
         with pytest.raises(ValueError, match="orthonormal"):
             SrmModel([np.ones((2, 6))])
 
+    def test_needs_a_subject(self):
+        with pytest.raises(ValueError, match="at least one subject"):
+            SrmModel([])
+
     def test_prob_param_validation(self):
         w = [random_orthonormal_rows(2, 6, seed=6)]
         with pytest.raises(ValueError, match="positive"):
             SrmModel(w, sigma_sq=[-1.0])
+        with pytest.raises(ValueError, match="k x k"):
+            SrmModel(w, sigma_s=np.eye(3))
         with pytest.raises(ValueError, match="symmetric"):
             SrmModel(w, sigma_s=np.array([[1.0, 0.5], [0.0, 1.0]]))
         with pytest.raises(ValueError, match="semi-definite"):
             SrmModel(w, sigma_s=np.diag([1.0, -2.0]))
+
+
+@pytest.mark.parametrize("kind", ["file", "symlink"])
+@pytest.mark.parametrize("call", ["detsrm", "probsrm", "fastsrm", "fastsrm_fit", "save"])
+def test_component_dir_that_is_not_a_directory_fails_before_any_read(
+    make_dataset, monkeypatch, tmp_path, call, kind
+):
+    # A file or a symbolic link could not be replaced by the finished model:
+    # it is rejected, naming it, before any run is read or anything written.
+    manifest, _ = make_dataset(n=3, m=2, v=30, k=3, sigma=0.2, seed=44)
+    atlas = balanced_partition(30, 6, seed=0)
+    target = not_a_directory(tmp_path, kind)
+    before = tree(tmp_path)
+    loads = []
+    real_load = dataio.load_matrix
+
+    def counting_load(*args, **kwargs):
+        loads.append(args)
+        return real_load(*args, **kwargs)
+
+    monkeypatch.setattr(dataio, "load_matrix", counting_load)
+    calls = {
+        "save": lambda: SrmModel([random_orthonormal_rows(3, 30)]).save(target),
+        "fastsrm_fit": lambda: fastsrm_fit(manifest, atlas, 3, n_iter=2, component_dir=target),
+    }
+    run = calls.get(call, lambda: fit(manifest, call, 3, n_iter=2, component_dir=target,
+                                      atlas=atlas if call == "fastsrm" else None))
+    with pytest.raises(NotADirectoryError, match=re.escape(str(target))):
+        run()
+    assert loads == []
+    assert tree(tmp_path) == before

@@ -111,6 +111,12 @@ class TestBalancedPartition:
             balanced_partition(5, 6, seed=0)
 
 
+def test_generate_rejects_other_dtypes(tmp_path):
+    with pytest.raises(ValueError, match="float32 or float64"):
+        generate(2, 1, [10], 20, 2, 0.1, seed=0, out_dir=tmp_path, dtype=np.int32)
+    assert not any(tmp_path.iterdir())
+
+
 def test_noise_monotonically_degrades_reconstruction(tmp_path):
     # More planted noise must mean worse cross-validated reconstruction on
     # the informative voxels.
