@@ -7,6 +7,7 @@ Exit codes: 0 on success, 1 on runtime failure, 2 on argument errors.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 import time
 from pathlib import Path
@@ -19,7 +20,7 @@ from .bench import PeakRssSampler
 from .dataio import load_manifest, load_matrix, read_header, save_json, save_matrix
 from .evaluation import (ALGORITHMS, ROI_THRESHOLD, _check_fit_inputs, cosmoothing, fit,
                          mean_within, roi_mask)
-from .srm import SrmModel, update_shared
+from .srm import SrmModel, _check_replaceable, _staged_dir, update_shared
 from .synthetic import generate
 
 
@@ -181,6 +182,32 @@ def cmd_transform(args, parser) -> int:
     return 0
 
 
+# the files `evaluate` writes; its --out may hold nothing else, as it is replaced whole
+_EVALUATION_FILE = re.compile(r"r2_run-\d+_sub-\d+\.srmb|mean_map\.srmb|summary\.json")
+
+
+def _evaluation_out(path: str, parser) -> Path:
+    """``--out`` of ``evaluate``, resolved. The evaluation replaces it whole,
+    so before any run is read it must be new, or a directory holding only
+    an earlier evaluation's files, and not the working directory."""
+    out = Path(path)
+    try:
+        _check_replaceable(out)
+    except NotADirectoryError as exc:
+        parser.error(f"--out: {exc}")
+    out = out.resolve()
+    if out == Path.cwd().resolve():
+        parser.error(f"--out: {path} is the working directory, which evaluate would replace")
+    if out.is_dir():
+        for entry in sorted(out.iterdir()):
+            if entry.is_symlink() or not entry.is_file() or not _EVALUATION_FILE.fullmatch(
+                    entry.name):
+                parser.error(f"--out: {path} holds {entry.name!r}, which evaluate did not "
+                             "write; it replaces --out whole, so give a new directory or "
+                             "an earlier evaluation's")
+    return out
+
+
 def cmd_evaluate(args, parser) -> int:
     manifest, atlas = _load_inputs(args, parser, held_out=True)
     for path in args.roi_from or []:
@@ -189,57 +216,61 @@ def cmd_evaluate(args, parser) -> int:
                 raise ValueError(f"{path} is {shape[0]}x{shape[1]}, not 1x{manifest.v}")
         except (OSError, ValueError) as exc:
             parser.error(f"--roi-from: {exc}")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    start = time.perf_counter()
-    sampler = PeakRssSampler()
-    with sampler:
-        result = cosmoothing(
-            manifest,
-            args.algo,
-            args.k,
-            atlas=atlas,
-            n_iter=args.n_iter,
-            seed=args.seed,
-            n_jobs=args.n_jobs,
-        )
-    runtime = time.perf_counter() - start
+    out = _evaluation_out(args.out, parser)
+    # staged like a model directory, so that no map of an earlier evaluation
+    # outlives it and a failed run leaves the earlier one whole; the staging
+    # directory is made first, so an --out that cannot be written fails now
+    with _staged_dir(out) as staging:
+        start = time.perf_counter()
+        sampler = PeakRssSampler()
+        with sampler:
+            result = cosmoothing(
+                manifest,
+                args.algo,
+                args.k,
+                atlas=atlas,
+                n_iter=args.n_iter,
+                seed=args.seed,
+                n_jobs=args.n_jobs,
+            )
+        runtime = time.perf_counter() - start
 
-    per_fold = []
-    for fold in result.folds:
-        name = f"r2_run-{fold.left_out_run:02d}_sub-{fold.left_out_subject:02d}.srmb"
-        save_matrix(fold.scores[None, :], out / name)
-        per_fold.append(
-            {
-                "run": fold.left_out_run,
-                "subject": fold.left_out_subject,
-                "mean_r2": float(fold.scores.mean()),
-                "map_file": name,
-            }
-        )
-    mean_map = result.mean_map()
-    save_matrix(mean_map[None, :], out / "mean_map.srmb")
-    roi_maps = [load_matrix(p)[0] for p in args.roi_from] if args.roi_from else [mean_map]
-    mask = roi_mask(roi_maps, threshold=args.roi_threshold)
-    roi_voxels = int(mask.sum())
-    mean_roi = mean_within(mask, mean_map)
-    summary = {
-        "algorithm": args.algo,
-        "k": args.k,
-        "n_iter": args.n_iter,
-        "seed": args.seed,
-        "roi_threshold": args.roi_threshold,
-        "roi_voxel_count": roi_voxels,
-        "mean_roi_r2": None if np.isnan(mean_roi) else mean_roi,
-        "per_fold": per_fold,
-        "runtime_s": runtime,
-        "peak_mem_bytes": sampler.peak_bytes,
-        "baseline_mem_bytes": sampler.start_bytes,
-    }
-    save_json(summary, out / "summary.json")
+        per_fold = []
+        for fold in result.folds:
+            name = f"r2_run-{fold.left_out_run:02d}_sub-{fold.left_out_subject:02d}.srmb"
+            save_matrix(fold.scores[None, :], staging / name)
+            per_fold.append(
+                {
+                    "run": fold.left_out_run,
+                    "subject": fold.left_out_subject,
+                    "mean_r2": float(fold.scores.mean()),
+                    "map_file": name,
+                }
+            )
+        mean_map = result.mean_map()
+        save_matrix(mean_map[None, :], staging / "mean_map.srmb")
+        # read before --out is replaced: a map may be the one in it
+        roi_maps = [load_matrix(p)[0] for p in args.roi_from] if args.roi_from else [mean_map]
+        mask = roi_mask(roi_maps, threshold=args.roi_threshold)
+        roi_voxels = int(mask.sum())
+        mean_roi = mean_within(mask, mean_map)
+        summary = {
+            "algorithm": args.algo,
+            "k": args.k,
+            "n_iter": args.n_iter,
+            "seed": args.seed,
+            "roi_threshold": args.roi_threshold,
+            "roi_voxel_count": roi_voxels,
+            "mean_roi_r2": None if np.isnan(mean_roi) else mean_roi,
+            "per_fold": per_fold,
+            "runtime_s": runtime,
+            "peak_mem_bytes": sampler.peak_bytes,
+            "baseline_mem_bytes": sampler.start_bytes,
+        }
+        save_json(summary, staging / "summary.json")
     if roi_voxels == 0:
         print("warning: ROI is empty at this threshold", file=sys.stderr)
-    print(f"summary written to {out / 'summary.json'}")
+    print(f"summary written to {Path(args.out) / 'summary.json'}")
     return 0
 
 

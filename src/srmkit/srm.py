@@ -265,8 +265,7 @@ def _staged_dir(directory: Path):
     the block runs. It then replaces ``directory`` whole, or is removed if the
     block raises, leaving ``directory`` as it was. A file or a symbolic link
     at ``directory`` could not be replaced so, and is rejected first."""
-    if directory.is_symlink() or directory.exists() and not directory.is_dir():
-        raise NotADirectoryError(f"{directory} exists and is not a directory")
+    _check_replaceable(directory)
     staging = directory.with_name(f"{directory.name}.{uuid.uuid4().hex[:12]}.tmp")
     staging.mkdir(parents=True)
     try:
@@ -275,6 +274,13 @@ def _staged_dir(directory: Path):
     except BaseException:
         shutil.rmtree(staging, ignore_errors=True)
         raise
+
+
+def _check_replaceable(directory: Path) -> None:
+    """Reject a ``directory`` path that :func:`_staged_dir` cannot replace:
+    a file, or a symbolic link (even to a directory)."""
+    if directory.is_symlink() or directory.exists() and not directory.is_dir():
+        raise NotADirectoryError(f"{directory} exists and is not a directory")
 
 
 def _replace_dir(src: Path, dest: Path) -> None:

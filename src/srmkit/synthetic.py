@@ -8,6 +8,7 @@ test and for the benchmark harness, replacing any real recordings.
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -64,9 +65,13 @@ def generate(
     ``isotropic=True`` for an identity covariance when a test needs the full
     rotation ambiguity. Data are X = S W + sigma_i * noise, one SRMB file
     per (subject, run), plus a manifest.
+
+    The calling thread draws the noise of each run from the one seeded
+    stream while one worker forms and writes the run drawn before it, so a
+    seed gives the same bytes as drawing and writing one run at a time.
     """
-    _check_positive(n=n, m=m, v=v, k=k)
     t_list = [int(t) for t in (t_list if np.iterable(t_list) else [t_list] * m)]
+    _check_positive(n=n, m=m, v=v, k=k, **{f"t of run {s}": t for s, t in enumerate(t_list)})
     if len(t_list) != m:
         raise ValueError(f"expected {m} run lengths, got {len(t_list)}")
     sigma = np.asarray(
@@ -91,15 +96,23 @@ def generate(
     scale = np.sqrt(variances)
     shared = [rng.standard_normal((t, k)) * scale for t in t_list]
 
+    # The calling thread draws run j while the worker forms and writes run
+    # j - 1 in the one reused signal buffer, so at most one run is in flight:
+    # it is waited for before the next is submitted.
+    signal = np.empty((max(t_list), v))
     subject_runs = {f"sub-{i:02d}": [] for i in range(n)}
-    for s in range(m):
-        for i in range(n):
-            x = shared[s] @ spatial[i]
-            if sigma[i] > 0:
-                x = x + sigma[i] * rng.standard_normal((t_list[s], v))
-            name = f"sub-{i:02d}_run-{s:02d}.srmb"
-            save_matrix(x.astype(dtype, copy=False), out_dir / name)
-            subject_runs[f"sub-{i:02d}"].append(name)
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        pending = None
+        for s, t in enumerate(t_list):
+            for i in range(n):
+                e = rng.standard_normal((t, v)) if sigma[i] > 0 else None
+                if pending is not None:
+                    pending.result()
+                name = f"sub-{i:02d}_run-{s:02d}.srmb"
+                pending = worker.submit(_write_run, out_dir / name, shared[s], spatial[i],
+                                        sigma[i], e, signal[:t], dtype)
+                subject_runs[f"sub-{i:02d}"].append(name)
+        pending.result()
 
     manifest_path = out_dir / "manifest.json"
     save_manifest(manifest_path, subject_runs)
@@ -107,6 +120,17 @@ def generate(
         spatial=spatial, shared=shared, sigma=sigma, shared_variances=variances, seed=seed
     )
     return load_manifest(manifest_path), planted
+
+
+def _write_run(path, shared, spatial, sigma, noise, signal, dtype) -> None:
+    """Write ``shared @ spatial + sigma * noise`` (no noise term when
+    ``noise`` is None) to ``path`` as ``dtype``, by the same operations in the
+    same order, formed in ``signal`` and scaling ``noise`` in place."""
+    np.matmul(shared, spatial, out=signal)
+    if noise is not None:
+        noise *= sigma
+        signal += noise
+    save_matrix(signal.astype(dtype, copy=False), path)
 
 
 def subspace_error(w_est: np.ndarray, w_true: np.ndarray) -> float:

@@ -630,3 +630,137 @@ def test_fit_onto_a_model_path_that_is_not_a_directory_reads_nothing(
     assert str(model) in capsys.readouterr().err
     assert loads == []
     assert tree(tmp_path) == before
+
+
+def test_synth_run_length_below_one_is_argument_error(tmp_path, capsys):
+    out = tmp_path / "bad"
+    with pytest.raises(SystemExit) as exc:
+        main(["synth", "--n", "2", "--m", "2", "--t", "5,0", "--v", "10", "--k", "2",
+              "--out", str(out)])
+    assert exc.value.code == 2
+    assert "t of run 1 must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _evaluate(ds, out, *extra):
+    return main(["evaluate", "--algo", "detsrm", "--manifest", str(ds / "manifest.json"),
+                 "--k", "2", "--n-iter", "3", *extra, "--out", str(out)])
+
+
+def test_evaluate_with_fewer_runs_leaves_only_its_own_maps(tmp_path):
+    three = run_synth(tmp_path, name="three", m=3, t="20")
+    two = run_synth(tmp_path, name="two", m=2, t="20")
+    out = tmp_path / "eval"
+    assert _evaluate(three, out) == 0
+    assert len(list(out.glob("r2_run-*.srmb"))) == 3 * 3
+    assert _evaluate(two, out) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    maps = sorted(p.name for p in out.glob("r2_run-*.srmb"))
+    assert len(maps) == 3 * 2
+    assert maps == sorted(fold["map_file"] for fold in summary["per_fold"])
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["eval", "three", "two"]
+
+
+def test_failed_evaluate_leaves_the_previous_output(tmp_path, monkeypatch):
+    import srmkit.cli
+
+    ds = run_synth(tmp_path, m=3, t="20")
+    out = tmp_path / "eval"
+    assert _evaluate(ds, out) == 0
+    before = tree(tmp_path)
+
+    def full_disk(*args, **kwargs):
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(srmkit.cli, "save_json", full_disk)
+    assert _evaluate(ds, out, "--seed", "1") == 1
+    assert tree(tmp_path) == before
+
+
+def test_evaluate_roi_from_the_mean_map_it_replaces(tmp_path):
+    from srmkit.evaluation import mean_within, roi_mask
+
+    ds = run_synth(tmp_path)
+    out = tmp_path / "eval"
+    assert _evaluate(ds, out) == 0
+    old_map = load_matrix(out / "mean_map.srmb")[0]
+    threshold = float(np.median(old_map))
+    assert main(["evaluate", "--algo", "detsrm", "--manifest", str(ds / "manifest.json"),
+                 "--k", "3", "--n-iter", "3", "--roi-threshold", str(threshold),
+                 "--roi-from", str(out / "mean_map.srmb"), "--out", str(out)]) == 0
+    new_map = load_matrix(out / "mean_map.srmb")[0]
+    mask = roi_mask([old_map], threshold=threshold)
+    assert not np.array_equal(mask, roi_mask([new_map], threshold=threshold))
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["roi_voxel_count"] == int(mask.sum())
+    assert summary["mean_roi_r2"] == mean_within(mask, new_map)
+
+
+@pytest.mark.parametrize("kind", ["file", "symlink"])
+def test_evaluate_onto_an_out_that_is_not_a_directory_reads_nothing(
+    tmp_path, capsys, monkeypatch, kind
+):
+    ds = run_synth(tmp_path)
+    out = not_a_directory(tmp_path, kind)
+    before = tree(tmp_path)
+
+    def no_load(*args, **kwargs):
+        raise AssertionError("a run was read")
+
+    monkeypatch.setattr(srmkit.dataio, "load_matrix", no_load)
+    with pytest.raises(SystemExit) as exc:
+        _evaluate(ds, out)
+    assert exc.value.code == 2
+    assert f"--out: {out} exists and is not a directory" in capsys.readouterr().err
+    assert tree(tmp_path) == before
+
+
+@pytest.mark.parametrize("place", ["dataset", "fit", "cwd"])
+def test_evaluate_refuses_an_out_it_would_wipe(tmp_path, capsys, monkeypatch, place):
+    # evaluate replaces --out whole: a dataset's directory, a fit's --out or
+    # the working directory would be deleted, so each is refused up front
+    ds = run_synth(tmp_path)
+    if place == "dataset":
+        out, held = str(ds), "'manifest.json'"
+    elif place == "fit":
+        out, held = str(tmp_path / "fit"), "'fit_log.json'"
+        assert main(["fit", "--algo", "detsrm", "--manifest", str(ds / "manifest.json"),
+                     "--k", "3", "--n-iter", "2", "--out", out]) == 0
+    else:
+        (tmp_path / "work").mkdir()
+        monkeypatch.chdir(tmp_path / "work")
+        out, held = ".", "working directory"
+    before = tree(tmp_path)
+    capsys.readouterr()
+
+    def no_load(*args, **kwargs):
+        raise AssertionError("a run was read")
+
+    monkeypatch.setattr(srmkit.dataio, "load_matrix", no_load)
+    with pytest.raises(SystemExit) as exc:
+        _evaluate(ds, out)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"--out: {out} " in err and held in err
+    assert tree(tmp_path) == before
+
+
+def test_evaluate_out_that_cannot_be_made_fails_before_any_read(tmp_path, capsys, monkeypatch):
+    ds = run_synth(tmp_path)
+    (tmp_path / "plain").write_text("a file, not a directory")
+    before = tree(tmp_path)
+    loads = []
+    monkeypatch.setattr(srmkit.dataio, "load_matrix", lambda *a, **kw: loads.append(a))
+    assert _evaluate(ds, tmp_path / "plain" / "eval") == 1
+    assert "error:" in capsys.readouterr().err
+    assert loads == []
+    assert tree(tmp_path) == before
+
+
+def test_evaluate_into_a_relative_out(tmp_path, monkeypatch):
+    ds = run_synth(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    assert _evaluate(ds, "eval") == 0
+    assert _evaluate(ds, "eval/") == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ds", "eval"]
+    assert (tmp_path / "eval" / "summary.json").is_file()

@@ -1,7 +1,16 @@
+import ctypes
+import hashlib
+import sys
+import threading
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import srmkit.synthetic
 from srmkit import balanced_partition, cosmoothing, generate, subspace_error
+from srmkit.srm import init_spatial
 
 from conftest import random_orthonormal_rows
 
@@ -69,7 +78,188 @@ def test_parameter_validation(tmp_path):
         counts = {"n": 1, "m": 1, "v": 8, "k": 2, name: 0}
         with pytest.raises(ValueError, match=f"{name} must be at least 1"):
             generate(**counts, t_list=[5], sigma_list=0.0, seed=0, out_dir=tmp_path / "new")
+    with pytest.raises(ValueError, match="t of run 1 must be at least 1"):
+        generate(n=2, m=2, t_list=[5, 0], v=10, k=2, sigma_list=0.0, seed=0,
+                 out_dir=tmp_path / "new")
     assert not (tmp_path / "new").exists()
+
+
+# A seed must give the same bytes in every version: the benchmark's seeds and
+# the acceptance fixtures rest on it. Digests (SHA-256) of generate(**PINNED),
+# taken at the version that drew and wrote one run at a time.
+PINNED = dict(n=3, m=2, t_list=[7, 12], v=30, k=3, sigma_list=[0.5, 0.0, 1.25], seed=2021)
+PINNED_MANIFEST = "74315b9e1b20a53f59fa21fdc54a1c85bbe6b8afb7ecb3302e686c8009b7cef8"
+# The seeded stream, drawn elementwise and so the same on every BLAS: the
+# shared time courses with sigma and the variances, and the noise each run
+# is given (run 0 of subjects 0-2, then run 1; subject 1 has no noise).
+PINNED_STREAM = "fcab4ee4596d1094a4ce2b4533d3cf51edd793877068f28d33b61d370f2e5541"
+PINNED_NOISE = [
+    "3497a104944af8dbdaaf8ff519856ffdde719f9667f95ad8ae4bd3e8992d680e",
+    None,
+    "2432dae20917623e939fbea98d5e080402eb91c725bec8c875b18708cb73916d",
+    "76409f344f271483a2c4a6afa297d67e07e4322d84604452d68af73d87fe9fd4",
+    None,
+    "58627d55dc78641caa690f9f826cf5bbf1ce6b32e859ba42c163cdd41df93e41",
+]
+# The components and the files also pass through LAPACK's QR and the BLAS
+# product S W, which another BLAS build, or another CPU kernel of the same
+# one, may round differently: these digests hold for this build and kernel.
+PINNED_BLAS = ("scipy-openblas", "0.3.31.188.0", "SkylakeX")
+PINNED_SPATIAL = "961e57c3bd94fcf2ed31376d90cb79ab618f1de8760c0d1f977fee6af6865178"
+PINNED_RUNS = {
+    np.float64: [
+        "e00f337030c2ce369bc74bca65243d7318be52cf28602909b6b910e01883ca6e",
+        "ac297da6fcba7429ff740159bf6faf9fee00eda392d3e66b7b62abd53016c425",
+        "209ab791730be976f7caa6a1ecde84c5a3df724bf0e6b85e9ff2504ba47dbd25",
+        "646b08d98f15fe7d57edcddbb3f8be598804608048e6cbb8effcd011d7e356ab",
+        "772a2fad8ad69829afed327233a31d7d55b75aad554e57ce7e1ac53591a5bd28",
+        "6091998b147c7a9b82aaaff5bfb62812dc20ff91efdf86da5e0aee32ebeb968b",
+    ],
+    np.float32: [
+        "17493fe0aa4e47888b2517f3f1fad5cf900f2b442b306a88131095b168b58174",
+        "7e461853806bb1eae57cb7f1412fc8f16da9f17bbe6725d90cb3d477b5ecd30d",
+        "2d749d325233d3f8fa4579a408d3d90f27ff435b81a7c1daaa849a4371939257",
+        "df1caa5551f5bf70c01a9e9f448b7b02be1e48f67b6ec0a6a81eb37aa113a5fa",
+        "ce87702d60f46613dccdc99665a24f641c96baadbfaffbe23d49fc6fdc4aecac",
+        "49ac4d17e85add2511aaeb95589ed3ee0c46c4b38ad81ae4921d94461d34e7e0",
+    ],
+}
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def digest(arrays) -> str:
+    return sha256(b"".join(np.ascontiguousarray(a).tobytes() for a in arrays))
+
+
+def blas_build():
+    """(name, version, CPU kernel) of numpy's BLAS; a part is None where
+    unknown. The kernel is asked of a pip wheel's bundled OpenBLAS."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except Exception:
+        return None, None, None
+    kernel = None
+    libs = Path(np.__file__).parent.parent / "numpy.libs"
+    for lib in sorted(libs.glob("libscipy_openblas64_*")):
+        try:
+            corename = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.restype = ctypes.c_char_p
+        kernel = corename().decode()
+    return blas.get("name"), blas.get("version"), kernel
+
+
+def test_stream_matches_digests_pinned_across_versions(tmp_path, monkeypatch):
+    noise = []
+    write_run = srmkit.synthetic._write_run
+
+    def record(path, shared, spatial, sigma, e, *rest):
+        noise.append(None if e is None else sha256(e.tobytes()))
+        write_run(path, shared, spatial, sigma, e, *rest)
+
+    monkeypatch.setattr(srmkit.synthetic, "_write_run", record)
+    _, truth = generate(**PINNED, out_dir=tmp_path / "ds")
+    assert noise == PINNED_NOISE
+    assert digest([*truth.shared, truth.sigma, truth.shared_variances]) == PINNED_STREAM
+    assert sha256((tmp_path / "ds" / "manifest.json").read_bytes()) == PINNED_MANIFEST
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_files_match_digests_pinned_across_versions(tmp_path, dtype):
+    # float64 and float32, unequal run lengths, and a noiseless subject
+    # (drawing no noise) between two noisy ones.
+    if (build := blas_build()) != PINNED_BLAS:
+        pytest.skip(f"file digests were taken with BLAS {PINNED_BLAS}, this is {build}; "
+                    "the stream test and the serial-reference test still run")
+    out = tmp_path / "ds"
+    _, truth = generate(**PINNED, out_dir=out, dtype=dtype)
+    runs = [f"sub-{i:02d}_run-{s:02d}.srmb" for i in range(3) for s in range(2)]
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json", *runs]
+    assert {name: sha256((out / name).read_bytes()) for name in runs} == dict(
+        zip(runs, PINNED_RUNS[dtype]))
+    assert digest(truth.spatial) == PINNED_SPATIAL
+
+
+def serial_runs(n, m, t_list, v, k, sigma_list, seed, dtype):
+    """The runs of ``generate``, each drawn, formed and cast before the next
+    is drawn: the reference the worker thread must reproduce."""
+    rng = np.random.default_rng(seed)
+    spatial = init_spatial(n, k, v, rng)
+    scale = np.sqrt(np.arange(k, 0, -1, dtype=np.float64))
+    shared = [rng.standard_normal((t, k)) * scale for t in t_list]
+    runs = {}
+    for s in range(m):
+        for i in range(n):
+            x = shared[s] @ spatial[i]
+            if sigma_list[i] > 0:
+                x = x + sigma_list[i] * rng.standard_normal((t_list[s], v))
+            runs[i, s] = x.astype(dtype, copy=False)
+    return runs
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_runs_match_drawing_and_writing_one_at_a_time(tmp_path, dtype):
+    # Many short runs (one of a single frame) with the thread switch interval
+    # cut to a microsecond: a run formed while the worker still used the
+    # signal buffer or the noise for another would change some run's bytes.
+    kw = dict(n=4, m=5, t_list=[9, 3, 14, 1, 8], v=257, k=3, sigma_list=[0.3, 0.0, 2.0, 0.7],
+              seed=8, dtype=dtype)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        manifest, _ = generate(**kw, out_dir=tmp_path / "ds")
+    finally:
+        sys.setswitchinterval(interval)
+    for (i, s), x in serial_runs(**kw).items():
+        run = manifest.load_run(i, s)
+        assert run.dtype == x.dtype and run.tobytes() == x.tobytes(), (i, s)
+
+
+def test_worker_error_is_raised_and_leaves_no_manifest_or_thread(tmp_path, monkeypatch):
+    written = []
+    save_matrix = srmkit.synthetic.save_matrix
+
+    def fail_third(mat, path):
+        written.append(path.name)
+        if len(written) == 3:
+            raise OSError(f"no space left for {path.name}")
+        save_matrix(mat, path)
+
+    monkeypatch.setattr(srmkit.synthetic, "save_matrix", fail_third)
+    threads = threading.active_count()
+    out = tmp_path / "ds"
+    with pytest.raises(OSError, match="no space left for sub-00_run-01.srmb"):
+        generate(n=2, m=3, t_list=[8, 9, 10], v=20, k=2, sigma_list=0.5, seed=0, out_dir=out)
+    assert len(written) == 3  # no run is submitted after the failed one
+    assert not (out / "manifest.json").exists()
+    assert not list(out.glob("*.tmp"))
+    assert sorted(p.name for p in out.iterdir()) == written[:2]
+    assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_holds_three_run_buffers_and_one_cast(tmp_path, dtype):
+    # Two runs' noise (one being drawn, one in the worker) and one signal
+    # buffer of t_max x v float64 values, plus the float32 copy each run is
+    # cast into before it is written.
+    n, k, v, t_list = 3, 2, 3000, [40, 60, 50]
+    run_bytes = max(t_list) * v * 8
+    budget = 3 * run_bytes + (run_bytes // 2 if dtype == np.float32 else 0)
+    truth_bytes = (n * k * v + sum(t_list) * k) * 8
+    threads = threading.active_count()
+    tracemalloc.start()
+    try:
+        generate(n=n, m=3, t_list=t_list, v=v, k=k, sigma_list=[0.5, 0.0, 1.0], seed=3,
+                 out_dir=tmp_path / "ds", dtype=dtype)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= budget + truth_bytes + run_bytes // 4, f"peak {peak / run_bytes:.2f} runs"
+    assert threading.active_count() == threads
 
 
 class TestSubspaceError:
