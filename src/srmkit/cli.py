@@ -137,9 +137,20 @@ def _load_inputs(args, parser, held_out: bool):
     return manifest, atlas
 
 
+def _out_dir(path: str, parser) -> Path:
+    """``--out`` of ``fit`` or ``evaluate``: a file or a symbolic link there
+    is an argument error, reported before any input is read."""
+    out = Path(path)
+    try:
+        _check_replaceable(out)
+    except NotADirectoryError as exc:
+        parser.error(f"--out: {exc}")
+    return out
+
+
 def cmd_fit(args, parser) -> int:
+    out = _out_dir(args.out, parser)
     manifest, atlas = _load_inputs(args, parser, held_out=False)
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
     model = fit(manifest, args.algo, args.k, atlas=atlas, n_iter=args.n_iter, seed=args.seed,
@@ -190,12 +201,7 @@ def _evaluation_out(path: str, parser) -> Path:
     """``--out`` of ``evaluate``, resolved. The evaluation replaces it whole,
     so before any run is read it must be new, or a directory holding only
     an earlier evaluation's files, and not the working directory."""
-    out = Path(path)
-    try:
-        _check_replaceable(out)
-    except NotADirectoryError as exc:
-        parser.error(f"--out: {exc}")
-    out = out.resolve()
+    out = _out_dir(path, parser).resolve()
     if out == Path.cwd().resolve():
         parser.error(f"--out: {path} is the working directory, which evaluate would replace")
     if out.is_dir():

@@ -8,7 +8,11 @@ test and for the benchmark harness, replacing any real recordings.
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import threading
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -69,6 +73,11 @@ def generate(
     The calling thread draws the noise of each run from the one seeded
     stream while one worker forms and writes the run drawn before it, so a
     seed gives the same bytes as drawing and writing one run at a time.
+    Each run's product S W is formed on one BLAS thread (numpy's bundled
+    OpenBLAS, where it is found), so the files do not depend on the core
+    count through it; while the runs are written, BLAS calls from other
+    threads of the process also run on one thread. The components' QR
+    keeps the process's thread count.
     """
     t_list = [int(t) for t in (t_list if np.iterable(t_list) else [t_list] * m)]
     _check_positive(n=n, m=m, v=v, k=k, **{f"t of run {s}": t for s, t in enumerate(t_list)})
@@ -101,7 +110,7 @@ def generate(
     # it is waited for before the next is submitted.
     signal = np.empty((max(t_list), v))
     subject_runs = {f"sub-{i:02d}": [] for i in range(n)}
-    with ThreadPoolExecutor(max_workers=1) as worker:
+    with _one_blas_thread(), ThreadPoolExecutor(max_workers=1) as worker:
         pending = None
         for s, t in enumerate(t_list):
             for i in range(n):
@@ -120,6 +129,56 @@ def generate(
         spatial=spatial, shared=shared, sigma=sigma, shared_variances=variances, seed=seed
     )
     return load_manifest(manifest_path), planted
+
+
+@functools.cache
+def _openblas():
+    """numpy's bundled OpenBLAS (the library numpy already loaded), or None
+    where there is none, as in a numpy built against another BLAS."""
+    libs = Path(np.__file__).parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas64_*")):
+        try:
+            lib = ctypes.CDLL(str(path))
+        except OSError:
+            continue
+        if hasattr(lib, "scipy_openblas_set_num_threads64_"):
+            return lib
+    return None
+
+
+_blas_lock = threading.Lock()
+_blas_holders = 0
+_blas_threads = 0  # the count the first holder found
+
+
+@contextmanager
+def _one_blas_thread():
+    """Hold numpy's OpenBLAS at one thread for the whole process, then
+    restore the count found, also on error. Nested and concurrent holds
+    share one: the last to leave restores the count the first found. Does
+    nothing where no OpenBLAS is found.
+
+    OpenBLAS's helper thread spins for a while after each threaded product,
+    so with it the drawing and the writing thread share two cores with a
+    third; and a product formed on one thread rounds the same on any
+    number of cores."""
+    global _blas_holders, _blas_threads
+    lib = _openblas()
+    if lib is None:
+        yield
+        return
+    with _blas_lock:
+        if not _blas_holders:
+            _blas_threads = lib.scipy_openblas_get_num_threads64_()
+            lib.scipy_openblas_set_num_threads64_(1)
+        _blas_holders += 1
+    try:
+        yield
+    finally:
+        with _blas_lock:
+            _blas_holders -= 1
+            if not _blas_holders:
+                lib.scipy_openblas_set_num_threads64_(_blas_threads)
 
 
 def _write_run(path, shared, spatial, sigma, noise, signal, dtype) -> None:

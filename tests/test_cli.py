@@ -632,6 +632,30 @@ def test_fit_onto_a_model_path_that_is_not_a_directory_reads_nothing(
     assert tree(tmp_path) == before
 
 
+@pytest.mark.parametrize("kind", ["file", "symlink"])
+def test_fit_onto_an_out_that_is_not_a_directory_reads_nothing(
+    tmp_path, capsys, monkeypatch, kind
+):
+    import srmkit.cli
+
+    ds = run_synth(tmp_path)
+    save_atlas(balanced_partition(40, 8, seed=0), tmp_path / "atlas.srmb")
+    out = not_a_directory(tmp_path, kind)
+    before = tree(tmp_path)
+
+    def no_read(*args, **kwargs):
+        raise AssertionError("an input was read")
+
+    monkeypatch.setattr(srmkit.cli, "load_manifest", no_read)
+    monkeypatch.setattr(srmkit.cli, "load_atlas", no_read)
+    with pytest.raises(SystemExit) as exc:
+        main(["fit", "--algo", "fastsrm", "--manifest", str(ds / "manifest.json"), "--k", "3",
+              "--atlas", str(tmp_path / "atlas.srmb"), "--out", str(out)])
+    assert exc.value.code == 2
+    assert f"--out: {out} exists and is not a directory" in capsys.readouterr().err
+    assert tree(tmp_path) == before
+
+
 def test_synth_run_length_below_one_is_argument_error(tmp_path, capsys):
     out = tmp_path / "bad"
     with pytest.raises(SystemExit) as exc:

@@ -3,7 +3,7 @@ import hashlib
 import sys
 import threading
 import tracemalloc
-from pathlib import Path
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -12,7 +12,7 @@ import srmkit.synthetic
 from srmkit import balanced_partition, cosmoothing, generate, subspace_error
 from srmkit.srm import init_spatial
 
-from conftest import random_orthonormal_rows
+from conftest import random_orthonormal_rows, tree
 
 
 def test_noiseless_runs_have_rank_k(make_dataset):
@@ -142,12 +142,8 @@ def blas_build():
     except Exception:
         return None, None, None
     kernel = None
-    libs = Path(np.__file__).parent.parent / "numpy.libs"
-    for lib in sorted(libs.glob("libscipy_openblas64_*")):
-        try:
-            corename = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
-        except (OSError, AttributeError):
-            continue
+    corename = getattr(srmkit.synthetic._openblas(), "scipy_openblas_get_corename64_", None)
+    if corename is not None:
         corename.restype = ctypes.c_char_p
         kernel = corename().decode()
     return blas.get("name"), blas.get("version"), kernel
@@ -186,18 +182,21 @@ def test_files_match_digests_pinned_across_versions(tmp_path, dtype):
 
 def serial_runs(n, m, t_list, v, k, sigma_list, seed, dtype):
     """The runs of ``generate``, each drawn, formed and cast before the next
-    is drawn: the reference the worker thread must reproduce."""
+    is drawn: the reference the worker thread must reproduce. As in
+    ``generate``, the components' QR runs on the process's BLAS threads and
+    the products on one."""
     rng = np.random.default_rng(seed)
     spatial = init_spatial(n, k, v, rng)
     scale = np.sqrt(np.arange(k, 0, -1, dtype=np.float64))
     shared = [rng.standard_normal((t, k)) * scale for t in t_list]
     runs = {}
-    for s in range(m):
-        for i in range(n):
-            x = shared[s] @ spatial[i]
-            if sigma_list[i] > 0:
-                x = x + sigma_list[i] * rng.standard_normal((t_list[s], v))
-            runs[i, s] = x.astype(dtype, copy=False)
+    with srmkit.synthetic._one_blas_thread():
+        for s in range(m):
+            for i in range(n):
+                x = shared[s] @ spatial[i]
+                if sigma_list[i] > 0:
+                    x = x + sigma_list[i] * rng.standard_normal((t_list[s], v))
+                runs[i, s] = x.astype(dtype, copy=False)
     return runs
 
 
@@ -217,6 +216,83 @@ def test_runs_match_drawing_and_writing_one_at_a_time(tmp_path, dtype):
     for (i, s), x in serial_runs(**kw).items():
         run = manifest.load_run(i, s)
         assert run.dtype == x.dtype and run.tobytes() == x.tobytes(), (i, s)
+
+
+# OpenBLAS 0.3.31 rounds S W apart on one and on two threads at this width
+# (v=5,270), though not at v=20,000.
+CORE_COUNT = dict(n=2, m=2, t_list=[200, 200], v=5270, k=20, sigma_list=[0.5, 0.0], seed=5,
+                  dtype=np.float64)
+
+
+@pytest.fixture
+def openblas():
+    """numpy's OpenBLAS, its thread count restored after the test."""
+    lib = srmkit.synthetic._openblas()
+    if lib is None:
+        pytest.skip("needs numpy's bundled OpenBLAS")
+    threads = lib.scipy_openblas_get_num_threads64_()
+    yield lib
+    lib.scipy_openblas_set_num_threads64_(threads)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_files_do_not_depend_on_the_blas_thread_count(tmp_path, openblas, threads):
+    openblas.scipy_openblas_set_num_threads64_(threads)
+    manifest, _ = generate(**CORE_COUNT, out_dir=tmp_path / "ds")
+    assert openblas.scipy_openblas_get_num_threads64_() == threads
+    for (i, s), x in serial_runs(**CORE_COUNT).items():
+        assert manifest.load_run(i, s).tobytes() == x.tobytes(), (i, s)
+
+
+def test_blas_thread_count_is_restored_on_every_exit(tmp_path, openblas, monkeypatch):
+    get_threads = openblas.scipy_openblas_get_num_threads64_
+    openblas.scipy_openblas_set_num_threads64_(2)
+    threads = threading.active_count()
+    write_run = srmkit.synthetic._write_run
+    seen = []
+
+    def record(*args):
+        seen.append(get_threads())
+        write_run(*args)
+
+    monkeypatch.setattr(srmkit.synthetic, "_write_run", record)
+    kw = dict(CORE_COUNT, v=40, t_list=[20, 20])
+    generate(**kw, out_dir=tmp_path / "returns")
+    assert seen == [1] * 4 and get_threads() == 2
+
+    with srmkit.synthetic._one_blas_thread():
+        generate(**kw, out_dir=tmp_path / "nested")
+        assert get_threads() == 1
+    assert get_threads() == 2
+
+    def fail(*args):
+        raise OSError("no space left")
+
+    monkeypatch.setattr(srmkit.synthetic, "_write_run", fail)
+    with pytest.raises(OSError, match="no space left"):
+        generate(**kw, out_dir=tmp_path / "raises")
+    assert get_threads() == 2
+
+    # both calls' first runs wait for each other, so the holds overlap; the
+    # call that ends first must leave the other's runs on one thread
+    both_in = threading.Barrier(2, timeout=30)
+    seen.clear()
+
+    def meet(path, *args):
+        if path.name == "sub-00_run-00.srmb":
+            both_in.wait()
+        record(path, *args)
+
+    monkeypatch.setattr(srmkit.synthetic, "_write_run", meet)
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        calls = [pool.submit(generate, **kw, out_dir=tmp_path / f"concurrent-{j}")
+                 for j in range(2)]
+        for call in calls:
+            call.result()
+    assert seen == [1] * 8 and get_threads() == 2
+    for j in range(2):
+        assert tree(tmp_path / f"concurrent-{j}") == tree(tmp_path / "returns")
+    assert threading.active_count() == threads
 
 
 def test_worker_error_is_raised_and_leaves_no_manifest_or_thread(tmp_path, monkeypatch):
