@@ -249,9 +249,15 @@ def _fastsrm_folds(manifest, atlas, k, n_iter, seed, n_jobs):
     """fastsrm's co-smoothing maps, run by run, in a fixed number of passes.
 
     After the reduce pass and the m parcel-space fits, one recovery pass per
-    subject makes that subject's components of every fold; each is checked,
-    projects the fold's left-out run and is written to the spill before the
-    next fold's is made. Scoring then reads them back one at a time.
+    subject makes that subject's components of every fold; each is checked
+    and written to the spill before the next fold's is made. Once every
+    accumulator is released, the subject's components are read back one
+    fold at a time to project that fold's left-out run and spill its column
+    mean. So a worker's peak is its m k x v accumulators, one row block and
+    one tile's scratch and upcast buffer (:func:`_fold_steps`), or the
+    projection's one k x v matrix and float64 row block where that is
+    larger, never both at once. Scoring then reads the components and means
+    back one at a time.
     """
     n, m = manifest.n_subjects, manifest.n_runs
     with tempfile.TemporaryDirectory(prefix="srmkit-") as spill:
@@ -273,11 +279,15 @@ def _fastsrm_folds(manifest, atlas, k, n_iter, seed, n_jobs):
             try:
                 for w, _ in _fold_steps(shared, partial(manifest.run_blocks, i), manifest.v):
                     check_orthonormal(w)
-                    proj[done][i], mu = _project_left_out(manifest, i, done, w)
                     save_matrix(w, spill / FOLD_COMPONENT_FILE.format(done, i))
-                    save_matrix(mu[None], spill / FOLD_MEAN_FILE.format(done, i))
-                    del w, mu  # released before the next fold's components are made
+                    del w  # released before the next fold's components are made
                     done += 1
+                # every accumulator is released: project each fold's left-out run
+                for done in range(m):
+                    w = load_matrix(spill / FOLD_COMPONENT_FILE.format(done, i))
+                    proj[done][i], mu = _project_left_out(manifest, i, done, w)
+                    save_matrix(mu[None], spill / FOLD_MEAN_FILE.format(done, i))
+                    del w, mu  # released before the next fold's are read
             except Exception as exc:
                 raise _fold_error(done, exc) from exc
 
@@ -318,10 +328,14 @@ def cosmoothing(
     never whole. fastsrm reads each run four times in all, whatever the run
     count: to project it through the atlas, to recover every fold's
     components, to project it as a left-out run (which also takes its
-    column mean) and as the truth it is scored against. Its reduced runs,
-    and its fold components with the column means of their left-out runs
-    (n*m*(k+1)*v*8 bytes), wait in one ``srmkit-*`` directory under
-    :func:`tempfile.gettempdir`, removed when the evaluation ends or fails.
+    column mean) and as the truth it is scored against. Each fold's
+    components are written to disk as they are made, and the left-out runs
+    are projected only after every fold's are, so a worker never holds its
+    m k x v accumulators and a projection's float64 row block at once. Its
+    reduced runs, and its fold components with the column means of their
+    left-out runs (n*m*(k+1)*v*8 bytes), wait in one ``srmkit-*`` directory
+    under :func:`tempfile.gettempdir`, removed when the evaluation ends or
+    fails.
     """
     _check_fit_inputs(manifest, algorithm, k, atlas, n_iter, n_jobs, held_out=True)
     if algorithm == "fastsrm":

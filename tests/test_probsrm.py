@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from srmkit import SrmModel, probsrm_fit
-from srmkit.srm import _posterior_cov, _sum_squares
+from srmkit.srm import _posterior_cov, _sum_squares, _validate_stack
 
 from conftest import random_orthonormal_rows
 
@@ -157,6 +157,26 @@ def test_centered_sum_squares_holds_one_run(dtype):
     assert peak <= 1.2 * run_bytes, f"peak {peak / run_bytes:.1f} float64 runs"
     centered = [x.astype(np.float64) - x.astype(np.float64).mean(axis=0) for x in runs]
     assert total == sum(float(np.dot(c.ravel(), c.ravel())) for c in centered)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_centered_validation_shares_one_buffer_bit_for_bit(dtype):
+    # The validation centers every run into one float64 buffer, made for the
+    # first (longest) run and sliced for the shorter ones; each subject's sum
+    # must be, byte for byte, the sum of its runs' whole-run dots of freshly
+    # centered copies.
+    rng = np.random.default_rng(71)
+    t_list, v = (37, 23, 11), 257
+    offsets = 20.0 * rng.standard_normal(v)
+    data = [[(rng.standard_normal((t, v)) + offsets).astype(dtype) for t in t_list]
+            for _ in range(2)]
+    ssq = _validate_stack(data, centered=True)[-1]
+    for runs, got in zip(data, ssq):
+        want = 0.0
+        for x in runs:
+            f = (x - x.mean(axis=0, dtype=np.float64)).ravel()
+            want += float(np.dot(f, f))
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
