@@ -276,15 +276,16 @@ def _fastsrm_folds(manifest, atlas, k, n_iter, seed, n_jobs):
 
         def recover(i):
             done = 0  # every fold reads every run, so a failed read fails fold 0
+            paths = [spill / FOLD_COMPONENT_FILE.format(s, i) for s in range(m)]
             try:
                 for w, _ in _fold_steps(shared, partial(manifest.run_blocks, i), manifest.v):
                     check_orthonormal(w)
-                    save_matrix(w, spill / FOLD_COMPONENT_FILE.format(done, i))
+                    save_matrix(w, paths[done])
                     del w  # released before the next fold's components are made
                     done += 1
                 # every accumulator is released: project each fold's left-out run
-                for done in range(m):
-                    w = load_matrix(spill / FOLD_COMPONENT_FILE.format(done, i))
+                for done, path in enumerate(paths):
+                    w = load_matrix(path)
                     proj[done][i], mu = _project_left_out(manifest, i, done, w)
                     save_matrix(mu[None], spill / FOLD_MEAN_FILE.format(done, i))
                     del w, mu  # released before the next fold's are read

@@ -314,8 +314,7 @@ def check_orthonormal(w: np.ndarray, tol: float = ORTHONORMALITY_TOL) -> None:
 def _validate_stack(data, centered=False):
     """Check the [subject][run] layout and return (n, m, t_per_run, v, ssq),
     where ssq[i] is subject i's (``centered``) :func:`_sum_squares` over its
-    runs, each run's taken by one :func:`_run_squares` shared by the call.
-    Each run is drawn once and released before the next one is drawn,
+    runs. Each run is drawn once and released before the next one is drawn,
     so ``data`` may read its runs from disk as they are indexed. An empty run
     is rejected before its sum of squares is taken. A run's sum of squares
     is not finite exactly when the run holds a NaN or an infinity, or values
@@ -329,7 +328,7 @@ def _validate_stack(data, centered=False):
         raise ValueError("need at least one run")
     if any(len(runs) != m for runs in data):
         raise ValueError("subjects disagree on run count")
-    t_per_run, v, ssq, squares = [], None, [], _run_squares(centered)
+    t_per_run, v, ssq = [], None, []
     for i, runs in enumerate(data):
         total = 0.0
         for s in range(m):  # not enumerate(), whose reused result tuple would hold the last run
@@ -347,7 +346,7 @@ def _validate_stack(data, centered=False):
                     f"subject {i} run {s}: shape {x.shape}, expected ({t_per_run[s]}, {v})"
                 )
             with np.errstate(invalid="ignore", over="ignore"):  # reported below
-                run_ssq = squares(x)
+                run_ssq = _sum_squares((x,), centered)
             del x
             if not np.isfinite(run_ssq):
                 raise ValueError(f"subject {i} run {s}: non-finite values")
@@ -450,43 +449,20 @@ def _accumulate(folds, blocks, acc) -> None:
 
 def _sum_squares(runs, centered=False) -> float:
     """sum_s ||X_s||_F^2, or with ``centered`` sum_s ||X_s - 1 mu_s^T||_F^2
-    with mu_s the column means: the sum over runs of :func:`_run_squares`,
-    each run released before the next is drawn."""
-    squares, total = _run_squares(centered), 0.0
+    with mu_s the column means, accumulated in float64 in run and row order.
+    Each run is upcast (and centered) one :func:`_row_blocks` block at a
+    time, so a float64 run is one block and is copied only to be centered;
+    the run and its blocks are released before the next run is drawn."""
+    total = 0.0
     for x in runs:
-        total += squares(x)
-        del x
-    return total
-
-
-def _run_squares(centered=False):
-    """A function of one run X giving ||X||_F^2, or with ``centered``
-    ||X - 1 mu^T||_F^2 with mu the column means, accumulated in float64 in
-    row order. Each run is upcast (and centered) one :func:`_row_blocks`
-    block at a time, so a float64 run is one block. Centering subtracts into
-    the leading rows of one float64 buffer that every call shares, made for
-    the first block and remade only for a larger one, so that validating a
-    dataset does not make a fresh t x v temporary per run; the ravel and the
-    dot are those of a fresh copy, so the sums are too."""
-    buf = None
-
-    def squares(x) -> float:
-        nonlocal buf
-        total = 0.0
         if centered:
             mu = x.mean(axis=0, dtype=np.float64)
         for _, _, rows in _row_blocks(x):
-            if centered:
-                if buf is None or len(buf) < len(rows):
-                    buf = np.empty(rows.shape)
-                f = np.subtract(rows, mu, out=buf[:len(rows)], dtype=np.float64).ravel()
-            else:
-                f = rows.astype(np.float64, copy=False).ravel()
+            f = (rows - mu if centered else rows).astype(np.float64, copy=False).ravel()
             total += float(np.dot(f, f))
             del rows, f
-        return total
-
-    return squares
+        del x
+    return total
 
 
 def _update_components(data, shared, ssq, v, n_jobs):

@@ -108,30 +108,6 @@ def column_mean(x):
     return x.mean(axis=0, dtype=np.float64)
 
 
-def lowest_traced_peak(call, repeats=2):
-    """(lowest tracemalloc peak over ``repeats`` calls of ``call``, the last
-    call's result).
-
-    tracemalloc also counts the interpreter's own tables. pathlib interns
-    every file name it parses, and a rebuild of the interned-string table
-    (a single 1.9 MB allocation in a full tier-1 run) lands inside whichever
-    call interns the name that fills it. A rebuilt table has room for at
-    least as many new names as it holds, so no two calls in a row both pay
-    for one.
-    """
-    import tracemalloc
-
-    peaks = []
-    for _ in range(repeats):
-        tracemalloc.start()
-        try:
-            result = call()
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    return min(peaks), result
-
-
 class TestScoreBlocks:
     """The co-smoothing kernel: r2_map of ``shared @ w``, scored by row block."""
 
@@ -525,13 +501,19 @@ class TestCosmoothing:
         # Every subject adds m fold maps (9 bytes a voxel each) to the result;
         # beyond those, the peak must grow far less than the subjects' k x v
         # components of a fold, which stay on disk.
+        import tracemalloc
+
         m, v, k = 2, 600, 10
         atlas = balanced_partition(v, 40, seed=7)
         peaks = {}
         for n in (4, 12):
             manifest, _ = make_dataset(n=n, m=m, t_list=(30, 30), v=v, k=k, sigma=0.3, seed=46)
-            peaks[n], result = lowest_traced_peak(
-                lambda: cosmoothing(manifest, "fastsrm", k=k, atlas=atlas, n_iter=3, seed=0))
+            tracemalloc.start()
+            try:
+                result = cosmoothing(manifest, "fastsrm", k=k, atlas=atlas, n_iter=3, seed=0)
+                _, peaks[n] = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
             assert len(result.folds) == n * m
             del result
         maps_growth = 9 * m * v * (12 - 4)
@@ -541,27 +523,38 @@ class TestCosmoothing:
 
     def test_fastsrm_projects_left_out_runs_after_the_accumulators_go(self, make_dataset,
                                                                        monkeypatch):
-        # With 256-column tiles, a float32 run's 40-row block (the whole run)
-        # is upcast into a 40 x 256 buffer while the folds accumulate, but
-        # into a 40 x v one for the left-out projection. Recovery holds the m
-        # k x v accumulators and one float32 block; the projection, run once
-        # every accumulator is gone, holds one k x v and both forms of a
-        # block. Projecting between Procrustes steps would hold the remaining
-        # accumulators, the new components and both forms of a block at once.
-        n, m, t, v, k = 3, 4, 40, 4000, 20
+        # Each float32 run is one 131-row block (4 MiB), upcast 256 columns
+        # at a time while the folds accumulate but whole (8 MiB) for the
+        # left-out projection and for scoring. Recovery holds the m k x v
+        # accumulators and a float32 block; the projection, run once every
+        # accumulator is gone, holds one k x v and both forms of a block.
+        # Projecting between Procrustes steps would hold the remaining
+        # accumulators, the new components and both forms of a block at once,
+        # about 4 MiB over the bound. The margins on both sides (3-4 MiB) are
+        # wider than the interpreter's own tables can grow in one call.
+        import tracemalloc
+
+        n, m, v, k = 2, 8, 8000, 20
+        t = srmkit.dataio._block_rows(v)
         monkeypatch.setattr(srmkit.srm, "TILE_COLS", 256)
         manifest, _ = make_dataset(n=n, m=m, t_list=(t,) * m, v=v, k=k, sigma=0.3, seed=61,
                                    dtype=np.float32)
         atlas = balanced_partition(v, 40, seed=7)
-        peak, result = lowest_traced_peak(
-            lambda: cosmoothing(manifest, "fastsrm", k=k, atlas=atlas, n_iter=2, seed=0))
+        tracemalloc.start()
+        try:
+            result = cosmoothing(manifest, "fastsrm", k=k, atlas=atlas, n_iter=2, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
         assert len(result.folds) == n * m
         accumulators = m * k * v * 8
-        block = min(t, srmkit.dataio._block_rows(v)) * v * 8  # one row block, in float64
-        slack = 256 << 10  # the folds' t x k shared responses and projections, and small arrays
-        assert peak <= accumulators + block + slack, (
-            f"peak {peak / 2**10:.0f} KiB, {(peak - accumulators - block) / 2**10:.0f} KiB "
-            f"above the accumulators and one row block")
+        block = t * v * 8  # one row block, in float64
+        responses = m * (m - 1) * t * k * 8  # every fold's shared responses, held throughout
+        slack = 256 << 10  # projections, maps and small arrays
+        assert peak <= accumulators + block + responses + slack, (
+            f"peak {peak / 2**20:.2f} MiB, "
+            f"{(peak - accumulators - block - responses) / 2**20:.2f} MiB above the "
+            f"accumulators, one row block and the shared responses")
 
     def test_fastsrm_recovery_failure_removes_its_spill(self, make_dataset, monkeypatch, tmp_path):
         manifest, _ = make_dataset(n=3, m=3, t_list=(20, 20, 20), v=40, k=2, sigma=0.5, seed=32)

@@ -160,11 +160,11 @@ def test_centered_sum_squares_holds_one_run(dtype):
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-def test_centered_validation_shares_one_buffer_bit_for_bit(dtype):
-    # The validation centers every run into one float64 buffer, made for the
-    # first (longest) run and sliced for the shorter ones; each subject's sum
-    # must be, byte for byte, the sum of its runs' whole-run dots of freshly
-    # centered copies.
+def test_centered_validation_matches_whole_run_dots_bit_for_bit(dtype):
+    # Runs of unequal length, longest first: each subject's centered sum must
+    # be, byte for byte, the sum of its runs' whole-run dots of freshly
+    # centered copies, so a float64 buffer reused across the runs would have
+    # to be sliced to each run's rows.
     rng = np.random.default_rng(71)
     t_list, v = (37, 23, 11), 257
     offsets = 20.0 * rng.standard_normal(v)
