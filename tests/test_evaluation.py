@@ -595,6 +595,27 @@ class TestCosmoothing:
         assert str(target) in str(info.value)
         assert list(root.glob("srmkit-*")) == []
 
+    def test_fastsrm_failing_projection_names_its_fold(self, make_dataset, monkeypatch,
+                                                       tmp_path):
+        # The left-out runs are projected after every fold's components are
+        # written; a projection that fails there names its own fold.
+        manifest, _ = make_dataset(n=3, m=3, t_list=(20, 20, 20), v=40, k=2, sigma=0.5, seed=33)
+        root = tmp_path / "tmpdir"
+        root.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(root))
+        project = srmkit.evaluation._project_left_out
+
+        def project_or_fail(manifest, subject, run, w):
+            if (subject, run) == (2, 1):
+                raise FloatingPointError("overflow")
+            return project(manifest, subject, run, w)
+
+        monkeypatch.setattr(srmkit.evaluation, "_project_left_out", project_or_fail)
+        with pytest.raises(RuntimeError, match="left-out run 1 failed: overflow"):
+            cosmoothing(manifest, "fastsrm", k=2, atlas=balanced_partition(40, 8, seed=4),
+                        n_iter=2, seed=0)
+        assert list(root.glob("srmkit-*")) == []
+
     @pytest.mark.parametrize("n_jobs", [1, 2])
     def test_fastsrm_folds_recompute_bit_for_bit(self, make_dataset, n_jobs):
         manifest, _ = make_dataset(
