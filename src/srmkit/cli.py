@@ -181,10 +181,12 @@ def cmd_transform(args, parser) -> int:
         parser.error(f"model has {model.v} voxels, dataset has {manifest.v}")
     subjects = args.subjects or range(model.n)
     n = min(model.n, manifest.n_subjects)
-    for i in subjects:
+    for j, i in enumerate(subjects):
         if not 0 <= i < n:
             parser.error(f"subject {i} out of range (model has {model.n}, "
                          f"dataset has {manifest.n_subjects})")
+        if i in subjects[:j]:
+            parser.error(f"subject {i} is listed twice in --subjects")
     # one subject's run and components in memory at a time
     shared = update_shared((manifest.load_run(i, args.run) for i in subjects),
                            (model.spatial_component(i) for i in subjects))

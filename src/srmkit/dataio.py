@@ -272,8 +272,13 @@ def load_manifest(path) -> DatasetManifest:
         raise ValueError(f"{path}: subjects disagree on run count")
     v = None
     t_per_run = [None] * m
-    for sid, paths in zip(ids, runs):
+    slots = {}  # resolved run file -> the first (subject index, run) to list it
+    for i, (sid, paths) in enumerate(zip(ids, runs)):
         for s, p in enumerate(paths):
+            first = slots.setdefault(p.resolve(), (i, s))
+            if first != (i, s):
+                raise ValueError(f"{path}: {p} is listed as subject {ids[first[0]]} run "
+                                 f"{first[1]} and as subject {sid} run {s}")
             rows, cols, _ = read_header(p)
             if v is None:
                 v = cols

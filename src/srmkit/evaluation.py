@@ -30,7 +30,7 @@ ROI_THRESHOLD = 0.05  # reference cut for "informative" voxels
 
 ALGORITHMS = ("detsrm", "probsrm", "fastsrm")
 FOLD_COMPONENT_FILE = "run-{:03d}_w_{:03d}.srmb"  # fastsrm co-smoothing spill: fold, subject
-FOLD_MEAN_FILE = "run-{:03d}_mean_{:03d}.srmb"  # the column mean of that fold's left-out run
+FOLD_MEAN_FILE = "run-{:03d}_mean_{:03d}.srmb"  # every algorithm's: left-out run column mean
 
 
 def r2_score(pred, truth) -> float:
@@ -214,12 +214,12 @@ def _score_run(manifest, run, held_out, proj, subjects=None):
     """Score reconstruction of each requested left-out subject for one run.
 
     ``proj[z]`` is subject z's run projected onto its own components and
-    ``held_out(z)`` returns those components and the run's column mean (both
-    from :func:`_project_left_out`), read as each subject is scored. Each
-    leave-one-out shared response is the ordered total of the projections
-    minus the held-out subject's, so recomputing any single fold reproduces
-    its map bit-for-bit. The truth is read from disk one row block at a
-    time (:func:`_score_blocks`).
+    ``held_out(z)`` returns those components and the run's column mean,
+    read as each subject is scored (:func:`_score_fold` reads the mean back
+    from its spill). Each leave-one-out shared response is the ordered
+    total of the projections minus the held-out subject's, so recomputing
+    any single fold reproduces its map bit-for-bit. The truth is read from
+    disk one row block at a time (:func:`_score_blocks`).
     """
     n = len(proj)
     total = sum(proj)
@@ -233,78 +233,64 @@ def _score_run(manifest, run, held_out, proj, subjects=None):
     return folds
 
 
-def _score_model(manifest, model, run, subjects=None):
-    """:func:`_score_run` for a model fitted without ``run``."""
-    proj, means = zip(*(_project_left_out(manifest, z, run, model.spatial_component(z))
-                        for z in range(manifest.n_subjects)))
-    return _score_run(manifest, run, lambda i: (model.spatial_component(i), means[i]), proj,
-                      subjects)
+def _score_fold(manifest, run, components, spill, n_jobs, subjects=None):
+    """Maps of the fold that leaves out ``run``, for each requested left-out
+    subject (every subject by default). ``components(z)`` returns subject
+    z's k x v components of a model fitted without ``run``. Each subject's
+    run is projected through them (:func:`_project_left_out`) on up to
+    ``n_jobs`` workers and its 1 x v column mean written into the ``spill``
+    directory as :data:`FOLD_MEAN_FILE`; :func:`_score_run` then reads each
+    scored subject's components and mean back, one subject at a time.
+    """
+    means = [spill / FOLD_MEAN_FILE.format(run, z) for z in range(manifest.n_subjects)]
+
+    def project(z):
+        proj, mu = _project_left_out(manifest, z, run, components(z))
+        save_matrix(mu[None], means[z])
+        return proj
+
+    proj = _map_subjects(project, manifest.n_subjects, n_jobs)
+    return _score_run(manifest, run, lambda i: (components(i), load_matrix(means[i])[0]),
+                      proj, subjects)
 
 
 def _fold_error(run: int, exc: Exception) -> RuntimeError:
     return RuntimeError(f"fold with left-out run {run} failed: {exc}")
 
 
-def _fastsrm_folds(manifest, atlas, k, n_iter, seed, n_jobs):
-    """fastsrm's co-smoothing maps, run by run, in a fixed number of passes.
+def _fastsrm_folds(manifest, atlas, k, n_iter, seed, n_jobs, spill):
+    """Write fastsrm's components of every co-smoothing fold into ``spill``.
 
-    After the reduce pass and the m parcel-space fits, one recovery pass per
-    subject makes that subject's components of every fold; each is checked
-    and written to the spill before the next fold's is made. Once every
-    accumulator is released, the subject's components are read back one
-    fold at a time to project that fold's left-out run and spill its column
-    mean. So a worker's peak is its m k x v accumulators, one row block and
-    one tile's scratch and upcast buffer (:func:`_fold_steps`), or the
-    projection's one k x v matrix and float64 row block where that is
-    larger, never both at once. Scoring then reads the components and means
-    back one at a time.
+    The reduce pass writes every run's projection through the atlas there,
+    for the m parcel-space fits, one per left-out run. One recovery pass per
+    subject then makes that subject's components of every fold, each checked
+    and written as :data:`FOLD_COMPONENT_FILE` before the next fold's is
+    made, so a worker's peak is its m k x v accumulators, one row block and
+    one tile's scratch and upcast buffer (:func:`_fold_steps`).
     """
     n, m = manifest.n_subjects, manifest.n_runs
-    with tempfile.TemporaryDirectory(prefix="srmkit-") as spill:
-        spill = Path(spill)
-        shared = []  # [fold][run], None where the fold leaves its run out
-        for s in range(m):
-            try:
-                if s == 0:  # fold 0 reads every run anyway, so a bad run fails fold 0
-                    reduced = reduce_dataset(manifest, atlas, spill, n_jobs=n_jobs)
-                _, sh = _fit_reduced(reduced.without_run(s), k, n_iter, fold_seed(seed, s))
-            except Exception as exc:
-                raise _fold_error(s, exc) from exc
-            shared.append(sh[:s] + [None] + sh[s:])
+    shared = []  # [fold][run], None where the fold leaves its run out
+    for s in range(m):
+        try:
+            if s == 0:  # fold 0 reads every run anyway, so a bad run fails fold 0
+                reduced = reduce_dataset(manifest, atlas, spill, n_jobs=n_jobs)
+            _, sh = _fit_reduced(reduced.without_run(s), k, n_iter, fold_seed(seed, s))
+        except Exception as exc:
+            raise _fold_error(s, exc) from exc
+        shared.append(sh[:s] + [None] + sh[s:])
 
-        proj = [[None] * n for _ in range(m)]  # [fold][subject] left-out run projections
+    def recover(i):
+        done = 0  # every fold reads every run, so a failed read fails fold 0
+        try:
+            for w, _ in _fold_steps(shared, partial(manifest.run_blocks, i), manifest.v):
+                check_orthonormal(w)
+                save_matrix(w, spill / FOLD_COMPONENT_FILE.format(done, i))
+                del w  # released before the next fold's components are made
+                done += 1
+        except Exception as exc:
+            raise _fold_error(done, exc) from exc
 
-        def recover(i):
-            done = 0  # every fold reads every run, so a failed read fails fold 0
-            paths = [spill / FOLD_COMPONENT_FILE.format(s, i) for s in range(m)]
-            try:
-                for w, _ in _fold_steps(shared, partial(manifest.run_blocks, i), manifest.v):
-                    check_orthonormal(w)
-                    save_matrix(w, paths[done])
-                    del w  # released before the next fold's components are made
-                    done += 1
-                # every accumulator is released: project each fold's left-out run
-                for done, path in enumerate(paths):
-                    w = load_matrix(path)
-                    proj[done][i], mu = _project_left_out(manifest, i, done, w)
-                    save_matrix(mu[None], spill / FOLD_MEAN_FILE.format(done, i))
-                    del w, mu  # released before the next fold's are read
-            except Exception as exc:
-                raise _fold_error(done, exc) from exc
-
-        _map_subjects(recover, n, n_jobs)
-
-        def held_out(s, i):
-            return (load_matrix(spill / FOLD_COMPONENT_FILE.format(s, i)),
-                    load_matrix(spill / FOLD_MEAN_FILE.format(s, i))[0])
-
-        folds = []
-        for s in range(m):
-            try:
-                folds.extend(_score_run(manifest, s, partial(held_out, s), proj[s]))
-            except Exception as exc:
-                raise _fold_error(s, exc) from exc
-    return folds
+    _map_subjects(recover, n, n_jobs)
 
 
 def cosmoothing(
@@ -325,30 +311,34 @@ def cosmoothing(
     step and is shared by all subjects of a run), so any fold can be
     recomputed in isolation. Folds are enumerated subject-major.
 
-    The left-out projections and the scoring read each run in row blocks,
-    never whole. fastsrm reads each run four times in all, whatever the run
-    count: to project it through the atlas, to recover every fold's
-    components, to project it as a left-out run (which also takes its
-    column mean) and as the truth it is scored against. Each fold's
-    components are written to disk as they are made, and the left-out runs
-    are projected only after every fold's are, so a worker never holds its
-    m k x v accumulators and a projection's float64 row block at once. Its
-    reduced runs, and its fold components with the column means of their
-    left-out runs (n*m*(k+1)*v*8 bytes), wait in one ``srmkit-*`` directory
+    Every fold is scored by :func:`_score_fold`, which reads each run in row
+    blocks, never whole. detsrm and probsrm score each fold from its
+    in-memory fit, released before the next fold's. fastsrm makes every
+    fold's components first (:func:`_fastsrm_folds`), so it reads each run
+    four times in all, whatever the run count: to project it through the
+    atlas, to recover every fold's components, to project it as a left-out
+    run and as the truth it is scored against. One ``srmkit-*`` directory
     under :func:`tempfile.gettempdir`, removed when the evaluation ends or
-    fails.
+    fails, holds one 1 x v column mean per fold and subject and, for
+    fastsrm, the reduced runs and n*m*k*v*8 bytes of fold components.
     """
     _check_fit_inputs(manifest, algorithm, k, atlas, n_iter, n_jobs, held_out=True)
-    if algorithm == "fastsrm":
-        folds = _fastsrm_folds(manifest, atlas, k, n_iter, seed, n_jobs)
-    else:
-        folds = []
+    folds = []
+    with tempfile.TemporaryDirectory(prefix="srmkit-") as spill:
+        spill = Path(spill)
+
+        def components(s):  # components(z) of the fold that leaves out run s
+            if algorithm == "fastsrm":
+                return lambda z: load_matrix(spill / FOLD_COMPONENT_FILE.format(s, z))
+            training = manifest.without_run(s)
+            model = fit(training, algorithm, k, atlas, n_iter, fold_seed(seed, s), n_jobs)
+            return model.spatial_component  # the model goes once its fold is scored
+
+        if algorithm == "fastsrm":
+            _fastsrm_folds(manifest, atlas, k, n_iter, seed, n_jobs, spill)
         for s in range(manifest.n_runs):
             try:
-                training = manifest.without_run(s)
-                model = fit(training, algorithm, k, atlas, n_iter, fold_seed(seed, s), n_jobs)
-                folds.extend(_score_model(manifest, model, s))
-                del model  # release the components before the next fold's fit
+                folds.extend(_score_fold(manifest, s, components(s), spill, n_jobs))
             except Exception as exc:
                 raise _fold_error(s, exc) from exc
     folds.sort(key=lambda f: (f.left_out_subject, f.left_out_run))
@@ -375,8 +365,10 @@ def cosmoothing_fold(
         if not 0 <= value < count:
             raise ValueError(f"{name}={value} is outside [0, {count})")
     training = manifest.without_run(run)
-    model = fit(training, algorithm, k, atlas, n_iter, fold_seed(seed, run), n_jobs)
-    return _score_model(manifest, model, run, subjects=[subject])[0]
+    with tempfile.TemporaryDirectory(prefix="srmkit-") as spill:
+        model = fit(training, algorithm, k, atlas, n_iter, fold_seed(seed, run), n_jobs)
+        return _score_fold(manifest, run, model.spatial_component, Path(spill), n_jobs,
+                           subjects=[subject])[0]
 
 
 def roi_mask(maps, threshold: float = ROI_THRESHOLD) -> np.ndarray:

@@ -211,6 +211,27 @@ def test_transform_bad_subjects_are_argument_errors(tmp_path, capsys, monkeypatc
     assert not (tmp_path / "s.srmb").exists()
 
 
+def test_transform_repeated_subject_is_argument_error(tmp_path, capsys, monkeypatch):
+    # "1,2,1" would count subject 1 twice in the mean
+    ds = run_synth(tmp_path)
+    fit_out = tmp_path / "fit"
+    assert main(["fit", "--algo", "detsrm", "--manifest", str(ds / "manifest.json"),
+                 "--k", "3", "--out", str(fit_out)]) == 0
+    capsys.readouterr()
+
+    def no_load(*args, **kwargs):
+        raise AssertionError("a run was read")
+
+    monkeypatch.setattr(srmkit.dataio, "load_matrix", no_load)
+    with pytest.raises(SystemExit) as exc:
+        main(["transform", "--model", str(fit_out / "model"),
+              "--manifest", str(ds / "manifest.json"), "--run", "0",
+              "--subjects", "1,2,1", "--out", str(tmp_path / "s.srmb")])
+    assert exc.value.code == 2
+    assert "subject 1 is listed twice in --subjects" in capsys.readouterr().err
+    assert not (tmp_path / "s.srmb").exists()
+
+
 def _evaluate_without_reading(tmp_path, monkeypatch, ds):
     """``srmkit evaluate`` on ``ds`` with every run read failing the test;
     returns the exit code it stopped with."""

@@ -201,6 +201,18 @@ class TestManifest:
         with pytest.raises(ValueError, match="subject b has no runs"):
             load_manifest(p)
 
+    def test_run_file_listed_twice(self, tmp_path):
+        # two subjects sharing one recording would be fitted as two subjects
+        p = self._write_runs(tmp_path, {"a": [(5, 4), (6, 4)], "b": [(5, 4), (6, 4)]})
+        doc = json.loads(p.read_text())
+        twice = f"../{tmp_path.name}/a_run1.srmb"  # another spelling of a's run 1
+        doc["subjects"][1]["runs"][1] = twice
+        p.write_text(json.dumps(doc))
+        with pytest.raises(ValueError) as info:
+            load_manifest(p)
+        assert str(info.value) == (f"{p}: {tmp_path / twice} is listed as subject a run 1 "
+                                   "and as subject b run 1")
+
     def test_without_run(self, tmp_path):
         p = self._write_runs(tmp_path, {"a": [(5, 4), (6, 4), (7, 4)]})
         man = load_manifest(p)
