@@ -171,12 +171,20 @@ def cmd_fit(args, parser) -> int:
 
 
 def cmd_transform(args, parser) -> int:
+    out = Path(args.out)
+    if out.is_dir():
+        parser.error(f"--out: {out} is a directory, not an SRMB file")
+    if not out.parent.is_dir():
+        parser.error(f"--out: directory {out.parent} does not exist")
     if not Path(args.model).is_dir():
         parser.error(f"model directory not found: {args.model}")
     manifest = _load_manifest(args, parser)
     if not 0 <= args.run < manifest.n_runs:
         parser.error(f"run {args.run} out of range (dataset has {manifest.n_runs})")
-    model = SrmModel.load(args.model)
+    try:
+        model = SrmModel.load(args.model)
+    except (OSError, ValueError) as exc:
+        parser.error(f"invalid model: {exc}")
     if model.v != manifest.v:
         parser.error(f"model has {model.v} voxels, dataset has {manifest.v}")
     subjects = args.subjects or range(model.n)

@@ -54,6 +54,27 @@ def save_json(obj, path) -> None:
         f.write("\n")
 
 
+def _load_descriptor(path, keys=()) -> dict:
+    """The JSON object in ``path``, holding every name in ``keys``; a
+    ValueError naming the file if it is not JSON or lacks one."""
+    try:
+        with open(path) as f:
+            doc = json.load(f)
+    except ValueError as exc:  # also a file that is not UTF-8
+        raise ValueError(f"{path}: not valid JSON: {exc}") from None
+    _require(doc, keys, path)
+    return doc
+
+
+def _require(doc, keys, where) -> None:
+    """Reject a JSON value that is not an object holding every name in ``keys``."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{where}: expected a JSON object, got {type(doc).__name__}")
+    for key in keys:
+        if key not in doc:
+            raise ValueError(f"{where}: missing key {key!r}")
+
+
 def save_matrix(mat: np.ndarray, path) -> None:
     """Write a 2-D float32/float64 matrix to ``path`` in SRMB format.
 
@@ -253,15 +274,14 @@ def load_manifest(path) -> DatasetManifest:
     taken from the SRMB headers.
     """
     path = Path(path)
-    with open(path) as f:
-        doc = json.load(f)
-    subjects = doc.get("subjects")
+    subjects = _load_descriptor(path).get("subjects")
     if not subjects:
         raise ValueError(f"{path}: manifest has no subjects")
     base = path.parent
     ids = []
     runs = []
-    for entry in subjects:
+    for i, entry in enumerate(subjects):
+        _require(entry, ("id", "runs"), f"{path}: subject entry {i}")
         ids.append(str(entry["id"]))
         paths = tuple(base / p for p in entry["runs"])
         if not paths:

@@ -30,7 +30,6 @@ ROI_THRESHOLD = 0.05  # reference cut for "informative" voxels
 
 ALGORITHMS = ("detsrm", "probsrm", "fastsrm")
 FOLD_COMPONENT_FILE = "run-{:03d}_w_{:03d}.srmb"  # fastsrm co-smoothing spill: fold, subject
-FOLD_MEAN_FILE = "run-{:03d}_mean_{:03d}.srmb"  # every algorithm's: left-out run column mean
 
 
 def r2_score(pred, truth) -> float:
@@ -215,8 +214,8 @@ def _score_run(manifest, run, held_out, proj, subjects=None):
 
     ``proj[z]`` is subject z's run projected onto its own components and
     ``held_out(z)`` returns those components and the run's column mean,
-    read as each subject is scored (:func:`_score_fold` reads the mean back
-    from its spill). Each leave-one-out shared response is the ordered
+    read as each subject is scored (:func:`_score_fold` holds the fold's
+    means in memory). Each leave-one-out shared response is the ordered
     total of the projections minus the held-out subject's, so recomputing
     any single fold reproduces its map bit-for-bit. The truth is read from
     disk one row block at a time (:func:`_score_blocks`).
@@ -233,25 +232,19 @@ def _score_run(manifest, run, held_out, proj, subjects=None):
     return folds
 
 
-def _score_fold(manifest, run, components, spill, n_jobs, subjects=None):
+def _score_fold(manifest, run, components, n_jobs, subjects=None):
     """Maps of the fold that leaves out ``run``, for each requested left-out
     subject (every subject by default). ``components(z)`` returns subject
     z's k x v components of a model fitted without ``run``. Each subject's
     run is projected through them (:func:`_project_left_out`) on up to
-    ``n_jobs`` workers and its 1 x v column mean written into the ``spill``
-    directory as :data:`FOLD_MEAN_FILE`; :func:`_score_run` then reads each
-    scored subject's components and mean back, one subject at a time.
+    ``n_jobs`` workers; the fold's n 1 x v column means stay in memory until
+    it is scored, n*v*8 bytes, less than the n maps it adds to the result.
+    :func:`_score_run` then reads each scored subject's components again,
+    one subject at a time.
     """
-    means = [spill / FOLD_MEAN_FILE.format(run, z) for z in range(manifest.n_subjects)]
-
-    def project(z):
-        proj, mu = _project_left_out(manifest, z, run, components(z))
-        save_matrix(mu[None], means[z])
-        return proj
-
-    proj = _map_subjects(project, manifest.n_subjects, n_jobs)
-    return _score_run(manifest, run, lambda i: (components(i), load_matrix(means[i])[0]),
-                      proj, subjects)
+    proj, means = zip(*_map_subjects(
+        lambda z: _project_left_out(manifest, z, run, components(z)), manifest.n_subjects, n_jobs))
+    return _score_run(manifest, run, lambda i: (components(i), means[i]), proj, subjects)
 
 
 def _fold_error(run: int, exc: Exception) -> RuntimeError:
@@ -317,10 +310,11 @@ def cosmoothing(
     fold's components first (:func:`_fastsrm_folds`), so it reads each run
     four times in all, whatever the run count: to project it through the
     atlas, to recover every fold's components, to project it as a left-out
-    run and as the truth it is scored against. One ``srmkit-*`` directory
-    under :func:`tempfile.gettempdir`, removed when the evaluation ends or
-    fails, holds one 1 x v column mean per fold and subject and, for
-    fastsrm, the reduced runs and n*m*k*v*8 bytes of fold components.
+    run and as the truth it is scored against. A fold's n 1 x v column
+    means are held in memory only while it is scored. One ``srmkit-*``
+    directory under :func:`tempfile.gettempdir`, removed when the evaluation
+    ends or fails, holds fastsrm's reduced runs and n*m*k*v*8 bytes of fold
+    components; it stays empty for detsrm and probsrm.
     """
     _check_fit_inputs(manifest, algorithm, k, atlas, n_iter, n_jobs, held_out=True)
     folds = []
@@ -338,7 +332,7 @@ def cosmoothing(
             _fastsrm_folds(manifest, atlas, k, n_iter, seed, n_jobs, spill)
         for s in range(manifest.n_runs):
             try:
-                folds.extend(_score_fold(manifest, s, components(s), spill, n_jobs))
+                folds.extend(_score_fold(manifest, s, components(s), n_jobs))
             except Exception as exc:
                 raise _fold_error(s, exc) from exc
     folds.sort(key=lambda f: (f.left_out_subject, f.left_out_run))
@@ -365,10 +359,8 @@ def cosmoothing_fold(
         if not 0 <= value < count:
             raise ValueError(f"{name}={value} is outside [0, {count})")
     training = manifest.without_run(run)
-    with tempfile.TemporaryDirectory(prefix="srmkit-") as spill:
-        model = fit(training, algorithm, k, atlas, n_iter, fold_seed(seed, run), n_jobs)
-        return _score_fold(manifest, run, model.spatial_component, Path(spill), n_jobs,
-                           subjects=[subject])[0]
+    model = fit(training, algorithm, k, atlas, n_iter, fold_seed(seed, run), n_jobs)
+    return _score_fold(manifest, run, model.spatial_component, n_jobs, subjects=[subject])[0]
 
 
 def roi_mask(maps, threshold: float = ROI_THRESHOLD) -> np.ndarray:

@@ -13,7 +13,6 @@ compare products S W_i or row spaces, never raw factors.
 
 from __future__ import annotations
 
-import json
 import os
 import shutil
 import uuid
@@ -24,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataio import _row_blocks, load_matrix, read_header, save_json, save_matrix
+from .dataio import _load_descriptor, _row_blocks, load_matrix, read_header, save_json, save_matrix
 
 ORTHONORMALITY_TOL = 1e-8
 SIGMA_EIG_FLOOR = 1e-10
@@ -234,8 +233,7 @@ class SrmModel:
     @classmethod
     def load(cls, directory) -> "SrmModel":
         directory = Path(directory)
-        with open(directory / "model.json") as f:
-            desc = json.load(f)
+        desc = _load_descriptor(directory / "model.json", ("n", "k", "v"))
         expected = {
             "format": "srmkit-model",
             "version": 1,

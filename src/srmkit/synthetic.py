@@ -88,8 +88,10 @@ def generate(
     )
     if sigma.shape != (n,):
         raise ValueError(f"expected {n} noise levels, got {sigma.shape}")
-    if np.any(sigma < 0):
-        raise ValueError("noise levels must be non-negative")
+    for i, level in enumerate(sigma):
+        if not np.isfinite(level) or level < 0:
+            raise ValueError(f"noise level of subject {i} must be finite and non-negative, "
+                             f"got {level}")
     if k > min(v, sum(t_list)):
         raise ValueError(f"k={k} exceeds min(v={v}, total timeframes={sum(t_list)})")
     dtype = np.dtype(dtype)

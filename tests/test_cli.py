@@ -809,3 +809,82 @@ def test_evaluate_into_a_relative_out(tmp_path, monkeypatch):
     assert _evaluate(ds, "eval/") == 0
     assert sorted(p.name for p in tmp_path.iterdir()) == ["ds", "eval"]
     assert (tmp_path / "eval" / "summary.json").is_file()
+
+
+@pytest.mark.parametrize("sigma, subject", [("nan", 0), ("inf", 0), ("0.5,nan", 1)])
+def test_synth_non_finite_noise_level_is_argument_error(tmp_path, capsys, sigma, subject):
+    # NaN would fail "sigma > 0" and write a noiseless dataset
+    out = tmp_path / "bad"
+    with pytest.raises(SystemExit) as exc:
+        main(["synth", "--n", "2", "--m", "2", "--t", "5", "--v", "10", "--k", "2",
+              "--sigma", sigma, "--out", str(out)])
+    assert exc.value.code == 2
+    assert f"noise level of subject {subject} must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _fit_detsrm(tmp_path, capsys):
+    ds = run_synth(tmp_path)
+    fit_out = tmp_path / "fit"
+    assert main(["fit", "--algo", "detsrm", "--manifest", str(ds / "manifest.json"),
+                 "--k", "3", "--out", str(fit_out)]) == 0
+    capsys.readouterr()
+    return ds, fit_out / "model"
+
+
+def _no_reads(monkeypatch):
+    import srmkit.srm
+
+    def no_load(*args, **kwargs):
+        raise AssertionError("a run or a component was read")
+
+    monkeypatch.setattr(srmkit.dataio, "load_matrix", no_load)
+    monkeypatch.setattr(srmkit.srm, "load_matrix", no_load)
+
+
+@pytest.mark.parametrize("damage", ["no n", "not JSON"])  # every key: test_srm.py
+def test_transform_invalid_model_is_argument_error(tmp_path, capsys, monkeypatch, damage):
+    ds, model = _fit_detsrm(tmp_path, capsys)
+    descriptor = model / "model.json"
+    if damage == "not JSON":
+        descriptor.write_text("not json")
+    else:
+        desc = json.loads(descriptor.read_text())
+        del desc[damage[-1]]
+        descriptor.write_text(json.dumps(desc))
+    _no_reads(monkeypatch)
+    with pytest.raises(SystemExit) as exc:
+        main(["transform", "--model", str(model), "--manifest", str(ds / "manifest.json"),
+              "--run", "0", "--out", str(tmp_path / "s.srmb")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"invalid model: {descriptor}" in err
+    assert ("not valid JSON" if damage == "not JSON" else f"missing key '{damage[-1]}'") in err
+    assert not (tmp_path / "s.srmb").exists()
+
+
+@pytest.mark.parametrize("where", ["existing directory", "missing parent"])
+def test_transform_out_is_checked_before_reading(tmp_path, capsys, monkeypatch, where):
+    import srmkit.cli
+
+    ds, model = _fit_detsrm(tmp_path, capsys)
+    if where == "existing directory":
+        out = tmp_path / "outdir"
+        out.mkdir()
+        expected = f"--out: {out} is a directory"
+    else:
+        out = tmp_path / "nodir" / "x.srmb"
+        expected = f"--out: directory {out.parent} does not exist"
+    before = tree(tmp_path)
+
+    def no_read(*args, **kwargs):
+        raise AssertionError("an input was read")
+
+    monkeypatch.setattr(srmkit.cli, "load_manifest", no_read)
+    _no_reads(monkeypatch)
+    with pytest.raises(SystemExit) as exc:
+        main(["transform", "--model", str(model), "--manifest", str(ds / "manifest.json"),
+              "--run", "0", "--out", str(out)])
+    assert exc.value.code == 2
+    assert expected in capsys.readouterr().err
+    assert tree(tmp_path) == before

@@ -213,6 +213,23 @@ class TestManifest:
         assert str(info.value) == (f"{p}: {tmp_path / twice} is listed as subject a run 1 "
                                    "and as subject b run 1")
 
+    @pytest.mark.parametrize("key", ["id", "runs"])
+    def test_entry_without_a_key(self, tmp_path, key):
+        p = self._write_runs(tmp_path, {"a": [(5, 4)], "b": [(5, 4)]})
+        doc = json.loads(p.read_text())
+        del doc["subjects"][1][key]
+        p.write_text(json.dumps(doc))
+        with pytest.raises(ValueError) as info:
+            load_manifest(p)
+        assert str(info.value) == f"{p}: subject entry 1: missing key {key!r}"
+
+    def test_not_json(self, tmp_path):
+        p = tmp_path / "manifest.json"
+        p.write_text("subjects: a")
+        with pytest.raises(ValueError, match="not valid JSON") as info:
+            load_manifest(p)
+        assert str(p) in str(info.value)
+
     def test_without_run(self, tmp_path):
         p = self._write_runs(tmp_path, {"a": [(5, 4), (6, 4), (7, 4)]})
         man = load_manifest(p)

@@ -451,6 +451,36 @@ class TestCosmoothing:
             evaluate()
         assert list(root.glob("srmkit-*")) == []
 
+    @pytest.mark.parametrize("algorithm", ["fastsrm", "detsrm", "probsrm"])
+    def test_spill_holds_only_reduced_runs_and_fold_components(self, make_dataset, monkeypatch,
+                                                               tmp_path, algorithm):
+        # each fold's column means stay in memory; only fastsrm writes to the spill
+        from srmkit.evaluation import FOLD_COMPONENT_FILE
+        from srmkit.fastsrm import REDUCED_FILE
+
+        manifest, _ = make_dataset(n=3, m=3, t_list=(20, 20, 20), v=40, k=2, sigma=0.5, seed=28)
+        root = tmp_path / "tmpdir"
+        root.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(root))
+        score_run = srmkit.evaluation._score_run
+        listed = []
+
+        def listing(manifest, run, held_out, proj, subjects=None):
+            (spill,) = root.glob("srmkit-*")
+            listed.append({p.name for p in spill.iterdir()})
+            return score_run(manifest, run, held_out, proj, subjects)
+
+        monkeypatch.setattr(srmkit.evaluation, "_score_run", listing)
+        atlas = balanced_partition(40, 8, seed=4) if algorithm == "fastsrm" else None
+        result = cosmoothing(manifest, algorithm, k=2, atlas=atlas, n_iter=2, seed=0)
+        assert len(result.folds) == 9
+        expected = set()
+        if algorithm == "fastsrm":
+            expected = {REDUCED_FILE.format(i, s) for i in range(3) for s in range(3)}
+            expected |= {FOLD_COMPONENT_FILE.format(s, i) for s in range(3) for i in range(3)}
+        assert listed == [expected] * 3
+        assert list(root.glob("srmkit-*")) == []
+
     def test_fastsrm_reads_each_run_four_times(self, make_dataset, monkeypatch):
         # reduce, recover every fold, project as a left-out run, score: 4 * t_s
         # rows per run whatever the run count (the parent read (m + 2) * t_s)

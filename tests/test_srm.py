@@ -645,6 +645,26 @@ class TestSrmModel:
             SrmModel.load(tmp_path / "model")
         assert str(path) in str(info.value)
 
+    @pytest.mark.parametrize("key", ["n", "k", "v"])
+    def test_load_rejects_descriptor_without_a_key(self, tmp_path, key):
+        SrmModel([random_orthonormal_rows(2, 8, seed=i) for i in range(2)]).save(
+            tmp_path / "model")
+        path = tmp_path / "model" / "model.json"
+        desc = json.loads(path.read_text())
+        del desc[key]
+        path.write_text(json.dumps(desc))
+        with pytest.raises(ValueError) as info:
+            SrmModel.load(tmp_path / "model")
+        assert str(info.value) == f"{path}: missing key {key!r}"
+
+    def test_load_rejects_descriptor_that_is_not_json(self, tmp_path):
+        SrmModel([random_orthonormal_rows(2, 8, seed=0)]).save(tmp_path / "model")
+        path = tmp_path / "model" / "model.json"
+        path.write_text('{"n": 1,')
+        with pytest.raises(ValueError, match="not valid JSON") as info:
+            SrmModel.load(tmp_path / "model")
+        assert str(path) in str(info.value)
+
     def test_interrupted_save_keeps_old_descriptor(self, tmp_path, monkeypatch):
         SrmModel([random_orthonormal_rows(2, 8, seed=5)]).save(tmp_path / "model")
         old = (tmp_path / "model" / "model.json").read_bytes()

@@ -72,6 +72,10 @@ def test_parameter_validation(tmp_path):
         generate(n=2, m=1, t_list=[5], v=8, k=2, sigma_list=[0.1], seed=0, out_dir=tmp_path)
     with pytest.raises(ValueError, match="non-negative"):
         generate(n=1, m=1, t_list=[5], v=8, k=2, sigma_list=-1.0, seed=0, out_dir=tmp_path)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="noise level of subject 1 must be finite"):
+            generate(n=2, m=1, t_list=[5], v=8, k=2, sigma_list=[0.1, bad], seed=0,
+                     out_dir=tmp_path / "new")
     with pytest.raises(ValueError, match="run lengths"):
         generate(n=1, m=2, t_list=[5], v=8, k=2, sigma_list=0.0, seed=0, out_dir=tmp_path)
     for name in ("n", "m", "v", "k"):
