@@ -54,25 +54,33 @@ def save_json(obj, path) -> None:
         f.write("\n")
 
 
-def _load_descriptor(path, keys=()) -> dict:
-    """The JSON object in ``path``, holding every name in ``keys``; a
-    ValueError naming the file if it is not JSON or lacks one."""
+def _load_descriptor(path, **keys) -> dict:
+    """The JSON object in ``path``, holding every key of ``keys`` as its type
+    (see :func:`_require`); a ValueError naming the file if it is not JSON or
+    lacks one."""
     try:
         with open(path) as f:
             doc = json.load(f)
     except ValueError as exc:  # also a file that is not UTF-8
         raise ValueError(f"{path}: not valid JSON: {exc}") from None
-    _require(doc, keys, path)
+    _require(doc, path, **keys)
     return doc
 
 
-def _require(doc, keys, where) -> None:
-    """Reject a JSON value that is not an object holding every name in ``keys``."""
+def _require(doc, where, **keys) -> None:
+    """Reject a JSON value that is not an object holding each key of ``keys``
+    as the type it maps to: ``int`` a positive integer (not a boolean),
+    ``list`` a list of strings, ``object`` any value."""
     if not isinstance(doc, dict):
         raise ValueError(f"{where}: expected a JSON object, got {type(doc).__name__}")
-    for key in keys:
+    for key, kind in keys.items():
         if key not in doc:
             raise ValueError(f"{where}: missing key {key!r}")
+        value = doc[key]
+        if kind is int and not (type(value) is int and value > 0):
+            raise ValueError(f"{where}: {key} is {value!r}, expected a positive integer")
+        if kind is list and not (type(value) is list and all(type(x) is str for x in value)):
+            raise ValueError(f"{where}: {key} is {value!r}, expected a list of strings")
 
 
 def save_matrix(mat: np.ndarray, path) -> None:
@@ -281,7 +289,7 @@ def load_manifest(path) -> DatasetManifest:
     ids = []
     runs = []
     for i, entry in enumerate(subjects):
-        _require(entry, ("id", "runs"), f"{path}: subject entry {i}")
+        _require(entry, f"{path}: subject entry {i}", id=object, runs=list)
         ids.append(str(entry["id"]))
         paths = tuple(base / p for p in entry["runs"])
         if not paths:

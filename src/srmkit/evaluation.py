@@ -13,7 +13,6 @@ to a fitted model; the CLI and the bench harness use it too.
 from __future__ import annotations
 
 import tempfile
-from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -163,8 +162,7 @@ def fit(
     if algorithm == "fastsrm":
         return fastsrm_fit(manifest, atlas, k, n_iter, seed, n_jobs, component_dir)
     solver = detsrm_fit if algorithm == "detsrm" else probsrm_fit
-    staged = nullcontext() if component_dir is None else _staged_dir(Path(component_dir))
-    with staged as staging:
+    with _staged_dir(component_dir) as staging:
         model, _ = solver(manifest.load_all(), k, n_iter=n_iter, seed=seed, n_jobs=n_jobs)
         if staging is not None:
             model._write(staging)

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import dataclasses
 import tempfile
-from contextlib import nullcontext
 from functools import partial
 from pathlib import Path
 
@@ -185,8 +184,7 @@ def fastsrm_fit(
     _check_atlas(atlas, k, manifest.v)
     _check_fit_args(k, n_iter, n_jobs, atlas.c, sum(manifest.t_per_run))
     # the staging directory is made, or fails, before any run is read
-    staged = nullcontext() if component_dir is None else _staged_dir(Path(component_dir))
-    with staged as staging:
+    with _staged_dir(component_dir) as staging:
         with tempfile.TemporaryDirectory(prefix="srmkit-") as spill_dir:
             reduced = reduce_dataset(manifest, atlas, spill_dir, n_jobs=n_jobs)
             reduced_model, reduced_shared = _fit_reduced(reduced, k, n_iter, seed)

@@ -233,7 +233,7 @@ class SrmModel:
     @classmethod
     def load(cls, directory) -> "SrmModel":
         directory = Path(directory)
-        desc = _load_descriptor(directory / "model.json", ("n", "k", "v"))
+        desc = _load_descriptor(directory / "model.json", n=int, k=int, v=int)
         expected = {
             "format": "srmkit-model",
             "version": 1,
@@ -258,11 +258,16 @@ class SrmModel:
 
 
 @contextmanager
-def _staged_dir(directory: Path):
-    """Yield a new sibling ``<name>.<token>.tmp`` of ``directory``, made before
-    the block runs. It then replaces ``directory`` whole, or is removed if the
-    block raises, leaving ``directory`` as it was. A file or a symbolic link
-    at ``directory`` could not be replaced so, and is rejected first."""
+def _staged_dir(directory):
+    """Yield a new sibling ``<name>.<token>.tmp`` of the path ``directory``,
+    made before the block runs. It then replaces ``directory`` whole, or is
+    removed if the block raises, leaving ``directory`` as it was. A file or a
+    symbolic link at ``directory`` could not be replaced so, and is rejected
+    first. A ``directory`` of None stages nothing and yields None."""
+    if directory is None:
+        yield None
+        return
+    directory = Path(directory)
     _check_replaceable(directory)
     staging = directory.with_name(f"{directory.name}.{uuid.uuid4().hex[:12]}.tmp")
     staging.mkdir(parents=True)

@@ -340,6 +340,28 @@ class TestLoadAtlas:
         assert back.weights.toarray().tobytes() == want.weights.toarray().tobytes()
         assert back._mix.tobytes() == want._mix.tobytes()
 
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_file_is_read_in_two_passes(self, tmp_path, monkeypatch, dense):
+        # one pass counts the nonzero weights, the next reads them in order
+        # into the form the count chose; there is no third
+        c, v, rows = 100, 1_000, 7
+        rng = np.random.default_rng(25)
+        a = rng.uniform(0.1, 1.0, (c, v)) if dense else sparse_weights(c, v, seed=25, second=0.5)
+        save_matrix(a, tmp_path / "a.srmb")
+        monkeypatch.setattr(srmkit.dataio, "BLOCK_BYTES", rows * 8 * v)
+        reads = []
+
+        def load_matrix(path, row_range=None):
+            reads.append(row_range)
+            return srmkit.dataio.load_matrix(path, row_range)
+
+        monkeypatch.setattr(atlas_module, "load_matrix", load_matrix)
+        atlas = load_atlas(tmp_path / "a.srmb")
+        assert sparse.issparse(atlas.weights) != dense
+        blocks = [(s, min(s + rows, c)) for s in range(0, c, rows)]
+        assert len(blocks) == -(-c // rows) == 15
+        assert reads == blocks + blocks
+
 
 def write_unchecked(a, path):
     """An SRMB float64 file of ``a``, written without save_matrix's finiteness check."""

@@ -223,6 +223,18 @@ class TestManifest:
             load_manifest(p)
         assert str(info.value) == f"{p}: subject entry 1: missing key {key!r}"
 
+    @pytest.mark.parametrize("runs", ["b_run0.srmb", None, ["b_run0.srmb", 3]])
+    def test_entry_whose_runs_are_not_a_list_of_strings(self, tmp_path, runs):
+        # a string was once taken as one run path per character
+        p = self._write_runs(tmp_path, {"a": [(5, 4)], "b": [(5, 4)]})
+        doc = json.loads(p.read_text())
+        doc["subjects"][1]["runs"] = runs
+        p.write_text(json.dumps(doc))
+        with pytest.raises(ValueError) as info:
+            load_manifest(p)
+        assert str(info.value) == (f"{p}: subject entry 1: runs is {runs!r}, "
+                                   "expected a list of strings")
+
     def test_not_json(self, tmp_path):
         p = tmp_path / "manifest.json"
         p.write_text("subjects: a")

@@ -657,6 +657,20 @@ class TestSrmModel:
             SrmModel.load(tmp_path / "model")
         assert str(info.value) == f"{path}: missing key {key!r}"
 
+    @pytest.mark.parametrize("key", ["n", "k", "v"])
+    @pytest.mark.parametrize("value", ["2", 2.0, True, 0])
+    def test_load_rejects_a_count_that_is_not_a_positive_integer(self, tmp_path, key, value):
+        # "2" once reached range() and failed without naming the file or the key
+        SrmModel([random_orthonormal_rows(2, 8, seed=i) for i in range(2)]).save(
+            tmp_path / "model")
+        path = tmp_path / "model" / "model.json"
+        desc = json.loads(path.read_text())
+        desc[key] = value
+        path.write_text(json.dumps(desc))
+        with pytest.raises(ValueError) as info:
+            SrmModel.load(tmp_path / "model")
+        assert str(info.value) == f"{path}: {key} is {value!r}, expected a positive integer"
+
     def test_load_rejects_descriptor_that_is_not_json(self, tmp_path):
         SrmModel([random_orthonormal_rows(2, 8, seed=0)]).save(tmp_path / "model")
         path = tmp_path / "model" / "model.json"
