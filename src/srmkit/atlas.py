@@ -50,7 +50,8 @@ class Atlas:
         if labels.ndim != 1:
             raise ValueError("partition labels must be a 1-D vector")
         if not np.issubdtype(labels.dtype, np.integer):
-            as_int = labels.astype(np.int64)
+            with np.errstate(invalid="ignore"):  # a NaN or an infinity casts to some integer
+                as_int = labels.astype(np.int64)
             if not np.array_equal(as_int, labels):
                 raise ValueError("partition labels must be integer-valued")
             labels = as_int
@@ -59,10 +60,14 @@ class Atlas:
         if labels.min() < 0:
             raise ValueError("parcel labels must be non-negative")
         c = int(labels.max()) + 1
-        counts = np.bincount(labels, minlength=c)
-        if np.any(counts == 0):
-            missing = np.flatnonzero(counts == 0)
-            raise ValueError(f"empty parcels: {missing.tolist()}")
+        # at most v ids are present, so a c above v leaves a parcel empty; its ids
+        # come from np.unique, as a bincount would hold c counts however large c is
+        counts = np.bincount(labels, minlength=c) if c <= v else None
+        ids = np.flatnonzero(counts) if c <= v else np.unique(labels)
+        if len(ids) < c:  # the first ten empty ids lie below len(ids) + 10
+            first = np.setdiff1d(np.arange(min(c, len(ids) + 10)), ids)[:10]
+            raise ValueError(f"empty parcels: {c - len(ids)} of ids 0..{c - 1} have no voxel, "
+                             f"first {first.tolist()}")
         # c x v sparse averaging operator; X @ op.T gives per-parcel means.
         op = sparse.csr_matrix(
             (1.0 / counts[labels], (labels, np.arange(v))), shape=(c, v), dtype=np.float64
@@ -150,10 +155,7 @@ def load_atlas(path) -> Atlas:
     try:
         if c > 1:
             return Atlas.probabilistic(_read_weights(path, c, v))
-        labels = load_matrix(path)[0]
-        if not np.array_equal(labels, np.round(labels)):
-            raise ValueError("partition labels must be integer-valued")
-        atlas = Atlas.partition(labels.astype(np.int64))
+        atlas = Atlas.partition(load_matrix(path)[0])
         if atlas.c >= atlas.v:
             raise ValueError(f"atlas must compress (c={atlas.c} >= v={atlas.v})")
         return atlas

@@ -18,9 +18,9 @@ from . import __version__
 from .atlas import load_atlas
 from .bench import PeakRssSampler
 from .dataio import load_manifest, load_matrix, read_header, save_json, save_matrix
-from .evaluation import (ALGORITHMS, ROI_THRESHOLD, _check_fit_inputs, cosmoothing, fit,
-                         mean_within, roi_mask)
-from .srm import SrmModel, _check_replaceable, _staged_dir, update_shared
+from .evaluation import ROI_THRESHOLD, cosmoothing, fit, mean_within, roi_mask
+from .srm import (ALGORITHMS, SrmModel, _check_fit_inputs, _check_replaceable, _staged_dir,
+                  update_shared)
 from .synthetic import generate
 
 
@@ -128,8 +128,6 @@ def _load_inputs(args, parser, held_out: bool):
             atlas = load_atlas(args.atlas)
         except (OSError, ValueError) as exc:
             parser.error(f"invalid atlas: {exc}")
-    elif args.algo == "fastsrm":
-        parser.error("fastsrm requires --atlas")
     try:
         _check_fit_inputs(manifest, args.algo, args.k, atlas, args.n_iter, args.n_jobs, held_out)
     except ValueError as exc:

@@ -282,7 +282,10 @@ def load_manifest(path) -> DatasetManifest:
     taken from the SRMB headers.
     """
     path = Path(path)
-    subjects = _load_descriptor(path).get("subjects")
+    subjects = _load_descriptor(path).get("subjects", [])
+    if type(subjects) is not list:
+        raise ValueError(f"{path}: subjects: expected a list of subject entries, "
+                         f"got {type(subjects).__name__}")
     if not subjects:
         raise ValueError(f"{path}: manifest has no subjects")
     base = path.parent

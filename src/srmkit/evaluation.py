@@ -20,14 +20,12 @@ from pathlib import Path
 import numpy as np
 
 from .dataio import DatasetManifest, load_matrix, save_matrix
-from .fastsrm import _check_atlas, _fit_reduced, fastsrm_fit, reduce_dataset
-from .srm import (SrmModel, _check_fit_args, _fold_steps, _map_subjects, _project_blocks,
+from .fastsrm import _fit_reduced, fastsrm_fit, reduce_dataset
+from .srm import (SrmModel, _check_fit_inputs, _fold_steps, _map_subjects, _project_blocks,
                   _staged_dir, check_orthonormal, detsrm_fit, probsrm_fit)
 
 DEGENERATE_SS = 1e-24
 ROI_THRESHOLD = 0.05  # reference cut for "informative" voxels
-
-ALGORITHMS = ("detsrm", "probsrm", "fastsrm")
 FOLD_COMPONENT_FILE = "run-{:03d}_w_{:03d}.srmb"  # fastsrm co-smoothing spill: fold, subject
 
 
@@ -148,7 +146,7 @@ def fit(
     n_jobs: int = 1,
     component_dir: str | Path | None = None,
 ) -> SrmModel:
-    """Fit one of :data:`ALGORITHMS` on a dataset; ``model.trace`` holds its
+    """Fit one of :data:`srm.ALGORITHMS` on a dataset; ``model.trace`` holds its
     per-iteration objective (log-likelihood for probsrm).
 
     fastsrm streams the runs from disk and needs ``atlas``; the
@@ -158,36 +156,15 @@ def fit(
     the model is written into a sibling ``<name>.<token>.tmp``, made before
     any run is read, that then replaces ``component_dir`` whole.
     """
-    _check_fit_inputs(manifest, algorithm, k, atlas, n_iter, n_jobs)
-    if algorithm == "fastsrm":
+    if algorithm == "fastsrm":  # fastsrm_fit checks its own inputs
         return fastsrm_fit(manifest, atlas, k, n_iter, seed, n_jobs, component_dir)
+    _check_fit_inputs(manifest, algorithm, k, atlas, n_iter, n_jobs)
     solver = detsrm_fit if algorithm == "detsrm" else probsrm_fit
     with _staged_dir(component_dir) as staging:
         model, _ = solver(manifest.load_all(), k, n_iter=n_iter, seed=seed, n_jobs=n_jobs)
         if staging is not None:
             model._write(staging)
     return model
-
-
-def _check_fit_inputs(manifest, algorithm, k, atlas, n_iter, n_jobs, held_out=False) -> None:
-    """Reject what a fit of ``algorithm`` on ``manifest`` cannot use, before
-    any run is read. With ``held_out``, the dataset must have the 2 runs and
-    2 subjects that :func:`cosmoothing` holds out one of, and every fold must
-    be able to fit ``k`` components without its left-out run."""
-    if held_out and manifest.n_runs < 2:
-        raise ValueError("co-smoothing needs at least 2 runs (one is held out per fold)")
-    if held_out and manifest.n_subjects < 2:
-        raise ValueError("co-smoothing needs at least 2 subjects (one is held out per fold)")
-    if algorithm not in ALGORITHMS:
-        raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
-    v = manifest.v
-    if algorithm == "fastsrm":
-        if atlas is None:
-            raise ValueError("fastsrm needs an atlas")
-        _check_atlas(atlas, k, manifest.v)
-        v = atlas.c  # the reduced fit's feature count
-    frames = sum(manifest.t_per_run) - (max(manifest.t_per_run) if held_out else 0)
-    _check_fit_args(k, n_iter, n_jobs, v, frames)
 
 
 def _project_left_out(manifest, subject, run, w) -> tuple[np.ndarray, np.ndarray]:

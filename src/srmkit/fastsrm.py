@@ -22,7 +22,7 @@ import numpy as np
 
 from .atlas import Atlas, project_run
 from .dataio import DatasetManifest, _block_rows, save_matrix
-from .srm import (COMPONENT_FILE, SrmModel, _check_fit_args, _fold_steps, _map_subjects,
+from .srm import (COMPONENT_FILE, SrmModel, _check_fit_inputs, _fold_steps, _map_subjects,
                   _save_descriptor, _staged_dir, detsrm_fit)
 
 REDUCED_FILE = "sub-{:03d}_run-{:03d}.srmb"  # subject i, run s in reduce_dataset's directory
@@ -47,14 +47,6 @@ class _RunsView:
 
     def __iter__(self):
         return (self[j] for j in range(len(self)))
-
-
-def _check_atlas(atlas: Atlas, k: int, v: int) -> None:
-    """Reject an atlas that does not fit the dataset, or a ``k`` it cannot hold."""
-    if atlas.v != v:
-        raise ValueError(f"atlas has {atlas.v} voxels, dataset has {v}")
-    if k >= atlas.c:
-        raise ValueError(f"k={k} must be smaller than the parcel count c={atlas.c}")
 
 
 def reduce_dataset(
@@ -181,8 +173,7 @@ def fastsrm_fit(
     run, which is not correctly scaled for reconstruction; use
     :func:`update_shared`).
     """
-    _check_atlas(atlas, k, manifest.v)
-    _check_fit_args(k, n_iter, n_jobs, atlas.c, sum(manifest.t_per_run))
+    _check_fit_inputs(manifest, "fastsrm", k, atlas, n_iter, n_jobs)
     # the staging directory is made, or fails, before any run is read
     with _staged_dir(component_dir) as staging:
         with tempfile.TemporaryDirectory(prefix="srmkit-") as spill_dir:

@@ -31,6 +31,7 @@ COMPONENT_FILE = "w_{:03d}.srmb"  # subject i's components in a model directory
 SIGMA_S_FILE = "sigma_s.srmb"
 GRAM_FLOOR = 1e-6  # smallest eigenvalue ratio of m m^T that _polar's Gram kernel accepts
 TILE_COLS = 8192  # columns of a row block that _fold_steps multiplies at a time
+ALGORITHMS = ("detsrm", "probsrm", "fastsrm")
 
 
 def _polar(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -171,7 +172,10 @@ class SrmModel:
         if not spatial:
             raise ValueError("need at least one subject")
         self.spatial = list(spatial)
-        self.sigma_sq = None if sigma_sq is None else np.asarray(sigma_sq, dtype=np.float64)
+        try:
+            self.sigma_sq = None if sigma_sq is None else np.asarray(sigma_sq, dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"sigma_sq: {exc}") from None
         self.sigma_s = None if sigma_s is None else np.asarray(sigma_s, dtype=np.float64)
         for i in range(self.n):
             if not self.is_on_disk(i):
@@ -179,12 +183,15 @@ class SrmModel:
         first = self.spatial[0]
         self.k, self.v = read_header(first)[:2] if self.is_on_disk(0) else first.shape
         if self.sigma_sq is not None and (
-            self.sigma_sq.shape != (self.n,) or np.any(self.sigma_sq <= 0)
+            self.sigma_sq.shape != (self.n,) or not np.all(np.isfinite(self.sigma_sq))
+            or np.any(self.sigma_sq <= 0)
         ):
-            raise ValueError("sigma_sq must hold one positive value per subject")
+            raise ValueError("sigma_sq must hold one finite positive value per subject")
         if self.sigma_s is not None:
             if self.sigma_s.shape != (self.k, self.k):
                 raise ValueError("sigma_s must be k x k")
+            if not np.all(np.isfinite(self.sigma_s)):
+                raise ValueError("sigma_s must be finite")
             if not np.allclose(self.sigma_s, self.sigma_s.T, atol=1e-10):
                 raise ValueError("sigma_s must be symmetric")
             eigvals = np.linalg.eigvalsh(self.sigma_s)
@@ -220,12 +227,9 @@ class SrmModel:
 
     def _write(self, directory: Path) -> None:
         """Write the model's files into the empty, existing ``directory``."""
-        for i in range(self.n):
-            dest = directory / COMPONENT_FILE.format(i)
-            if self.is_on_disk(i):
-                shutil.copyfile(self.spatial[i], dest)
-            else:
-                save_matrix(np.asarray(self.spatial[i], dtype=np.float64), dest)
+        for i in range(self.n):  # a component on disk is checked as it is read
+            save_matrix(np.asarray(self.spatial_component(i), dtype=np.float64),
+                        directory / COMPONENT_FILE.format(i))
         if self.sigma_s is not None:
             save_matrix(self.sigma_s, directory / SIGMA_S_FILE)
         _save_descriptor(directory, self.k, self.v, self.n, self.sigma_sq, self.sigma_s)
@@ -254,7 +258,10 @@ class SrmModel:
         sigma_s = None
         if desc.get("sigma_s"):
             sigma_s = load_matrix(directory / SIGMA_S_FILE)
-        return cls(paths, sigma_sq=desc.get("sigma_sq"), sigma_s=sigma_s)
+        try:
+            return cls(paths, sigma_sq=desc.get("sigma_sq"), sigma_s=sigma_s)
+        except ValueError as exc:  # each message names its key
+            raise ValueError(f"{directory / 'model.json'}: {exc}") from None
 
 
 @contextmanager
@@ -303,10 +310,10 @@ def _replace_dir(src: Path, dest: Path) -> None:
     shutil.rmtree(old)
 
 
-def check_orthonormal(w: np.ndarray, tol: float = ORTHONORMALITY_TOL) -> None:
+def check_orthonormal(w: np.ndarray) -> None:
     gram = w @ w.T
     dev = np.max(np.abs(gram - np.eye(w.shape[0])))
-    if dev > tol:
+    if not dev <= ORTHONORMALITY_TOL:  # a NaN or an infinity in w gives a NaN or infinite dev
         raise ValueError(f"rows are not orthonormal (max deviation {dev:.3g})")
 
 
@@ -372,6 +379,31 @@ def _check_fit_args(k, n_iter, n_jobs, v, total_t) -> None:
     _check_positive(k=k, n_iter=n_iter, n_jobs=n_jobs)
     if k > min(v, total_t):
         raise ValueError(f"k={k} exceeds min(v={v}, total timeframes={total_t})")
+
+
+def _check_fit_inputs(manifest, algorithm, k, atlas, n_iter, n_jobs, held_out=False) -> None:
+    """Reject what a fit of ``algorithm`` on ``manifest`` cannot use (for
+    fastsrm, an ``atlas`` over its voxels with more than ``k`` parcels) before
+    any run is read. With ``held_out``, the dataset must have the 2 runs and
+    2 subjects that co-smoothing holds out one of, and every fold must be
+    able to fit ``k`` components without its left-out run."""
+    if held_out and manifest.n_runs < 2:
+        raise ValueError("co-smoothing needs at least 2 runs (one is held out per fold)")
+    if held_out and manifest.n_subjects < 2:
+        raise ValueError("co-smoothing needs at least 2 subjects (one is held out per fold)")
+    if algorithm not in ALGORITHMS:
+        raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
+    v = manifest.v
+    if algorithm == "fastsrm":
+        if atlas is None:
+            raise ValueError("fastsrm needs an atlas")
+        if atlas.v != v:
+            raise ValueError(f"atlas has {atlas.v} voxels, dataset has {v}")
+        if k >= atlas.c:
+            raise ValueError(f"k={k} must be smaller than the parcel count c={atlas.c}")
+        v = atlas.c  # the reduced fit's feature count
+    frames = sum(manifest.t_per_run) - (max(manifest.t_per_run) if held_out else 0)
+    _check_fit_args(k, n_iter, n_jobs, v, frames)
 
 
 def init_spatial(n: int, k: int, v: int, seed) -> list[np.ndarray]:

@@ -55,6 +55,32 @@ class TestPartition:
         with pytest.raises(ValueError, match="empty parcels"):
             Atlas.partition([0, 2])
 
+    @pytest.mark.parametrize("labels, message", [
+        ([0, 2, 0, 4, 0, 5], "2 of ids 0..5 have no voxel, first [1, 3]"),  # c <= v
+        ([0, 2, 0, 4, 0, 25], "22 of ids 0..25 have no voxel, first [1, 3, 5, 6, 7, 8, 9, "
+                              "10, 11, 12]"),  # c > v
+    ])
+    def test_empty_parcels_are_counted_and_the_first_ten_named(self, labels, message):
+        with pytest.raises(ValueError) as info:
+            Atlas.partition(labels)
+        assert str(info.value) == f"empty parcels: {message}"
+
+    def test_far_label_is_reported_in_bounded_memory(self):
+        # a bincount over ids 0..10**6 once took 8 MB, and the message listed every empty id
+        labels = np.arange(40)
+        labels[-1] = 10**6
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="empty parcels") as info:
+                Atlas.partition(labels)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000, f"peak {peak} bytes"
+        assert len(str(info.value)) < 1024
+        assert str(info.value) == ("empty parcels: 999961 of ids 0..1000000 have no voxel, "
+                                   f"first {list(range(39, 49))}")
+
     def test_c_above_v_rejected(self):
         with pytest.raises(ValueError):
             Atlas.partition([0, 1, 5])  # parcels 2..4 empty anyway
@@ -223,6 +249,31 @@ class TestLoadAtlas:
         save_matrix(np.array([[0.0, 0.5, 1.0]]), p)
         with pytest.raises(ValueError, match="integer"):
             load_atlas(p)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("value, match", [
+        (2.5, "partition labels must be integer-valued"),
+        (np.nan, "partition labels must be integer-valued"),
+        (np.inf, "partition labels must be integer-valued"),
+        (-1.0, "parcel labels must be non-negative"),
+    ])
+    def test_partition_file_with_bad_labels(self, tmp_path, dtype, value, match):
+        p = tmp_path / "atlas.srmb"
+        save_matrix(np.array([[0, 1, 2, 0, 1, 2]], dtype=dtype), p)
+        raw = bytearray(p.read_bytes())  # save_matrix writes no NaN or infinity
+        at = srmkit.dataio.HEADER_SIZE + np.dtype(dtype).itemsize
+        raw[at:at + np.dtype(dtype).itemsize] = np.array(value, dtype=dtype).tobytes()
+        p.write_bytes(bytes(raw))
+        with pytest.raises(ValueError) as info:
+            load_atlas(p)
+        assert str(info.value) == f"{p}: {match}"
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_partition_file_of_integer_valued_floats(self, tmp_path, dtype):
+        save_matrix(np.array([[0, 1, 2, 0, 1, 2]], dtype=dtype), tmp_path / "atlas.srmb")
+        atlas = load_atlas(tmp_path / "atlas.srmb")
+        assert atlas.labels.dtype == np.int64
+        assert atlas.labels.tolist() == [0, 1, 2, 0, 1, 2]
 
     def test_save_load_roundtrip(self, tmp_path):
         atlas = balanced_partition(30, 6, seed=1)

@@ -86,6 +86,52 @@ def test_fastsrm_requires_atlas(tmp_path, capsys):
     assert "atlas" in capsys.readouterr().err
 
 
+def test_transform_with_a_non_finite_component_file_names_it(tmp_path, capsys):
+    # a NaN row once passed the orthonormality check and failed the product unnamed
+    ds = run_synth(tmp_path)
+    fit_out = tmp_path / "fit"
+    assert main(["fit", "--algo", "detsrm", "--manifest", str(ds / "manifest.json"),
+                 "--k", "3", "--out", str(fit_out)]) == 0
+    path = fit_out / "model" / "w_000.srmb"
+    raw = bytearray(path.read_bytes())
+    raw[srmkit.dataio.HEADER_SIZE:srmkit.dataio.HEADER_SIZE + 8] = np.float64(np.nan).tobytes()
+    path.write_bytes(bytes(raw))
+    capsys.readouterr()
+    code = main(["transform", "--model", str(fit_out / "model"),
+                 "--manifest", str(ds / "manifest.json"), "--run", "0",
+                 "--out", str(tmp_path / "s.srmb")])
+    assert code == 1
+    assert f"error: {path}: rows are not orthonormal" in capsys.readouterr().err
+    assert not (tmp_path / "s.srmb").exists()
+
+
+@pytest.mark.parametrize("subjects", [5, {"a": 1}])
+def test_manifest_whose_subjects_are_not_a_list_is_argument_error(tmp_path, capsys, subjects):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"subjects": subjects}))
+    with pytest.raises(SystemExit) as exc:
+        main(["fit", "--algo", "detsrm", "--manifest", str(manifest), "--k", "3",
+              "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert f"invalid manifest: {manifest}: subjects: expected a list" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_partition_with_a_far_label_gives_a_short_argument_error(tmp_path, capsys):
+    # its error once listed all 999,961 empty parcel ids
+    ds = run_synth(tmp_path)
+    labels = np.arange(40.0)
+    labels[-1] = 1e6
+    save_matrix(labels[None, :], tmp_path / "atlas.srmb")
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["fit", "--algo", "fastsrm", "--manifest", str(ds / "manifest.json"), "--k", "3",
+              "--atlas", str(tmp_path / "atlas.srmb"), "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "empty parcels: 999961" in err and len(err.encode()) < 1024
+
+
 def test_fastsrm_fit_with_atlas(tmp_path):
     ds = run_synth(tmp_path)
     atlas_path = tmp_path / "atlas.srmb"

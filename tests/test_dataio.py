@@ -235,6 +235,18 @@ class TestManifest:
         assert str(info.value) == (f"{p}: subject entry 1: runs is {runs!r}, "
                                    "expected a list of strings")
 
+    @pytest.mark.parametrize("subjects", [5, {"a": 1}, "a"])
+    def test_subjects_that_are_not_a_list(self, tmp_path, subjects):
+        # a dict was once iterated by key, and a number raised a bare TypeError
+        p = self._write_runs(tmp_path, {"a": [(5, 4)], "b": [(5, 4)]})
+        doc = json.loads(p.read_text())
+        doc["subjects"] = subjects
+        p.write_text(json.dumps(doc))
+        with pytest.raises(ValueError) as info:
+            load_manifest(p)
+        assert str(info.value) == (f"{p}: subjects: expected a list of subject entries, "
+                                   f"got {type(subjects).__name__}")
+
     def test_not_json(self, tmp_path):
         p = tmp_path / "manifest.json"
         p.write_text("subjects: a")

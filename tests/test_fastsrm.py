@@ -54,6 +54,24 @@ def test_atlas_dataset_mismatch(make_dataset):
         fastsrm_fit(manifest, atlas, k=4, n_iter=2)
 
 
+def test_missing_atlas_is_rejected_before_any_read(make_dataset, monkeypatch):
+    # fastsrm_fit once reached atlas.v and raised an AttributeError
+    manifest, _ = make_dataset(n=2, m=2, v=30, k=3, sigma=0.2, seed=18)
+    loads = []
+    real_load = dataio.load_matrix
+
+    def counting_load(*args, **kwargs):
+        loads.append(args)
+        return real_load(*args, **kwargs)
+
+    monkeypatch.setattr(dataio, "load_matrix", counting_load)
+    for call in (lambda: fastsrm_fit(manifest, None, 3),
+                 lambda: fit(manifest, "fastsrm", 3)):
+        with pytest.raises(ValueError, match="fastsrm needs an atlas"):
+            call()
+    assert loads == []
+
+
 def _spill_dirs(root):
     return sorted(p.name for p in root.glob("srmkit-*"))
 

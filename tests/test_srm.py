@@ -1,6 +1,5 @@
 import json
 import re
-import shutil
 import warnings
 from pathlib import Path
 
@@ -84,6 +83,14 @@ class TestProcrustes:
             procrustes_update(np.array([[np.nan, 0.0]]))
         with pytest.raises(ValueError, match="2-D"):
             procrustes_update(np.zeros(3))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_check_orthonormal_rejects_non_finite_rows(self, value):
+        # a NaN deviation once compared False with the tolerance and passed
+        w = random_orthonormal_rows(3, 10, seed=2)
+        w[1, 4] = value
+        with pytest.raises(ValueError, match="not orthonormal"):
+            srm.check_orthonormal(w)
 
 
 @pytest.fixture
@@ -671,6 +678,19 @@ class TestSrmModel:
             SrmModel.load(tmp_path / "model")
         assert str(info.value) == f"{path}: {key} is {value!r}, expected a positive integer"
 
+    @pytest.mark.parametrize("value", [[1, 1, float("nan")], [1, 1, float("inf")], "abc",
+                                       [1.0], [1, -1, 1], [[1, 1, 1]], {"a": 1}])
+    def test_load_rejects_malformed_noise_variances(self, tmp_path, value):
+        SrmModel([random_orthonormal_rows(2, 8, seed=i) for i in range(3)],
+                 sigma_sq=[1.0, 2.0, 3.0]).save(tmp_path / "model")
+        path = tmp_path / "model" / "model.json"
+        desc = json.loads(path.read_text())
+        desc["sigma_sq"] = value
+        path.write_text(json.dumps(desc))
+        with pytest.raises(ValueError) as info:
+            SrmModel.load(tmp_path / "model")
+        assert str(info.value).startswith(f"{path}: sigma_sq")
+
     def test_load_rejects_descriptor_that_is_not_json(self, tmp_path):
         SrmModel([random_orthonormal_rows(2, 8, seed=0)]).save(tmp_path / "model")
         path = tmp_path / "model" / "model.json"
@@ -702,9 +722,7 @@ class TestSrmModel:
         if source == "disk":
             new.save(tmp_path / "src")
             new = SrmModel.load(tmp_path / "src")
-        target = "copyfile" if source == "disk" else "save_matrix"
-        module = shutil if source == "disk" else srm
-        real = getattr(module, target)
+        real = srm.save_matrix
         calls = []
 
         def fail_after_first(src, dest):
@@ -714,7 +732,7 @@ class TestSrmModel:
             Path(dest).write_bytes(b"SRMB")  # a partial file at the destination
             raise OSError("no space left on device")
 
-        monkeypatch.setattr(module, target, fail_after_first)
+        monkeypatch.setattr(srm, "save_matrix", fail_after_first)
         with pytest.raises(OSError, match="no space"):
             new.save(tmp_path / "model")
         monkeypatch.undo()
@@ -726,6 +744,32 @@ class TestSrmModel:
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
             ["model"] + (["src"] if source == "disk" else [])
         )
+
+    def test_save_checks_each_component_read_from_disk(self, tmp_path):
+        # a loaded model's components were once copied unchecked
+        SrmModel([random_orthonormal_rows(2, 8, seed=i) for i in range(2)]).save(tmp_path / "src")
+        bad = tmp_path / "src" / "w_000.srmb"
+        save_matrix(np.ones((2, 8)), bad)
+        loaded = SrmModel.load(tmp_path / "src")
+        SrmModel([random_orthonormal_rows(3, 8, seed=5)]).save(tmp_path / "model")
+        before = tree(tmp_path / "model")
+        with pytest.raises(ValueError, match="not orthonormal") as info:
+            loaded.save(tmp_path / "model")
+        assert str(info.value).startswith(f"{bad}: ")
+        assert tree(tmp_path / "model") == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model", "src"]
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_component_file_is_named_when_read(self, tmp_path, value):
+        SrmModel([random_orthonormal_rows(2, 8, seed=i) for i in range(2)]).save(tmp_path / "m")
+        path = tmp_path / "m" / "w_000.srmb"
+        raw = bytearray(path.read_bytes())
+        raw[dataio.HEADER_SIZE:dataio.HEADER_SIZE + 8] = np.float64(value).tobytes()
+        path.write_bytes(bytes(raw))
+        model = SrmModel.load(tmp_path / "m")
+        with pytest.raises(ValueError, match="not orthonormal") as info:
+            model.spatial_component(0)
+        assert str(info.value).startswith(f"{path}: ")
 
     def test_save_over_existing_replaces_directory(self, tmp_path):
         SrmModel([random_orthonormal_rows(2, 8, seed=i) for i in range(3)],
@@ -768,6 +812,14 @@ class TestSrmModel:
             SrmModel(w, sigma_s=np.array([[1.0, 0.5], [0.0, 1.0]]))
         with pytest.raises(ValueError, match="semi-definite"):
             SrmModel(w, sigma_s=np.diag([1.0, -2.0]))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_noise_parameters_rejected(self, value):
+        w = [random_orthonormal_rows(2, 6, seed=6)]
+        with pytest.raises(ValueError, match="sigma_sq must hold one finite positive value"):
+            SrmModel(w, sigma_sq=[value])
+        with pytest.raises(ValueError, match="sigma_s must be finite"):
+            SrmModel(w, sigma_s=np.diag([1.0, value]))
 
 
 @pytest.mark.parametrize("kind", ["file", "symlink"])
