@@ -60,10 +60,9 @@ class Atlas:
         if labels.min() < 0:
             raise ValueError("parcel labels must be non-negative")
         c = int(labels.max()) + 1
-        # at most v ids are present, so a c above v leaves a parcel empty; its ids
-        # come from np.unique, as a bincount would hold c counts however large c is
-        counts = np.bincount(labels, minlength=c) if c <= v else None
-        ids = np.flatnonzero(counts) if c <= v else np.unique(labels)
+        # the present ids, at most v of them, however large c is; once all c are
+        # present they are 0..c-1, so counts[label] is that parcel's voxel count
+        ids, counts = np.unique(labels, return_counts=True)
         if len(ids) < c:  # the first ten empty ids lie below len(ids) + 10
             first = np.setdiff1d(np.arange(min(c, len(ids) + 10)), ids)[:10]
             raise ValueError(f"empty parcels: {c - len(ids)} of ids 0..{c - 1} have no voxel, "

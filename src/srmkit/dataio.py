@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import os
+import reprlib
 import struct
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -70,7 +71,8 @@ def _load_descriptor(path, **keys) -> dict:
 def _require(doc, where, **keys) -> None:
     """Reject a JSON value that is not an object holding each key of ``keys``
     as the type it maps to: ``int`` a positive integer (not a boolean),
-    ``list`` a list of strings, ``object`` any value."""
+    ``[str]`` a list of strings, ``[dict]`` a list of JSON objects, ``object``
+    any value. A message shows the offending value abridged by ``reprlib``."""
     if not isinstance(doc, dict):
         raise ValueError(f"{where}: expected a JSON object, got {type(doc).__name__}")
     for key, kind in keys.items():
@@ -78,9 +80,12 @@ def _require(doc, where, **keys) -> None:
             raise ValueError(f"{where}: missing key {key!r}")
         value = doc[key]
         if kind is int and not (type(value) is int and value > 0):
-            raise ValueError(f"{where}: {key} is {value!r}, expected a positive integer")
-        if kind is list and not (type(value) is list and all(type(x) is str for x in value)):
-            raise ValueError(f"{where}: {key} is {value!r}, expected a list of strings")
+            raise ValueError(f"{where}: {key} is {reprlib.repr(value)}, "
+                             "expected a positive integer")
+        if type(kind) is list and not (type(value) is list
+                                       and all(type(x) is kind[0] for x in value)):
+            items = "strings" if kind == [str] else "JSON objects"
+            raise ValueError(f"{where}: {key} is {reprlib.repr(value)}, expected a list of {items}")
 
 
 def save_matrix(mat: np.ndarray, path) -> None:
@@ -282,17 +287,14 @@ def load_manifest(path) -> DatasetManifest:
     taken from the SRMB headers.
     """
     path = Path(path)
-    subjects = _load_descriptor(path).get("subjects", [])
-    if type(subjects) is not list:
-        raise ValueError(f"{path}: subjects: expected a list of subject entries, "
-                         f"got {type(subjects).__name__}")
+    subjects = _load_descriptor(path, subjects=[dict])["subjects"]
     if not subjects:
         raise ValueError(f"{path}: manifest has no subjects")
     base = path.parent
     ids = []
     runs = []
     for i, entry in enumerate(subjects):
-        _require(entry, f"{path}: subject entry {i}", id=object, runs=list)
+        _require(entry, f"{path}: subject entry {i}", id=object, runs=[str])
         ids.append(str(entry["id"]))
         paths = tuple(base / p for p in entry["runs"])
         if not paths:

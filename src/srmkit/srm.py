@@ -176,7 +176,6 @@ class SrmModel:
             self.sigma_sq = None if sigma_sq is None else np.asarray(sigma_sq, dtype=np.float64)
         except (TypeError, ValueError) as exc:
             raise ValueError(f"sigma_sq: {exc}") from None
-        self.sigma_s = None if sigma_s is None else np.asarray(sigma_s, dtype=np.float64)
         for i in range(self.n):
             if not self.is_on_disk(i):
                 check_orthonormal(self.spatial[i])
@@ -187,16 +186,7 @@ class SrmModel:
             or np.any(self.sigma_sq <= 0)
         ):
             raise ValueError("sigma_sq must hold one finite positive value per subject")
-        if self.sigma_s is not None:
-            if self.sigma_s.shape != (self.k, self.k):
-                raise ValueError("sigma_s must be k x k")
-            if not np.all(np.isfinite(self.sigma_s)):
-                raise ValueError("sigma_s must be finite")
-            if not np.allclose(self.sigma_s, self.sigma_s.T, atol=1e-10):
-                raise ValueError("sigma_s must be symmetric")
-            eigvals = np.linalg.eigvalsh(self.sigma_s)
-            if eigvals[0] < -1e-10 * max(abs(eigvals[-1]), 1.0):
-                raise ValueError("sigma_s must be positive semi-definite")
+        self.sigma_s = None if sigma_s is None else _checked_sigma_s(sigma_s, self.k)
 
     @property
     def n(self) -> int:
@@ -255,13 +245,34 @@ class SrmModel:
             rows, cols, _ = read_header(p)
             if (rows, cols) != (desc["k"], desc["v"]):
                 raise ValueError(f"{p}: shape {rows}x{cols}, expected {desc['k']}x{desc['v']}")
-        sigma_s = None
-        if desc.get("sigma_s"):
-            sigma_s = load_matrix(directory / SIGMA_S_FILE)
         try:
-            return cls(paths, sigma_sq=desc.get("sigma_sq"), sigma_s=sigma_s)
+            model = cls(paths, sigma_sq=desc.get("sigma_sq"))
         except ValueError as exc:  # each message names its key
             raise ValueError(f"{directory / 'model.json'}: {exc}") from None
+        if desc.get("sigma_s"):
+            path = directory / SIGMA_S_FILE
+            sigma_s = load_matrix(path)  # its errors name the file
+            try:
+                model.sigma_s = _checked_sigma_s(sigma_s, model.k)
+            except ValueError as exc:
+                raise ValueError(f"{path}: {exc}") from None
+        return model
+
+
+def _checked_sigma_s(sigma_s, k: int) -> np.ndarray:
+    """``sigma_s`` as a float64 array, rejected unless it is a finite,
+    symmetric, positive semi-definite k x k matrix."""
+    sigma_s = np.asarray(sigma_s, dtype=np.float64)
+    if sigma_s.shape != (k, k):
+        raise ValueError("sigma_s must be k x k")
+    if not np.all(np.isfinite(sigma_s)):
+        raise ValueError("sigma_s must be finite")
+    if not np.allclose(sigma_s, sigma_s.T, atol=1e-10):
+        raise ValueError("sigma_s must be symmetric")
+    eigvals = np.linalg.eigvalsh(sigma_s)
+    if eigvals[0] < -1e-10 * max(abs(eigvals[-1]), 1.0):
+        raise ValueError("sigma_s must be positive semi-definite")
+    return sigma_s
 
 
 @contextmanager

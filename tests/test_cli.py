@@ -113,7 +113,8 @@ def test_manifest_whose_subjects_are_not_a_list_is_argument_error(tmp_path, caps
         main(["fit", "--algo", "detsrm", "--manifest", str(manifest), "--k", "3",
               "--out", str(tmp_path / "out")])
     assert exc.value.code == 2
-    assert f"invalid manifest: {manifest}: subjects: expected a list" in capsys.readouterr().err
+    assert (f"invalid manifest: {manifest}: subjects is {subjects!r}, expected a list of JSON "
+            "objects") in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

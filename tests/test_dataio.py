@@ -235,8 +235,8 @@ class TestManifest:
         assert str(info.value) == (f"{p}: subject entry 1: runs is {runs!r}, "
                                    "expected a list of strings")
 
-    @pytest.mark.parametrize("subjects", [5, {"a": 1}, "a"])
-    def test_subjects_that_are_not_a_list(self, tmp_path, subjects):
+    @pytest.mark.parametrize("subjects", [5, {"a": 1}, "a", None, ["a"]])
+    def test_subjects_that_are_not_a_list_of_objects(self, tmp_path, subjects):
         # a dict was once iterated by key, and a number raised a bare TypeError
         p = self._write_runs(tmp_path, {"a": [(5, 4)], "b": [(5, 4)]})
         doc = json.loads(p.read_text())
@@ -244,8 +244,25 @@ class TestManifest:
         p.write_text(json.dumps(doc))
         with pytest.raises(ValueError) as info:
             load_manifest(p)
-        assert str(info.value) == (f"{p}: subjects: expected a list of subject entries, "
-                                   f"got {type(subjects).__name__}")
+        assert str(info.value) == (f"{p}: subjects is {subjects!r}, "
+                                   "expected a list of JSON objects")
+
+    def test_manifest_without_subjects(self, tmp_path):
+        p = tmp_path / "manifest.json"
+        p.write_text("{}")
+        with pytest.raises(ValueError) as info:
+            load_manifest(p)
+        assert str(info.value) == f"{p}: missing key 'subjects'"
+
+    def test_long_value_is_abridged_in_the_message(self, tmp_path):
+        # the whole value was once put into the message
+        p = self._write_runs(tmp_path, {"a": [(5, 4)], "b": [(5, 4)]})
+        doc = json.loads(p.read_text())
+        doc["subjects"][1]["runs"] = "x" * 100_000
+        p.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="expected a list of strings") as info:
+            load_manifest(p)
+        assert len(str(info.value)) < len(str(p)) + 200
 
     def test_not_json(self, tmp_path):
         p = tmp_path / "manifest.json"

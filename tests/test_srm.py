@@ -691,6 +691,30 @@ class TestSrmModel:
             SrmModel.load(tmp_path / "model")
         assert str(info.value).startswith(f"{path}: sigma_sq")
 
+    @pytest.mark.parametrize("sigma_s, message", [
+        ([[1.0, 0.5], [0.0, 1.0]], "sigma_s must be symmetric"),
+        ([[1.0, 0.0], [0.0, -2.0]], "sigma_s must be positive semi-definite"),
+        ([[1.0]], "sigma_s must be k x k"),
+    ])
+    def test_load_names_the_covariance_file_it_rejects(self, tmp_path, sigma_s, message):
+        # such errors once named model.json, whose contents are well formed
+        SrmModel([random_orthonormal_rows(2, 8, seed=0)], sigma_s=np.eye(2)).save(tmp_path / "m")
+        path = tmp_path / "m" / "sigma_s.srmb"
+        save_matrix(np.array(sigma_s), path)
+        with pytest.raises(ValueError) as info:
+            SrmModel.load(tmp_path / "m")
+        assert str(info.value) == f"{path}: {message}"
+
+    def test_load_abridges_a_long_count_in_its_message(self, tmp_path):
+        SrmModel([random_orthonormal_rows(2, 8, seed=0)]).save(tmp_path / "model")
+        path = tmp_path / "model" / "model.json"
+        desc = json.loads(path.read_text())
+        desc["k"] = "9" * 100_000
+        path.write_text(json.dumps(desc))
+        with pytest.raises(ValueError, match="expected a positive integer") as info:
+            SrmModel.load(tmp_path / "model")
+        assert len(str(info.value)) < len(str(path)) + 200
+
     def test_load_rejects_descriptor_that_is_not_json(self, tmp_path):
         SrmModel([random_orthonormal_rows(2, 8, seed=0)]).save(tmp_path / "model")
         path = tmp_path / "model" / "model.json"
