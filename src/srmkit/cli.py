@@ -119,6 +119,8 @@ def _load_manifest(args, parser):
 def _load_inputs(args, parser, held_out: bool):
     """Manifest and atlas of ``fit`` (``evaluate`` with ``held_out``), with
     every argument the fit cannot use reported as an argument error."""
+    if args.atlas and args.algo != "fastsrm":  # before the manifest or the atlas is read
+        parser.error("--atlas is used only by fastsrm")
     manifest = _load_manifest(args, parser)
     atlas = None
     if args.atlas:

@@ -22,6 +22,7 @@ MAGIC = b"SRMB"
 VERSION = 1
 HEADER_SIZE = 4 + 4 + 1 + 8 + 8  # magic, version, dtype code, rows, cols
 BLOCK_BYTES = 8 << 20  # float64 bytes of run rows read from disk, or upcast in memory, at a time
+TILE_COLS = 2560  # columns of a whole-run tile, unless its float64 values exceed BLOCK_BYTES
 
 _DTYPE_BY_CODE = {0: np.dtype("<f8"), 1: np.dtype("<f4")}
 _CODE_BY_DTYPE = {np.dtype(np.float64): 0, np.dtype(np.float32): 1}
@@ -147,6 +148,18 @@ def read_header(path) -> tuple[int, int, np.dtype]:
         return _parse_header(f.read(HEADER_SIZE), path)
 
 
+def _checked_header(f, path) -> tuple[int, int, np.dtype]:
+    """(rows, cols, dtype) of the SRMB file open as ``f``, read from its
+    header and rejected unless the file holds exactly that many values."""
+    rows, cols, dtype = _parse_header(f.read(HEADER_SIZE), path)
+    expected = HEADER_SIZE + rows * cols * dtype.itemsize
+    actual = os.fstat(f.fileno()).st_size
+    if actual != expected:
+        raise FormatError(
+            f"{path}: expected {expected} bytes, found {actual} (truncated or padded)")
+    return rows, cols, dtype
+
+
 def load_matrix(path, row_range: tuple[int, int] | None = None) -> np.ndarray:
     """Load an SRMB matrix, optionally restricted to rows [start, stop).
 
@@ -156,12 +169,7 @@ def load_matrix(path, row_range: tuple[int, int] | None = None) -> np.ndarray:
     matrices and each open costs about as much as reading a small one.
     """
     with open(path, "rb") as f:
-        rows, cols, dtype = _parse_header(f.read(HEADER_SIZE), path)
-        expected = HEADER_SIZE + rows * cols * dtype.itemsize
-        actual = os.fstat(f.fileno()).st_size
-        if actual != expected:
-            raise FormatError(
-                f"{path}: expected {expected} bytes, found {actual} (truncated or padded)")
+        rows, cols, dtype = _checked_header(f, path)
         if row_range is None:
             start, stop = 0, rows
         else:
@@ -184,6 +192,14 @@ def _block_rows(v: int) -> int:
     return max(1, BLOCK_BYTES // (8 * v))
 
 
+def _tile_cols(t: int) -> int:
+    """Columns per whole-run tile of a t-row run: ``TILE_COLS``, fewer if t
+    float64 rows of that many columns would exceed ``BLOCK_BYTES`` (both
+    read at call time), and at least one. Like the block size, it never
+    depends on ``n_jobs``."""
+    return max(1, min(TILE_COLS, BLOCK_BYTES // (8 * t)))
+
+
 def _row_blocks(x):
     """(start, stop, X[start:stop]) over the row blocks of the in-memory run
     x: one block if x is float64, otherwise views of :func:`_block_rows`
@@ -191,6 +207,25 @@ def _row_blocks(x):
     rows = len(x) if x.dtype == np.float64 else _block_rows(x.shape[1])
     for start in range(0, len(x), rows):
         yield start, min(start + rows, len(x)), x[start:start + rows]
+
+
+def _col_tiles(x):
+    """(a, b, X[:, a:b] in float64) over the column tiles of the in-memory
+    run x: one tile if x is float64, which needs no copy and is fastest as
+    one product, otherwise tiles of :func:`_tile_cols` columns (the last
+    may be narrower), each upcast into one reused float64 buffer, so the
+    run is never copied whole and a yielded tile is valid only until the
+    next one is drawn."""
+    t, v = x.shape
+    if x.dtype == np.float64:
+        yield 0, v, x
+        return
+    cols = _tile_cols(t)
+    buf = np.empty(t * min(cols, v))
+    for a in range(0, v, cols):
+        tile = buf[:t * min(cols, v - a)].reshape(t, -1)
+        tile[...] = x[:, a:a + cols]
+        yield a, a + tile.shape[1], tile
 
 
 @dataclass(frozen=True)
@@ -240,7 +275,8 @@ class DatasetManifest:
         """Yield (start, stop, rows [start, stop) of the run) over successive
         blocks of ``block_rows`` rows, :func:`_block_rows` by default (the
         last may be shorter), so that no more than one block of the run is in
-        memory at a time. Every pass that streams a run draws its blocks here.
+        memory at a time. Every pass that streams a run by rows draws its
+        blocks here; recovery streams it by columns (:meth:`run_tiles`).
 
         The file's shape is checked against the manifest before the first
         block; every block is read through :meth:`load_run`, which checks the
@@ -259,6 +295,46 @@ class DatasetManifest:
         for start in range(0, t, step):
             stop = min(start + step, t)
             yield start, stop, self.load_run(subject, run, rows=(start, stop))
+
+    def run_tiles(self, subject: int, run: int):
+        """Yield (a, b, columns [a, b) of the whole run, float64) over
+        successive tiles of :func:`_tile_cols` columns (the last may be
+        narrower), so that no more than one tile of the run is in memory at
+        a time. Every tile is read into one buffer that the next tile
+        overwrites, so a yielded tile is valid only until the next one is
+        drawn; a float32 file is read into one float32 staging buffer and
+        upcast from there, which is exact. Recovery draws its tiles here.
+
+        The header is checked against the manifest, and the file's size
+        against its header, once before the first tile. Each row of a tile
+        is then one ``os.preadv`` into the buffer; a short read, as of a file
+        truncated while it is streamed, fails with the subject, run and file
+        named.
+        """
+        path = self.runs[subject][run]
+        t, v = self.t_per_run[run], self.v
+        cols = _tile_cols(t)
+        try:
+            with open(path, "rb") as f:
+                rows, width, dtype = _checked_header(f, path)
+                if (rows, width) != (t, v):
+                    raise FormatError(f"{path}: shape {rows}x{width}, "
+                                      f"manifest expects {t}x{v}")
+                tile = np.empty(t * min(cols, v))
+                staging = tile if dtype == tile.dtype else np.empty(tile.size, dtype)
+                fd, size = f.fileno(), dtype.itemsize
+                for a in range(0, v, cols):
+                    b = min(a + cols, v)
+                    raw = staging[:t * (b - a)].reshape(t, b - a)
+                    for r, row in enumerate(raw):
+                        if os.preadv(fd, [row], HEADER_SIZE + (r * v + a) * size) != row.nbytes:
+                            raise FormatError(f"{path}: short read")
+                    x = tile[:raw.size].reshape(raw.shape)
+                    if staging is not tile:
+                        x[...] = raw
+                    yield a, b, x
+        except Exception as exc:
+            raise self._load_error(subject, run, exc) from exc
 
     def load_all(self) -> list[list[np.ndarray]]:
         """Load every run into memory, indexed [subject][run]."""

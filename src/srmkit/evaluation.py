@@ -13,6 +13,7 @@ to a fitted model; the CLI and the bench harness use it too.
 from __future__ import annotations
 
 import tempfile
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -233,8 +234,10 @@ def _fastsrm_folds(manifest, atlas, k, n_iter, seed, n_jobs, spill):
     for the m parcel-space fits, one per left-out run. One recovery pass per
     subject then makes that subject's components of every fold, each checked
     and written as :data:`FOLD_COMPONENT_FILE` before the next fold's is
-    made, so a worker's peak is its m k x v accumulators, one row block and
-    one tile's scratch and upcast buffer (:func:`_fold_steps`).
+    made. It reads each run in whole-run column tiles, and each tile takes
+    one product for all the folds that train on the run, so a worker's peak
+    is its m k x v accumulators, one tile with its float32 staging and one
+    stacked scratch (:func:`_fold_steps`).
     """
     n, m = manifest.n_subjects, manifest.n_runs
     shared = []  # [fold][run], None where the fold leaves its run out
@@ -250,7 +253,7 @@ def _fastsrm_folds(manifest, atlas, k, n_iter, seed, n_jobs, spill):
     def recover(i):
         done = 0  # every fold reads every run, so a failed read fails fold 0
         try:
-            for w, _ in _fold_steps(shared, partial(manifest.run_blocks, i), manifest.v):
+            for w, _ in _fold_steps(shared, partial(manifest.run_tiles, i), manifest.v):
                 check_orthonormal(w)
                 save_matrix(w, spill / FOLD_COMPONENT_FILE.format(done, i))
                 del w  # released before the next fold's components are made
@@ -259,6 +262,29 @@ def _fastsrm_folds(manifest, atlas, k, n_iter, seed, n_jobs, spill):
             raise _fold_error(done, exc) from exc
 
     _map_subjects(recover, n, n_jobs)
+
+
+@contextmanager
+def _fold_components(manifest, algorithm, k, atlas, n_iter, seed, n_jobs):
+    """Yield components(s), which returns the components(z) of subject z in
+    the fold that leaves out run s, inside one ``srmkit-*`` spill directory
+    under :func:`tempfile.gettempdir`, removed when the block ends or fails.
+    fastsrm makes every fold's components there first (:func:`_fastsrm_folds`)
+    and reads them back; detsrm and probsrm fit the fold when it is asked
+    for."""
+    with tempfile.TemporaryDirectory(prefix="srmkit-") as spill:
+        spill = Path(spill)
+        if algorithm == "fastsrm":
+            _fastsrm_folds(manifest, atlas, k, n_iter, seed, n_jobs, spill)
+
+        def components(s):
+            if algorithm == "fastsrm":
+                return lambda z: load_matrix(spill / FOLD_COMPONENT_FILE.format(s, z))
+            model = fit(manifest.without_run(s), algorithm, k, atlas, n_iter, fold_seed(seed, s),
+                        n_jobs)
+            return model.spatial_component  # the model goes once its fold is scored
+
+        yield components
 
 
 def cosmoothing(
@@ -293,18 +319,7 @@ def cosmoothing(
     """
     _check_fit_inputs(manifest, algorithm, k, atlas, n_iter, n_jobs, held_out=True)
     folds = []
-    with tempfile.TemporaryDirectory(prefix="srmkit-") as spill:
-        spill = Path(spill)
-
-        def components(s):  # components(z) of the fold that leaves out run s
-            if algorithm == "fastsrm":
-                return lambda z: load_matrix(spill / FOLD_COMPONENT_FILE.format(s, z))
-            training = manifest.without_run(s)
-            model = fit(training, algorithm, k, atlas, n_iter, fold_seed(seed, s), n_jobs)
-            return model.spatial_component  # the model goes once its fold is scored
-
-        if algorithm == "fastsrm":
-            _fastsrm_folds(manifest, atlas, k, n_iter, seed, n_jobs, spill)
+    with _fold_components(manifest, algorithm, k, atlas, n_iter, seed, n_jobs) as components:
         for s in range(manifest.n_runs):
             try:
                 folds.extend(_score_fold(manifest, s, components(s), n_jobs))
@@ -327,15 +342,21 @@ def cosmoothing_fold(
 ) -> R2Map:
     """Recompute a single (run, subject) fold; identical arithmetic to the
     full sweep, so the map matches bit-for-bit. Rejects what :func:`cosmoothing`
-    rejects, and a fold the dataset lacks, before any run is read."""
+    rejects, and a fold the dataset lacks, before any run is read.
+
+    detsrm and probsrm fit the one fold. fastsrm's recovery makes every
+    fold's components in one pass, whose stacked products round each fold
+    apart from a fit of that fold alone, so this takes the sweep's steps:
+    the reduce pass, all m parcel-space fits and the recovery of every
+    subject, then scores the one fold.
+    """
     _check_fit_inputs(manifest, algorithm, k, atlas, n_iter, n_jobs, held_out=True)
     for name, value, count in (("run", run, manifest.n_runs),
                                ("subject", subject, manifest.n_subjects)):
         if not 0 <= value < count:
             raise ValueError(f"{name}={value} is outside [0, {count})")
-    training = manifest.without_run(run)
-    model = fit(training, algorithm, k, atlas, n_iter, fold_seed(seed, run), n_jobs)
-    return _score_fold(manifest, run, model.spatial_component, n_jobs, subjects=[subject])[0]
+    with _fold_components(manifest, algorithm, k, atlas, n_iter, seed, n_jobs) as components:
+        return _score_fold(manifest, run, components(run), n_jobs, subjects=[subject])[0]
 
 
 def roi_mask(maps, threshold: float = ROI_THRESHOLD) -> np.ndarray:

@@ -2,13 +2,15 @@
 response in parcel space, then recover full-resolution components by
 orthonormal regression.
 
-Full-resolution runs are streamed from disk in blocks of rows and never
-held whole. Each reduced run is written to a spill directory as soon as it
+Full-resolution runs are streamed from disk and never held whole: in
+blocks of rows to project them, in whole-run column tiles to recover the
+components. Each reduced run is written to a spill directory as soon as it
 is projected, and the parcel-space fit reads the reduced runs back one at a
-time. So the process holds one row block per worker, the k x v
-accumulators, the atlas and every subject's k x c parcel-space components,
-while the reduced data stays on disk. Recovered components are kept in
-memory, or, given a model directory, written there one subject at a time.
+time. So the process holds one row block per worker, then its k x v
+accumulators and one tile, plus the atlas and every subject's k x c
+parcel-space components, while the reduced data stays on disk. Recovered
+components are kept in memory, or, given a model directory, written there
+one subject at a time.
 """
 
 from __future__ import annotations
@@ -102,8 +104,9 @@ def recover_components(
     """Recover full-resolution components from a (possibly ill-scaled) shared
     response, one t_s x k array per run, by orthonormal regression.
 
-    Per subject, runs are streamed from disk in blocks of rows and the k x v
-    cross products accumulated in run and row order; the Procrustes step of
+    Per subject, runs are streamed from disk in whole-run column tiles
+    (:meth:`DatasetManifest.run_tiles`) and each tile's S^T X added into the
+    k x v cross product, in run and column order; the Procrustes step of
     the accumulated matrix is scale-invariant, so any positive rescaling of
     ``shared`` yields the same components. When ``component_dir`` is given,
     each component is written there and released before the next subject.
@@ -123,7 +126,7 @@ def recover_components(
         component_dir.mkdir(parents=True, exist_ok=True)
 
     def recover_subject(i):
-        ((w, _),) = _fold_steps([runs], partial(manifest.run_blocks, i), manifest.v)
+        ((w, _),) = _fold_steps([runs], partial(manifest.run_tiles, i), manifest.v)
         if component_dir is None:
             return w
         dest = component_dir / COMPONENT_FILE.format(i)

@@ -23,14 +23,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataio import _load_descriptor, _row_blocks, load_matrix, read_header, save_json, save_matrix
+from .dataio import (_col_tiles, _load_descriptor, _row_blocks, load_matrix, read_header, save_json,
+                     save_matrix)
 
 ORTHONORMALITY_TOL = 1e-8
 SIGMA_EIG_FLOOR = 1e-10
 COMPONENT_FILE = "w_{:03d}.srmb"  # subject i's components in a model directory
 SIGMA_S_FILE = "sigma_s.srmb"
 GRAM_FLOOR = 1e-6  # smallest eigenvalue ratio of m m^T that _polar's Gram kernel accepts
-TILE_COLS = 8192  # columns of a row block that _fold_steps multiplies at a time
 ALGORITHMS = ("detsrm", "probsrm", "fastsrm")
 
 
@@ -439,58 +439,59 @@ def _map_subjects(fn, n, n_jobs):
         return list(pool.map(fn, range(n)))
 
 
-def _fold_steps(folds, blocks, v):
+def _fold_steps(folds, tiles, v):
     """Orthonormal components of one subject for each fold of shared responses.
 
     ``folds[f][s]`` is fold f's t_s x k shared response for run s, or None
-    where fold f leaves run s out. ``blocks(s)`` yields (start, stop,
-    X_s[start:stop]) over the rows of the subject's run s: an in-memory run
-    comes in :func:`_row_blocks`, a run streamed from disk is read a block
-    at a time. Each block is drawn once and released before the next, and
-    is walked in column tiles [a, b) of ``TILE_COLS`` columns (read at call
-    time; one tile when v fits in one). A tile that is not float64 is upcast
-    into one float64 buffer reused by every later tile, so a float32 block is
-    never copied whole. For every fold f that trains on run s, the tile's
-    product S_f[start:stop]^T X_s[start:stop, a:b] is written into one k x
-    tile scratch and added into columns [a, b) of the fold's k x v
-    accumulator, in run and row order. Each fold keeps its own product, so
-    its sum is bit-identical to that of the fold alone.
+    where fold f leaves run s out. ``tiles(s)`` yields (a, b, X_s[:, a:b])
+    over the whole-run column tiles of the subject's run s, in float64 and
+    in column order: an in-memory run comes in :func:`_col_tiles`, a run
+    streamed from disk from :meth:`DatasetManifest.run_tiles`. Each tile is
+    used before the next is drawn, so a source may overwrite one buffer.
+    For run s, the training folds' S_f[s]^T are stacked into one (F_s k) x
+    t_s matrix, and each tile takes one product of it into one reused
+    scratch, whose k rows per fold are added, row by row, into columns
+    [a, b) of that fold's k x v accumulator (a 2-D add into that strided
+    slice would take numpy's ufunc buffers). Every product sums over the
+    whole run, so each accumulator is streamed once per run whatever v is,
+    and the folds share one GEMM. A row of the stacked product may round
+    apart from the same row of a fold's own product, so a fold's sum is
+    reproduced by the same stack of folds, not by the fold alone.
 
     Yields, fold by fold, the polar factor of the fold's accumulator and its
     singular values (:func:`_polar`), releasing the accumulator first.
-    Accumulators, the scratch and the upcast buffer are per call, so worker
-    threads never share them.
+    Accumulators and the scratch are per call, so worker threads never share
+    them.
     """
     k = next(sh for sh in folds[0] if sh is not None).shape[1]
     acc = [np.zeros((k, v), dtype=np.float64) for _ in folds]
-    _accumulate(folds, blocks, acc)
+    _accumulate(folds, tiles, acc)
     while acc:  # popped, so no accumulator outlives its Procrustes step
         yield _polar(acc.pop(0))
 
 
-def _accumulate(folds, blocks, acc) -> None:
+def _accumulate(folds, tiles, acc) -> None:
     """The accumulation of :func:`_fold_steps`, into the k x v arrays
-    ``acc``. Its scratch, upcast buffer and views are locals, so none of
-    them outlives the call: a view left alive would hold its buffer through
-    the Procrustes steps."""
-    k, v = acc[0].shape
-    tile = min(TILE_COLS, v)
-    scratch, buf = np.empty(k * tile), None
+    ``acc``. Its scratch and views are locals, so none of them outlives the
+    call: a view left alive would hold its buffer through the Procrustes
+    steps."""
+    scratch = np.empty(0)
     for s in range(len(folds[0])):
-        training = [(fold[s], total) for fold, total in zip(folds, acc) if fold[s] is not None]
-        for start, stop, x in blocks(s):
-            for a in range(0, v, tile):
-                xt = x[:, a:a + tile]  # a view, which holds the whole block
-                if xt.dtype != np.float64:
-                    if buf is None or buf.size < xt.size:
-                        buf = np.empty(len(x) * tile)
-                    up = buf[:xt.size].reshape(xt.shape)
-                    up[...] = xt
-                    xt = up
-                out = scratch[:k * xt.shape[1]].reshape(k, xt.shape[1])
-                for sh, total in training:
-                    total[:, a:a + tile] += np.matmul(sh[start:stop].T, xt, out=out)
-            del x, xt  # released before the next block is drawn
+        training = [fold[s].T for fold in folds if fold[s] is not None]
+        if not training:  # every fold leaves run s out, so it is not read
+            continue
+        stacked = np.concatenate(training, dtype=np.float64)
+        # row r of the stacked product adds into the r-th of these accumulator rows
+        rows = [row for fold, total in zip(folds, acc) if fold[s] is not None for row in total]
+        for a, b, x in tiles(s):
+            size = len(stacked) * (b - a)
+            if scratch.size < size:
+                scratch = None  # released before the larger one is made
+                scratch = np.empty(size)
+            out = np.matmul(stacked, x, out=scratch[:size].reshape(len(stacked), b - a))
+            for total, row in zip(rows, out):
+                total[a:b] += row
+            del x, out  # released before the next tile is drawn, or the next run's source made
 
 
 def _sum_squares(runs, centered=False) -> float:
@@ -515,10 +516,10 @@ def _update_components(data, shared, ssq, v, n_jobs):
     """Procrustes step of every subject. Returns the components and, per
     subject, ssq[i] - 2 sum(d_i) with d_i the singular values of S^T X_i;
     adding ||S||^2 gives ||X_i - S W_i||^2, since W_i has orthonormal rows.
-    Each run of ``data`` is drawn once and fed in :func:`_row_blocks`."""
+    Each run of ``data`` is drawn once and fed in :func:`_col_tiles`."""
     def step(i):
         runs = data[i]
-        ((w, d),) = _fold_steps([shared], lambda s: _row_blocks(runs[s]), v)
+        ((w, d),) = _fold_steps([shared], lambda s: _col_tiles(runs[s]), v)
         return w, ssq[i] - 2.0 * float(np.sum(d))
 
     updated = _map_subjects(step, len(data), n_jobs)

@@ -609,11 +609,39 @@ def test_k_above_frames_is_argument_error(tmp_path, capsys, monkeypatch, algo, c
 
     monkeypatch.setattr(srmkit.dataio, "load_matrix", no_load)
     out = tmp_path / "out"
+    atlas = ["--atlas", str(tmp_path / "atlas.srmb")] if algo == "fastsrm" else []
     with pytest.raises(SystemExit) as exc:
         main([command, "--algo", algo, "--manifest", str(ds / "manifest.json"), "--k", k,
-              "--atlas", str(tmp_path / "atlas.srmb"), "--out", str(out)])
+              *atlas, "--out", str(out)])
     assert exc.value.code == 2
     assert f"k={k} exceeds" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("algo", ["detsrm", "probsrm"])
+@pytest.mark.parametrize("command", ["fit", "evaluate"])
+def test_atlas_for_a_full_resolution_fit_is_argument_error(tmp_path, capsys, monkeypatch,
+                                                           command, algo):
+    # detsrm and probsrm never use an atlas: --atlas is refused before the
+    # manifest or the atlas file (here 4 bytes, not an SRMB file) is read
+    import srmkit.cli
+
+    ds = run_synth(tmp_path)
+    atlas = tmp_path / "atlas.srmb"
+    atlas.write_bytes(b"SRMB")
+    capsys.readouterr()
+
+    def no_read(*args, **kwargs):
+        raise AssertionError("an input was read")
+
+    monkeypatch.setattr(srmkit.cli, "load_manifest", no_read)
+    monkeypatch.setattr(srmkit.cli, "load_atlas", no_read)
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--algo", algo, "--manifest", str(ds / "manifest.json"), "--k", "3",
+              "--atlas", str(atlas), "--out", str(out)])
+    assert exc.value.code == 2
+    assert "--atlas is used only by fastsrm" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -692,8 +720,9 @@ def test_fit_onto_a_model_path_that_is_not_a_directory_reads_nothing(
         return real_load(*args, **kwargs)
 
     monkeypatch.setattr(srmkit.dataio, "load_matrix", counting_load)
+    atlas = ["--atlas", str(tmp_path / "atlas.srmb")] if algo == "fastsrm" else []
     code = main(["fit", "--algo", algo, "--manifest", str(ds / "manifest.json"), "--k", "3",
-                 "--atlas", str(tmp_path / "atlas.srmb"), "--out", str(out)])
+                 *atlas, "--out", str(out)])
     assert code == 1
     assert str(model) in capsys.readouterr().err
     assert loads == []

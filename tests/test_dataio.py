@@ -14,7 +14,8 @@ from srmkit import (
     save_manifest,
     save_matrix,
 )
-from srmkit.dataio import HEADER_SIZE
+import srmkit.dataio
+from srmkit.dataio import HEADER_SIZE, _col_tiles
 
 
 class TestBinaryFormat:
@@ -158,7 +159,7 @@ def test_interrupted_json_write_keeps_old_file(tmp_path, monkeypatch):
 
 
 class TestManifest:
-    def _write_runs(self, tmp_path, shapes):
+    def _write_runs(self, tmp_path, shapes, dtype=np.float64):
         # shapes: {subject: [(t, v), ...]}
         runs = {}
         rng = np.random.default_rng(0)
@@ -166,7 +167,7 @@ class TestManifest:
             names = []
             for s, (t, v) in enumerate(shape_list):
                 name = f"{sid}_run{s}.srmb"
-                save_matrix(rng.standard_normal((t, v)), tmp_path / name)
+                save_matrix(rng.standard_normal((t, v)).astype(dtype), tmp_path / name)
                 names.append(name)
             runs[sid] = names
         save_manifest(tmp_path / "manifest.json", runs)
@@ -319,3 +320,83 @@ class TestManifest:
             next(blocks)
         assert isinstance(info.value.__cause__, FormatError)
         assert str(target) in str(info.value.__cause__)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_run_tiles_cover_the_run_in_order(self, tmp_path, monkeypatch, dtype):
+        # 23 columns in tiles of 5: four whole tiles and a ragged one of 3.
+        # Every tile is float64, and a float32 file is upcast exactly. In
+        # memory, a float32 run is cut the same way and a float64 run is one
+        # tile, itself.
+        p = self._write_runs(tmp_path, {"a": [(7, 23)], "b": [(7, 23)]}, dtype)
+        man = load_manifest(p)
+        monkeypatch.setattr(srmkit.dataio, "TILE_COLS", 5)
+        whole = man.load_run(1, 0)
+        assert whole.dtype == dtype
+        tiles = [(a, b, x.copy()) for a, b, x in man.run_tiles(1, 0)]
+        assert [(a, b) for a, b, _ in tiles] == [(0, 5), (5, 10), (10, 15), (15, 20), (20, 23)]
+        for a, b, x in tiles:
+            assert x.dtype == np.float64
+            assert np.array_equal(x, whole[:, a:b].astype(np.float64))
+        in_memory = [(a, b, y.copy()) for a, b, y in _col_tiles(whole)]
+        if dtype == np.float64:
+            assert len(in_memory) == 1 and in_memory[0][:2] == (0, 23)
+            assert np.array_equal(in_memory[0][2], whole)
+        else:
+            assert [(a, b) for a, b, _ in in_memory] == [(a, b) for a, b, _ in tiles]
+            for (_, _, x), (_, _, y) in zip(tiles, in_memory):
+                assert y.dtype == np.float64 and np.array_equal(y, x)
+
+    def test_tile_width_keeps_a_tile_within_the_block_size(self, tmp_path, monkeypatch):
+        # t float64 rows of TILE_COLS columns may not exceed BLOCK_BYTES: 7 rows
+        # at 3 x 8 x 7 bytes leave 3 columns a tile
+        p = self._write_runs(tmp_path, {"a": [(7, 10)], "b": [(7, 10)]})
+        man = load_manifest(p)
+        monkeypatch.setattr(srmkit.dataio, "BLOCK_BYTES", 3 * 8 * 7)
+        assert [(a, b) for a, b, _ in man.run_tiles(0, 0)] == [(0, 3), (3, 6), (6, 9), (9, 10)]
+        assert srmkit.dataio._tile_cols(10**9) == 1
+
+    @pytest.mark.parametrize("in_memory, dtype", [
+        (False, np.float64), (False, np.float32), (True, np.float32)])
+    def test_tile_is_valid_until_the_next_is_drawn(self, tmp_path, monkeypatch, in_memory,
+                                                   dtype):
+        # Tiles share one buffer: drawing the next overwrites the one before,
+        # so a caller that keeps a tile must copy it.
+        p = self._write_runs(tmp_path, {"a": [(4, 6)], "b": [(4, 6)]}, dtype)
+        man = load_manifest(p)
+        monkeypatch.setattr(srmkit.dataio, "TILE_COLS", 3)
+        run = man.load_run(0, 0)
+        whole = run.astype(np.float64)
+        tiles = _col_tiles(run) if in_memory else man.run_tiles(0, 0)
+        _, _, first = next(tiles)
+        assert np.array_equal(first, whole[:, :3])
+        _, _, second = next(tiles)
+        assert np.shares_memory(first, second)
+        assert np.array_equal(first, whole[:, 3:])
+
+    def test_run_tiles_check_shape_before_the_first_tile(self, tmp_path, monkeypatch):
+        p = self._write_runs(tmp_path, {"a": [(5, 4)], "b": [(5, 4)]})
+        man = load_manifest(p)
+        target = man.runs[1][0]
+        save_matrix(np.zeros((6, 4)), target)  # one row more than the manifest says
+        reads = []
+        monkeypatch.setattr(srmkit.dataio.os, "preadv",
+                            lambda *args: reads.append(args) or 0)
+        with pytest.raises(RuntimeError, match=r"subject 1, run 0: .*6x4, manifest expects 5x4"
+                           ) as info:
+            next(man.run_tiles(1, 0))
+        assert str(target) in str(info.value)
+        assert reads == []
+
+    def test_truncation_between_tiles_names_the_file(self, tmp_path, monkeypatch):
+        p = self._write_runs(tmp_path, {"a": [(6, 4)], "b": [(6, 4)]})
+        man = load_manifest(p)
+        monkeypatch.setattr(srmkit.dataio, "TILE_COLS", 2)
+        target = man.runs[0][0]
+        tiles = man.run_tiles(0, 0)
+        next(tiles)
+        target.write_bytes(target.read_bytes()[:-8])
+        with pytest.raises(RuntimeError, match="subject 0, run 0") as info:
+            next(tiles)
+        assert isinstance(info.value.__cause__, FormatError)
+        assert str(target) in str(info.value.__cause__)
+        assert "short read" in str(info.value)

@@ -18,7 +18,7 @@ from srmkit import (
     save_matrix,
 )
 from srmkit.evaluation import _project_left_out, _score_blocks, _score_run, fold_seed
-from srmkit.srm import _project_sum
+from srmkit.srm import _fold_steps, _project_sum
 
 from conftest import random_orthonormal_rows
 
@@ -498,34 +498,48 @@ class TestCosmoothing:
                 rows_read[path] += stop - start
             return load_run(self, subject, run, rows)
 
+        run_tiles = srmkit.dataio.DatasetManifest.run_tiles
+
+        def counting_tiles(self, subject, run):
+            # recovery reads whole-run tiles, not through load_run: t_s rows per draw
+            for a, b, x in run_tiles(self, subject, run):
+                if b == self.v and self.runs[subject][run] in rows_read:
+                    rows_read[self.runs[subject][run]] += len(x)
+                yield a, b, x
+
         monkeypatch.setattr(srmkit.dataio.DatasetManifest, "load_run", counting_load)
+        monkeypatch.setattr(srmkit.dataio.DatasetManifest, "run_tiles", counting_tiles)
         monkeypatch.setattr(srmkit.dataio, "BLOCK_BYTES", 8 * 40 * 7)  # 7-row blocks
         atlas = balanced_partition(40, 8, seed=4)
         result = cosmoothing(manifest, "fastsrm", k=2, atlas=atlas, n_iter=2, seed=0)
         assert len(result.folds) == 12
         assert rows_read == {path: 4 * t for path, t in full.items()}
 
-    @pytest.mark.parametrize("algorithm, draws", [
-        ("fastsrm", 4),  # reduce, recover every fold, project as a left-out run, score
-        ("detsrm", 2),   # project as a left-out run, score; the fits load runs whole
+    @pytest.mark.parametrize("algorithm, blocks, tiles", [
+        # reduce, project as a left-out run, score by row blocks; recover every fold by tiles
+        ("fastsrm", 3, 1),
+        ("detsrm", 2, 0),   # project as a left-out run, score; the fits load runs whole
     ])
     def test_streamed_passes_draw_runs_through_run_blocks(self, make_dataset, monkeypatch,
-                                                          algorithm, draws):
+                                                          algorithm, blocks, tiles):
         manifest, _ = make_dataset(n=3, m=3, t_list=(20, 25, 15), v=40, k=2, sigma=0.5,
                                    seed=31)
-        drawn = {path: 0 for paths in manifest.runs for path in paths}
-        run_blocks = srmkit.dataio.DatasetManifest.run_blocks
+        drawn = {path: [0, 0] for paths in manifest.runs for path in paths}
+        readers = srmkit.dataio.DatasetManifest.run_blocks, srmkit.dataio.DatasetManifest.run_tiles
 
-        def counting(self, subject, run, block_rows=None):
-            if self.runs[subject][run] in drawn:
-                drawn[self.runs[subject][run]] += 1
-            return run_blocks(self, subject, run, block_rows)
+        def counting(j):
+            def draw(self, subject, run, *size):
+                if self.runs[subject][run] in drawn:
+                    drawn[self.runs[subject][run]][j] += 1
+                return readers[j](self, subject, run, *size)
+            return draw
 
-        monkeypatch.setattr(srmkit.dataio.DatasetManifest, "run_blocks", counting)
+        monkeypatch.setattr(srmkit.dataio.DatasetManifest, "run_blocks", counting(0))
+        monkeypatch.setattr(srmkit.dataio.DatasetManifest, "run_tiles", counting(1))
         atlas = balanced_partition(40, 8, seed=4) if algorithm == "fastsrm" else None
         result = cosmoothing(manifest, algorithm, k=2, atlas=atlas, n_iter=2, seed=0)
         assert len(result.folds) == 9
-        assert set(drawn.values()) == {draws}
+        assert {tuple(n) for n in drawn.values()} == {(blocks, tiles)}
 
     def test_fastsrm_peak_is_flat_in_subject_count(self, make_dataset):
         # Every subject adds m fold maps (9 bytes a voxel each) to the result;
@@ -553,10 +567,10 @@ class TestCosmoothing:
 
     def test_fastsrm_projects_left_out_runs_after_the_accumulators_go(self, make_dataset,
                                                                        monkeypatch):
-        # Each float32 run is one 131-row block (4 MiB), upcast 256 columns
-        # at a time while the folds accumulate but whole (8 MiB) for the
+        # Each float32 run is one 131-row block (4 MiB), read 256 columns at
+        # a time while the folds accumulate but whole (8 MiB) for the
         # left-out projection and for scoring. Recovery holds the m k x v
-        # accumulators and a float32 block; the projection, run once every
+        # accumulators and one tile; the projection, run once every
         # accumulator is gone, holds one k x v and both forms of a block.
         # Projecting between Procrustes steps would hold the remaining
         # accumulators, the new components and both forms of a block at once,
@@ -566,7 +580,7 @@ class TestCosmoothing:
 
         n, m, v, k = 2, 8, 8000, 20
         t = srmkit.dataio._block_rows(v)
-        monkeypatch.setattr(srmkit.srm, "TILE_COLS", 256)
+        monkeypatch.setattr(srmkit.dataio, "TILE_COLS", 256)
         manifest, _ = make_dataset(n=n, m=m, t_list=(t,) * m, v=v, k=k, sigma=0.3, seed=61,
                                    dtype=np.float32)
         atlas = balanced_partition(v, 40, seed=7)
@@ -690,7 +704,7 @@ class TestCosmoothing:
         # 16-column tiles over v=50 (three whole tiles and a ragged one):
         # a single fold recomputes the sweep's maps, and one or two workers
         # write the same components and maps, for every algorithm.
-        monkeypatch.setattr(srmkit.srm, "TILE_COLS", 16)
+        monkeypatch.setattr(srmkit.dataio, "TILE_COLS", 16)
         manifest, _ = make_dataset(n=3, m=3, t_list=(20, 25, 20), v=50, k=3, sigma=0.6,
                                    seed=33, dtype=dtype)
         atlas = Atlas.probabilistic(np.random.default_rng(34).uniform(0.0, 1.0, size=(10, 50)))
@@ -708,6 +722,63 @@ class TestCosmoothing:
                                          subject=fold.left_out_subject, **cfg)
                 assert alone.scores.tobytes() == fold.scores.tobytes()
                 assert np.array_equal(alone.degenerate, fold.degenerate)
+
+    @pytest.mark.parametrize("tile, n, t_list, v, k, c", [
+        # v=50 in tiles of 16 or 13 columns and a ragged last one, runs of 21,
+        # 27 and 19 rows
+        (16, 3, (21, 27, 19), 50, 3, 10),
+        (13, 3, (21, 27, 19), 50, 3, 10),
+        # 20 components and 3,150-column tiles, where OpenBLAS 0.3.31 rounds a
+        # row of the 4-fold stacked product apart from the fold's own product
+        (3150, 2, (40, 40, 40, 40, 40), 3150, 20, 40),
+    ])
+    def test_fastsrm_fold_matches_the_sweep_bit_for_bit(self, make_dataset, monkeypatch, tile,
+                                                        n, t_list, v, k, c):
+        # cosmoothing_fold takes the sweep's recovery of every fold, so its map
+        # is the sweep's, however BLAS rounds the stacked product.
+        monkeypatch.setattr(srmkit.dataio, "TILE_COLS", tile)
+        manifest, _ = make_dataset(n=n, m=len(t_list), t_list=t_list, v=v, k=k, sigma=0.6,
+                                   seed=35)
+        atlas = balanced_partition(v, c, seed=5)
+        full = cosmoothing(manifest, "fastsrm", k=k, atlas=atlas, n_iter=3, seed=2)
+        for fold in full.folds:
+            alone = cosmoothing_fold(manifest, "fastsrm", k=k, run=fold.left_out_run,
+                                     subject=fold.left_out_subject, atlas=atlas, n_iter=3,
+                                     seed=2)
+            assert alone.scores.tobytes() == fold.scores.tobytes()
+            assert np.array_equal(alone.degenerate, fold.degenerate)
+
+    def test_fastsrm_recovery_holds_accumulators_and_one_tile(self, make_dataset, monkeypatch):
+        # One subject's co-smoothing recovery: 4 folds over 4 float32 runs of
+        # 100 x 8,000, each fold training on 3. It holds the m k x v
+        # accumulators, one float64 tile with its float32 staging, and the
+        # stacked (3k) x t shared responses with their (3k) x tile scratch.
+        # A float64 row block (the whole 6.1 MiB run at this v) would cross
+        # the bound.
+        import tracemalloc
+        from functools import partial
+
+        m, t, v, k, tile = 4, 100, 8000, 10, 1600
+        monkeypatch.setattr(srmkit.dataio, "TILE_COLS", tile)
+        manifest, _ = make_dataset(n=1, m=m, t_list=(t,) * m, v=v, k=k, sigma=0.3, seed=65,
+                                   dtype=np.float32)
+        rng = np.random.default_rng(66)
+        folds = [[None if s == f else rng.standard_normal((t, k)) for s in range(m)]
+                 for f in range(m)]
+        accumulators = m * k * v * 8
+        buffers = t * tile * (8 + 4) + (m - 1) * k * (t + tile) * 8
+        slack = 64 << 10
+        assert buffers + slack < srmkit.dataio._block_rows(v) * v * 8
+        tracemalloc.start()
+        try:
+            for w, _ in _fold_steps(folds, partial(manifest.run_tiles, 0), v):
+                del w
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < accumulators + buffers + slack, (
+            f"{(peak - accumulators - buffers) / 1024:.0f} KiB above the accumulators, "
+            "the tile and the scratch")
 
     def test_fold_enumeration_and_mean_maps(self, make_dataset):
         manifest, _ = make_dataset(n=2, m=2, v=30, k=2, sigma=0.5, seed=25)

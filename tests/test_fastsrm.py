@@ -19,8 +19,8 @@ from srmkit import (
     subspace_error,
     update_shared,
 )
-from srmkit import dataio, fastsrm, srm
-from srmkit.dataio import FormatError
+from srmkit import dataio, fastsrm
+from srmkit.dataio import FormatError, _col_tiles
 from srmkit.srm import SrmModel, _fold_steps
 
 from conftest import random_orthonormal_rows, sparse_weights
@@ -367,10 +367,10 @@ def test_streamed_recovery_matches_in_memory_step(make_dataset, monkeypatch, dty
                                dtype=dtype)
     rng = np.random.default_rng(34)
     shared = [rng.standard_normal((t, 3)) for t in manifest.t_per_run]
-    _small_blocks(monkeypatch, 7, 60)
+    _small_blocks(monkeypatch, 7, 60)  # 14-column tiles of the 30-row run, 16 of the 25-row one
     streamed = recover_components(manifest, shared)
     for i, runs in enumerate(manifest.load_all()):
-        ((whole, _),) = _fold_steps([shared], lambda s: [(0, len(runs[s]), runs[s])], 60)
+        ((whole, _),) = _fold_steps([shared], lambda s: _col_tiles(runs[s]), 60)
         assert np.linalg.norm(streamed[i] - whole) <= 1e-12 * np.linalg.norm(whole)
 
 
@@ -394,24 +394,51 @@ def test_float32_recovery_holds_less_than_one_float64_run(make_dataset, monkeypa
     assert peak < run_bytes, f"peak {peak / run_bytes:.2f} float64 runs"
 
 
-def test_streamed_subject_step_holds_one_block(make_dataset, monkeypatch):
-    # Each block is released before the next is read: over a run of 4
-    # blocks the peak is one block, the k x v accumulator and a k x tile
-    # scratch (256-column tiles, so v spans 8 of them).
+def test_streamed_subject_step_holds_one_tile(make_dataset, monkeypatch):
+    # Recovery reads a run in whole-run tiles, each overwriting the last:
+    # over a run of 8 tiles (256 columns of v=2,000) the peak is one tile,
+    # the k x v accumulator, the stacked k x t shared response and a k x
+    # tile scratch, never a row block.
     import tracemalloc
 
-    rows, v, k, tile = 50, 2000, 3, 256
-    monkeypatch.setattr(srm, "TILE_COLS", tile)
-    manifest, _ = make_dataset(n=1, m=1, t_list=(4 * rows,), v=v, k=k, sigma=0.3, seed=39)
-    shared = [np.random.default_rng(40).standard_normal((4 * rows, k))]
-    block, buffers = rows * v * 8, k * v * 8 + k * tile * 8
+    t, v, k, tile = 200, 2000, 3, 256
+    monkeypatch.setattr(dataio, "TILE_COLS", tile)
+    manifest, _ = make_dataset(n=1, m=1, t_list=(t,), v=v, k=k, sigma=0.3, seed=39)
+    shared = [np.random.default_rng(40).standard_normal((t, k))]
+    one_tile, buffers = t * tile * 8, k * v * 8 + k * t * 8 + k * tile * 8
     tracemalloc.start()
     try:
-        next(_fold_steps([shared], lambda s: manifest.run_blocks(0, s, rows), v))
+        next(_fold_steps([shared], lambda s: manifest.run_tiles(0, s), v))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 1.5 * block + buffers, f"peak {(peak - buffers) / block:.2f} blocks"
+    assert peak < 1.5 * one_tile + buffers, f"peak {(peak - buffers) / one_tile:.2f} tiles"
+
+
+def test_run_truncated_during_recovery_names_it_and_leaves_nothing(make_dataset, monkeypatch,
+                                                                    spill_root, tmp_path):
+    # A run cut short between two of its tiles fails the fit with the
+    # subject, run and file named; no model directory and no spill is left.
+    manifest, _ = make_dataset(n=2, m=2, t_list=(20, 20), v=60, k=3, sigma=0.3, seed=42)
+    monkeypatch.setattr(dataio, "TILE_COLS", 16)
+    target = manifest.runs[1][1]
+    run_tiles = dataio.DatasetManifest.run_tiles
+
+    def truncating(self, subject, run):
+        for n, tile in enumerate(run_tiles(self, subject, run)):
+            if (subject, run, n) == (1, 1, 1):
+                target.write_bytes(target.read_bytes()[:-8 * 60])  # the last row goes
+            yield tile
+
+    monkeypatch.setattr(dataio.DatasetManifest, "run_tiles", truncating)
+    out = tmp_path / "model"
+    with pytest.raises(RuntimeError, match="subject 1, run 1") as info:
+        fastsrm_fit(manifest, balanced_partition(60, 10, seed=4), k=3, n_iter=2,
+                    component_dir=out)
+    assert str(target) in str(info.value)
+    assert "short read" in str(info.value)
+    assert not out.exists() and list(tmp_path.glob("model*")) == []
+    assert _spill_dirs(spill_root) == []
 
 
 def test_fit_spills_reduced_runs_and_removes_them(make_dataset, monkeypatch, spill_root):

@@ -461,8 +461,9 @@ class TestDetSrm:
         "step", ["components", "projection", "sum_squares", "centered_sum_squares"])
     def test_float32_run_is_upcast_one_block_at_a_time(self, monkeypatch, step):
         # An in-memory float32 run reaches the float64 products and the
-        # validation's sums of squares in row blocks of the dataio block size,
-        # never as one whole float64 copy.
+        # validation's sums of squares in pieces of the dataio block size (row
+        # blocks; whole-run column tiles for the component step), never as
+        # one whole float64 copy.
         import tracemalloc
 
         t, v, k = 200, 2000, 4
@@ -470,12 +471,12 @@ class TestDetSrm:
         x = rng.standard_normal((t, v)).astype(np.float32)
         shared = [rng.standard_normal((t, k))]
         w = random_orthonormal_rows(k, v, seed=28)
-        monkeypatch.setattr(dataio, "BLOCK_BYTES", 25 * 8 * v)  # 25-row blocks
+        monkeypatch.setattr(dataio, "BLOCK_BYTES", 25 * 8 * v)  # 25-row blocks, 250-column tiles
         if step == "components":
             def run():
                 return srm._update_components([[x]], shared, [0.0], v, 1)[0][0]
 
-            whole = next(srm._fold_steps([shared], lambda s: [(0, t, x.astype(np.float64))], v))[0]
+            whole = next(srm._fold_steps([shared], lambda s: [(0, v, x.astype(np.float64))], v))[0]
         elif step == "projection":
             def run():
                 return srm._project_sum([x], [w])[0]
@@ -503,10 +504,14 @@ class TestDetSrm:
         assert np.linalg.norm(out - whole) <= 1e-12 * np.linalg.norm(whole)
 
 
-def block_rows(runs, rows):
-    """blocks(s) for _fold_steps: (start, stop, rows) over ``rows``-row blocks of runs[s]."""
-    return lambda s: ((a, min(a + rows, len(runs[s])), runs[s][a:a + rows])
-                      for a in range(0, len(runs[s]), rows))
+def col_tiles(runs, cols):
+    """tiles(s) for _fold_steps: (a, b, float64 columns [a, b)) over ``cols``-column
+    tiles of runs[s]."""
+    def tiles(s):
+        v = runs[s].shape[1]
+        return ((a, min(a + cols, v), runs[s][:, a:a + cols].astype(np.float64))
+                for a in range(0, v, cols))
+    return tiles
 
 
 class TestFoldSteps:
@@ -514,50 +519,65 @@ class TestFoldSteps:
     @pytest.mark.parametrize("tile", [7, 64, None])  # None: one tile at least v wide
     @pytest.mark.parametrize("n_folds", [1, 3])
     def test_tiles_match_the_whole_block_accumulation(self, monkeypatch, dtype, tile, n_folds):
-        # v = 3 tiles + 5 columns, so the last tile is ragged; 7-row blocks
-        # over runs of 30, 25 and 20 rows. With 3 folds, fold f leaves run f out.
+        # v = 3 tiles + 5 columns, so the last tile is ragged; runs of 30, 25
+        # and 20 rows. With 3 folds, fold f leaves run f out, so each run is
+        # stacked for two folds.
         v = 3 * (tile or 64) + 5
-        monkeypatch.setattr(srm, "TILE_COLS", tile or v)
         rng = np.random.default_rng(60)
         runs = [rng.standard_normal((t, v)).astype(dtype) for t in (30, 25, 20)]
         folds = [[None if n_folds > 1 and s == f else rng.standard_normal((len(x), 4))
                   for s, x in enumerate(runs)] for f in range(n_folds)]
-        want = [np.zeros((4, v)) for _ in folds]
-        for s in range(len(runs)):
-            for start, stop, x in block_rows(runs, 7)(s):
-                for f, fold in enumerate(folds):
-                    if fold[s] is not None:
-                        want[f] += fold[s][start:stop].T @ x.astype(np.float64)
+        want = [sum(sh.T @ x.astype(np.float64) for sh, x in zip(fold, runs) if sh is not None)
+                for fold in folds]
         monkeypatch.setattr(srm, "_polar", lambda m: (m, None))  # yields the accumulators
-        got = [acc for acc, _ in srm._fold_steps(folds, block_rows(runs, 7), v)]
+        got = [acc for acc, _ in srm._fold_steps(folds, col_tiles(runs, tile or v), v)]
         assert len(got) == n_folds
         for g, w in zip(got, want):
             assert np.max(np.abs(g - w)) <= 1e-12 * np.max(np.abs(w))
 
-    def test_float32_block_is_upcast_one_tile_at_a_time(self, monkeypatch):
-        # One 200 x 1,536 float32 block in 512-column tiles: the pass holds
-        # the k x v accumulator, a k x tile scratch and a 200 x tile float64
-        # buffer, never a k x v scratch or the block's whole float64 copy.
-        # Adding into a tile this narrow, numpy's ufunc may take its two
-        # buffers of getbufsize() float64 values.
+    @pytest.mark.parametrize("cols", [5, 16, 100])
+    def test_stacked_folds_sum_each_folds_products_exactly(self, monkeypatch, cols):
+        # Integer factors make every product and sum exact in float64, so the
+        # stacked product must give each fold exactly the sum of its own
+        # S_f^T X over the runs it trains on, whatever the tile width.
+        rng = np.random.default_rng(63)
+        v = 37
+        runs = [rng.integers(-9, 10, (t, v)).astype(np.float64) for t in (21, 13, 8, 30)]
+        folds = [[None if s == f else rng.integers(-9, 10, (len(x), 3)).astype(np.float64)
+                  for s, x in enumerate(runs)] for f in range(4)]
+        monkeypatch.setattr(srm, "_polar", lambda m: (m, None))
+        got = [acc for acc, _ in srm._fold_steps(folds, col_tiles(runs, cols), v)]
+        for f, fold in enumerate(folds):
+            want = sum(sh.T @ x for sh, x in zip(fold, runs) if sh is not None)
+            assert np.array_equal(got[f], want)
+        # a run that no fold trains on is skipped: drawing run 0 here would fail
+        unread = [None] + runs[1:]
+        ((alone, _),) = srm._fold_steps([folds[0]], col_tiles(unread, cols), v)
+        assert np.array_equal(alone, got[0])
+
+    def test_float32_run_is_upcast_one_tile_at_a_time(self, monkeypatch):
+        # One 200 x 1,536 float32 run in 512-column tiles: the pass holds the
+        # k x v accumulator, the stacked k x t shared response, a k x tile
+        # scratch and one 200 x tile float64 buffer, never a k x v scratch or
+        # the run's whole float64 copy. Its rows are added one at a time, so
+        # numpy's ufunc never takes its two buffers of getbufsize() float64
+        # values (132 KB), as a 2-D add into a slice this narrow would.
         import tracemalloc
 
         t, k, tile = 200, 20, 512
         v = 3 * tile
-        monkeypatch.setattr(srm, "TILE_COLS", tile)
+        monkeypatch.setattr(dataio, "TILE_COLS", tile)
         rng = np.random.default_rng(61)
         x = rng.standard_normal((t, v)).astype(np.float32)
         shared = [rng.standard_normal((t, k))]
-        ufunc_buffers = 2 * np.getbufsize() * 8
-        bound = k * v * 8 + k * tile * 8 + t * tile * 8 + ufunc_buffers + 2**14
+        bound = k * v * 8 + k * t * 8 + k * tile * 8 + t * tile * 8 + 2**14
         tracemalloc.start()
         try:
-            next(srm._fold_steps([shared], lambda s: [(0, t, x)], v))
+            next(srm._fold_steps([shared], lambda s: dataio._col_tiles(x), v))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < bound, f"peak {peak} bytes, bound {bound}"
-
 
     def test_no_buffer_outlives_the_accumulation(self, monkeypatch):
         # One tile as wide as v makes the scratch k x v: were it (or a view
@@ -566,7 +586,6 @@ class TestFoldSteps:
         import tracemalloc
 
         t, k, v = 40, 20, 1_000
-        monkeypatch.setattr(srm, "TILE_COLS", v)
         rng = np.random.default_rng(62)
         x = rng.standard_normal((t, v))
         shared = [rng.standard_normal((t, k))]
@@ -581,10 +600,29 @@ class TestFoldSteps:
         monkeypatch.setattr(srm, "_polar", traced_polar)
         tracemalloc.start()
         try:
-            next(srm._fold_steps([shared], lambda s: [(0, t, x)], v))
+            next(srm._fold_steps([shared], lambda s: [(0, v, x)], v))
         finally:
             tracemalloc.stop()
         assert peaks[0] < 2.5 * k * v * 8, f"{peaks[0] / (k * v * 8):.2f} k x v matrices"
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_components_do_not_depend_on_the_tile_width(self, dtype):
+        # Each tile's product is one GEMM over the whole run, and BLAS rounds
+        # each of its columns as it rounds that column of the whole product,
+        # so the components are the same bytes at any tile width, one tile
+        # of all v columns included (v=9,001 and runs of 21 and 43 rows:
+        # ragged tiles, nothing a multiple of 8). This is why a float64 run
+        # in memory, taken as one tile, gives the components that 8,192-column
+        # tiles gave, and streamed runs those of in-memory ones.
+        rng = np.random.default_rng(64)
+        v = 9_001
+        runs = [rng.standard_normal((t, v)).astype(dtype) for t in (21, 43)]
+        shared = [rng.standard_normal((len(x), 5)) for x in runs]
+        got = {cols: next(srm._fold_steps([shared], col_tiles(runs, cols), v))[0]
+               for cols in (16, 2560, 8192, v)}
+        for cols in (16, 2560, 8192):
+            assert got[cols].tobytes() == got[v].tobytes()
+
 
 class TestSrmModel:
     def test_save_load_roundtrip(self, tmp_path):
